@@ -5,18 +5,22 @@ on the unit torus: free flight with velocity sin(2 pi V) per axis, and
 elastic jumps with kernel 2 pi delta(e(U) - e(V)).  Because the jump law
 depends on V only through the conserved energy e(V), each particle carries
 an exponential clock with a fixed rate R = 2 pi Phi(e(V)), where Phi is the
-density of states of e pushed forward from the uniform torus measure.
+density of states of e pushed forward from the uniform torus measure,
+tabulated once by `build_dos_table`.
 
-The delta kernel is regularized by a shell of half-width `shell_halfwidth`:
-proposals uniform on the torus are accepted inside the shell and then
-Newton-projected onto the exact level set, so post-collision energies match
-the pre-collision energy to the projection tolerance while the angular law
-converges to the level-set measure as the shell shrinks (bias O(shell)).
+The delta kernel is regularized by a shell of half-width `shell_halfwidth`.
+A jump draws the new velocity with `sample_energy_shell_batch`: the first
+of i.i.d. uniform torus proposals inside the shell is Newton-projected onto
+the exact level set, so post-collision energies match the pre-collision
+energy to the projection tolerance while the angular law converges to the
+level-set measure as the shell shrinks (bias O(shell)).  `snapshots` is the
+one driver: it evolves an ensemble through an increasing list of times.
+The module keeps no state between calls; every result is a function of the
+arguments and the generator's state.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -49,24 +53,6 @@ class ShellSamplerConfig:
 # ---------------------------------------------------------------------------
 # Density of states
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class DosEstimate:
-    value: float
-    stderr: float
-
-
-def dos(E: float, n_samples: int, shell_halfwidth: float, rng: np.random.Generator) -> DosEstimate:
-    """Monte Carlo estimate of Phi(E) = vol{ |e(U) - E| < shell } / (2 shell)."""
-    if E < -shell_halfwidth or E > 6.0 + shell_halfwidth:
-        return DosEstimate(0.0, 0.0)
-    U = rng.random((n_samples, 3))
-    hits = np.abs(dispersion(U) - E) < shell_halfwidth
-    p = float(np.mean(hits))
-    value = p / (2.0 * shell_halfwidth)
-    stderr = math.sqrt(max(p * (1.0 - p), 1.0 / n_samples) / n_samples) / (2.0 * shell_halfwidth)
-    return DosEstimate(value, stderr)
 
 
 @dataclass
@@ -145,52 +131,6 @@ def _project_to_shell(U: np.ndarray, E: np.ndarray, tol: float, grad_floor: floa
     return reduce_torus(U), ok
 
 
-_ACCEPTANCE_CACHE: dict = {}  # (E rounded, shell) -> observed acceptance rate
-
-
-def _fill_same_energy(E_val: float, count: int, cfg, rng) -> np.ndarray:
-    """Flat-pool rejection for `count` draws on one shell (fast common case)."""
-    out = np.empty((count, 3))
-    filled = 0
-    tries = 0
-    total_hits = 0
-    cache_key = (round(E_val, 9), cfg.shell_halfwidth)
-    p_prior = _ACCEPTANCE_CACHE.get(cache_key, 0.0)
-    while filled < count:
-        remaining = count - filled
-        if total_hits > 0:
-            M = int(remaining * tries / total_hits * 1.2) + 8192
-        elif p_prior > 0.0:
-            M = int(remaining / p_prior * 1.2) + 8192
-        else:
-            M = max(131072, remaining * 3000)
-        M = min(M, 12_000_000)
-        # float32 proposals: the coarse shell test tolerates 1e-7 rounding,
-        # and the Newton projection afterwards runs in float64 anyway
-        U = rng.random((M, 3), dtype=np.float32)
-        e32 = np.float32(3.0) - np.sum(np.cos(np.float32(2.0 * math.pi) * U), axis=-1)
-        hits = np.abs(e32 - np.float32(E_val)) < cfg.shell_halfwidth * (1.0 - 1e-5)
-        tries += M
-        total_hits += int(np.sum(hits))
-        idx = np.flatnonzero(hits)[: 2 * remaining]
-        if idx.size:
-            proj, ok = _project_to_shell(
-                U[idx].astype(np.float64), np.full(idx.size, E_val), cfg.projection_tol
-            )
-            good = proj[ok]
-            take = min(len(good), remaining)
-            out[filled : filled + take] = good[:take]
-            filled += take
-        if filled == 0 and tries >= cfg.max_tries:
-            raise ShellEmpty(
-                f"no shell hit after {tries} proposals at E={E_val:.4f}, "
-                f"shell={cfg.shell_halfwidth}"
-            )
-    if tries > 0:
-        _ACCEPTANCE_CACHE[cache_key] = max(total_hits, 1) / tries
-    return out
-
-
 def project_to_shell(U, E, tol: float = 1e-12) -> np.ndarray:
     """Newton-project points onto the exact level set e = E.
 
@@ -205,72 +145,75 @@ def project_to_shell(U, E, tol: float = 1e-12) -> np.ndarray:
     return out
 
 
+# Proposals drawn in one round across all pending slots (72 MB of float32).
+_ROUND_BUDGET = 6_000_000
+# Row length of the first round, before the call has seen any acceptance.
+_FIRST_ROW = 1024
+# Expected shell hits per row once the acceptance is known.  Longer rows
+# miss less often but waste the proposals after their first hit; at one hit
+# per row a row misses with probability about exp(-1).
+_HITS_PER_ROW = 1.0
+
+
 def sample_energy_shell_batch(
     E, n: int, cfg: ShellSamplerConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """n torus points with e(U) = E_i exactly (to the projection tolerance).
 
-    E may be a scalar or an array of per-slot energies.  Uniform proposals
-    are accepted inside the shell |e - E| < shell_halfwidth, then projected.
-    Batches sharing few distinct energies use one flat proposal pool per
-    shell; fully heterogeneous batches fall back to per-slot proposals.
+    E may be a scalar or an array of per-slot energies.  Each round gives
+    every pending slot its own row of k uniform float32 proposals.  The first
+    proposal of a row inside the shell |e - E_i| < shell_halfwidth is
+    Newton-projected onto e = E_i in float64 and fills the slot; a slot whose
+    row has no hit, or whose projection stalls, stays pending for the next
+    round.  So each slot's point is the first shell hit of its own i.i.d.
+    proposal sequence, whatever k is.  k follows the acceptance seen so far
+    in this call, so the draws depend only on the arguments and the state of
+    `rng`.  Raises ShellEmpty once a pending slot has seen cfg.max_tries
+    proposals.
     """
     E = np.broadcast_to(np.asarray(E, dtype=float), (n,)).copy()
     if np.any((E <= 0.0) | (E >= 6.0)):
         raise ShellEmpty("energy outside the open band (0, 6)")
     out = np.empty((n, 3))
-
-    uniq, inverse = np.unique(E, return_inverse=True)
-    if uniq.size <= 32:
-        for g, E_val in enumerate(uniq):
-            slots = np.flatnonzero(inverse == g)
-            out[slots] = _fill_same_energy(float(E_val), slots.size, cfg, rng)
-        return out
-
+    E32 = E.astype(np.float32)
+    # the float32 shell test tolerates 1e-7 rounding; the projection
+    # afterwards runs in float64
+    halfwidth = np.float32(cfg.shell_halfwidth * (1.0 - 1e-5))
     pending = np.arange(n)
-    tries = np.zeros(n, dtype=np.int64)
-    budget = 6_000_000  # proposals per round, across pending slots
+    tries = proposals = hits = 0
+    k = _FIRST_ROW
     while pending.size:
-        k = max(1, min(4096, budget // pending.size))
-        U = rng.random((pending.size, k, 3))
-        hit = np.abs(dispersion(U) - E[pending][:, None]) < cfg.shell_halfwidth
-        any_hit = hit.any(axis=1)
-        first = np.argmax(hit, axis=1)
-        rows = np.flatnonzero(any_hit)
-        if rows.size:
-            cand = U[rows, first[rows]]
-            proj, ok = _project_to_shell(cand, E[pending[rows]], cfg.projection_tol)
-            good = rows[ok]
-            out[pending[good]] = proj[ok]
-            solved = np.zeros(pending.size, dtype=bool)
-            solved[good] = True
-        else:
-            solved = np.zeros(pending.size, dtype=bool)
-        tries[pending] += k
-        pending = pending[~solved]
-        if pending.size and np.any(tries[pending] >= cfg.max_tries):
+        k = max(1, min(k, _ROUND_BUDGET // pending.size))
+        # component-major layout: U[j, i, r] is component j of proposal r in
+        # slot i's row, so the energy is three contiguous adds
+        U = rng.random((3, pending.size, k), dtype=np.float32)
+        c = np.multiply(U, np.float32(2.0 * math.pi))
+        np.cos(c, out=c)
+        e32 = np.float32(3.0) - c[0] - c[1] - c[2]
+        del c
+        hit = np.abs(e32 - E32[pending, None]) < halfwidth
+        rows = np.flatnonzero(hit.any(axis=1))
+        first = np.argmax(hit[rows], axis=1)
+        proj, ok = _project_to_shell(
+            U[:, rows, first].T.astype(np.float64), E[pending[rows]], cfg.projection_tol
+        )
+        out[pending[rows[ok]]] = proj[ok]
+        pending = np.delete(pending, rows[ok])
+        tries += k
+        proposals += hit.size
+        hits += int(np.count_nonzero(hit))
+        if pending.size and tries >= cfg.max_tries:
             raise ShellEmpty(
-                f"no shell hit after {cfg.max_tries} proposals at E={E[pending[0]]:.4f}, "
+                f"no shell hit after {tries} proposals at E={E[pending[0]]:.4f}, "
                 f"shell={cfg.shell_halfwidth}"
             )
+        k = math.ceil(_HITS_PER_ROW * proposals / hits) if hits else 4 * k
     return out
-
-
-def sample_energy_shell(E: float, cfg: ShellSamplerConfig, rng: np.random.Generator) -> np.ndarray:
-    """Single draw from the regularized level-set law at energy E."""
-    return sample_energy_shell_batch(E, 1, cfg, rng)[0]
 
 
 # ---------------------------------------------------------------------------
 # Particles
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class Particle:
-    X: np.ndarray
-    V: np.ndarray
-    weight: float = 1.0
 
 
 @dataclass
@@ -288,34 +231,11 @@ class ParticleEnsemble:
     def total_weight(self) -> float:
         return float(np.sum(self.weight))
 
-    def write_csv(self, path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["X1", "X2", "X3", "V1", "V2", "V3", "weight"])
-            for x, v, wt in zip(self.X, self.V, self.weight):
-                w.writerow([repr(float(c)) for c in (*x, *v, wt)])
 
-    @staticmethod
-    def read_csv(path) -> "ParticleEnsemble":
-        rows = []
-        with open(path, newline="") as f:
-            r = csv.reader(f)
-            header = next(r)
-            if header != ["X1", "X2", "X3", "V1", "V2", "V3", "weight"]:
-                raise ValueError(f"unexpected ensemble header {header}")
-            for row in r:
-                rows.append([float(c) for c in row])
-        arr = np.asarray(rows, dtype=float)
-        return ParticleEnsemble(arr[:, 0:3], arr[:, 3:6], arr[:, 6])
-
-
-def _advance_batch(X, V, dT, table, cfg, rng, rate=None):
+def _advance_batch(X, V, dT, table, cfg, rng, collisions=True):
     """Advance all particles by dT in place; returns (X, V)."""
     n = len(X)
-    if rate is None:
-        R = collision_rate(V, table)
-    else:
-        R = np.broadcast_to(np.asarray(rate, dtype=float), (n,)).copy()
+    R = collision_rate(V, table) if collisions else np.zeros(n)
     E = dispersion(V)
     t_left = np.full(n, float(dT))
     active = np.flatnonzero(R > 0.0)
@@ -336,52 +256,6 @@ def _advance_batch(X, V, dT, table, cfg, rng, rate=None):
     return X, V
 
 
-def step_particle(
-    p: Particle,
-    dT: float,
-    table: DosTable,
-    cfg: ShellSamplerConfig,
-    rng: np.random.Generator,
-    rate=None,
-) -> Particle:
-    """Free flight at velocity sin(2 pi V) with elastic jumps; weight unchanged.
-
-    `rate` overrides the table-derived clock rate (0 disables collisions).
-    """
-    if dT < 0:
-        raise ValueError("dT must be nonnegative")
-    X = np.array([p.X], dtype=float)
-    V = np.array([p.V], dtype=float)
-    X, V = _advance_batch(X, V, dT, table, cfg, rng, rate=rate)
-    return Particle(X[0], V[0], p.weight)
-
-
-def solve(
-    initial_sampler,
-    T: float,
-    n_particles: int,
-    cfg: ShellSamplerConfig,
-    rng: np.random.Generator,
-    table: DosTable,
-    collisions: bool = True,
-    mass: float = 1.0,
-) -> ParticleEnsemble:
-    """Evolve n_particles to macroscopic time T; total weight conserved exactly.
-
-    `initial_sampler(n, rng)` returns initial (X, V) arrays; each particle
-    carries weight mass/n.
-    """
-    if T < 0:
-        raise ValueError("T must be nonnegative")
-    X, V = initial_sampler(n_particles, rng)
-    X = np.array(X, dtype=float)
-    V = reduce_torus(np.array(V, dtype=float))
-    weight = np.full(n_particles, mass / n_particles)
-    if T > 0:
-        X, V = _advance_batch(X, V, T, table, cfg, rng, rate=None if collisions else 0.0)
-    return ParticleEnsemble(X, V, weight)
-
-
 def snapshots(
     initial_sampler,
     times,
@@ -392,7 +266,12 @@ def snapshots(
     collisions: bool = True,
     mass: float = 1.0,
 ):
-    """Ensemble states at an increasing sequence of times (shared trajectories)."""
+    """Ensemble states at an increasing sequence of times (shared trajectories).
+
+    `initial_sampler(n, rng)` returns initial (X, V) arrays; each particle
+    carries weight mass/n, which no step changes.  `collisions=False` gives
+    free flight.
+    """
     times = list(times)
     if any(b < a for a, b in zip(times, times[1:])) or (times and times[0] < 0):
         raise ValueError("times must be nondecreasing and nonnegative")
@@ -404,7 +283,7 @@ def snapshots(
     out = []
     for t in times:
         if t > prev:
-            X, V = _advance_batch(X, V, t - prev, table, cfg, rng, rate=None if collisions else 0.0)
+            X, V = _advance_batch(X, V, t - prev, table, cfg, rng, collisions)
             prev = t
         out.append(ParticleEnsemble(X.copy(), V.copy(), weight.copy()))
     return out

@@ -60,7 +60,8 @@ def _floats(s: str) -> tuple:
     return tuple(float(tok) for tok in s.split())
 
 
-def _parse_harmonics(s: str) -> dict:
+def _parse_terms(s: str) -> dict:
+    """Terms "m1 m2 m3 : a b" separated by ";" as {(m1, m2, m3): (a, b)}; b defaults to 0."""
     out = {}
     for chunk in s.split(";"):
         chunk = chunk.strip()
@@ -68,26 +69,9 @@ def _parse_harmonics(s: str) -> dict:
             continue
         left, right = chunk.split(":")
         m = tuple(int(float(tok)) for tok in left.split())
-        re_im = [float(tok) for tok in right.split()]
-        if len(re_im) == 1:
-            re_im.append(0.0)
-        out[m] = complex(re_im[0], re_im[1])
+        a_b = [float(tok) for tok in right.split()] + [0.0, 0.0]
+        out[m] = (a_b[0], a_b[1])
     return out
-
-
-def _parse_trig(s: str) -> TrigPolynomial:
-    terms = {}
-    for chunk in s.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        left, right = chunk.split(":")
-        m = tuple(int(float(tok)) for tok in left.split())
-        a_b = [float(tok) for tok in right.split()]
-        while len(a_b) < 2:
-            a_b.append(0.0)
-        terms[m] = (a_b[0], a_b[1])
-    return TrigPolynomial.from_dict(terms)
 
 
 @dataclass(frozen=True)
@@ -205,14 +189,17 @@ def parse_config(text: str) -> ExperimentConfig:
         center=_floats(wkb_sec.get("center", "0 0 0")),
         sigma=float(wkb_sec.get("sigma", "0.35")),
         linear=_floats(wkb_sec.get("linear", "0 0 0")),
-        trig=_parse_trig(wkb_sec.get("trig", "")),
+        trig=TrigPolynomial.from_dict(_parse_terms(wkb_sec.get("trig", ""))),
     )
     obs_sec = cp["observable"] if "observable" in cp else {}
     observable = TestObservable.make(
         center=_floats(obs_sec.get("center", "0 0 0")),
         sigma=_floats(obs_sec.get("sigma", "1 1 1")),
         amplitude=float(obs_sec.get("amplitude", "1.0")),
-        coeffs=_parse_harmonics(obs_sec.get("harmonics", "0 0 0 : 1 0")),
+        coeffs={
+            m: complex(a, b)
+            for m, (a, b) in _parse_terms(obs_sec.get("harmonics", "0 0 0 : 1 0")).items()
+        },
     )
     duh_sec = cp["duhamel"] if "duhamel" in cp else {}
     duhamel = DuhamelStudySpec(

@@ -30,7 +30,7 @@ from kinlab.graphs import (
 )
 from kinlab.harness.config import ExperimentConfig
 from kinlab.harness.manifest import RunManifest
-from kinlab.harness.stats import EnsembleStats, bootstrap_slope, fit_loglog_slope
+from kinlab.harness.stats import EnsembleStats, bootstrap_slope
 from kinlab.lattice import WaveFunction, sample_disorder, wkb_state
 from kinlab.resolvent import fit_scaling, integral_1res, integral_2res, integral_3res
 from kinlab.wigner import pair_wigner, wkb_limit_sampler
@@ -218,7 +218,7 @@ def boltzmann_observable(cfg: ExperimentConfig, T: float, table=None, collisions
     def init(n, r):
         return wkb_limit_sampler(cfg.wkb, n, r)
 
-    ens = bz.solve(init, T, cfg.n_particles, shell, rng, table, collisions=collisions)
+    ens = bz.snapshots(init, [T], cfg.n_particles, shell, rng, table, collisions=collisions)[-1]
     return bz.observable(ens, cfg.observable)
 
 

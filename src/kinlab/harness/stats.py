@@ -108,14 +108,6 @@ class EnsembleStats:
         return max(self.truncation_errors) if self.truncation_errors else 0.0
 
 
-def variance_stderr(values: np.ndarray) -> float:
-    """Standard error of the sample variance (normal-theory sqrt(2/(n-1)) s^2)."""
-    n = len(values)
-    if n < 2:
-        return float("nan")
-    return float(np.var(values, ddof=1) * math.sqrt(2.0 / (n - 1)))
-
-
 def fit_loglog_slope(lams, variances) -> float:
     x = np.log(np.asarray(lams, dtype=float))
     y = np.log(np.asarray(variances, dtype=float))

@@ -56,13 +56,6 @@ def reduce_torus(k) -> np.ndarray:
     return np.where(r >= 1.0, 0.0, r)
 
 
-def torus_distance(a, b) -> np.ndarray:
-    """Euclidean distance on the unit torus (componentwise nearest image)."""
-    d = np.abs(reduce_torus(a) - reduce_torus(b))
-    d = np.minimum(d, 1.0 - d)
-    return np.sqrt(np.sum(d * d, axis=-1))
-
-
 def dispersion(k) -> np.ndarray:
     """Kinetic energy e(k) = 3 - sum_j cos(2 pi k_j); values in [0, 6]."""
     k = np.asarray(k, dtype=float)

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from kinlab.lattice import dispersion
-
 #: the two torus points where the two-resolvent integral degenerates
 EXCEPTIONAL_SET = ((0.0, 0.0, 0.0), (0.5, 0.5, 0.5))
 
@@ -83,13 +81,6 @@ def integral_1res(gamma: float, eps: float, N: int) -> float:
     for i3 in range(N):
         total += float(np.sum(_modulus_slab(c, c, c[i3], gamma, eps, np.float64)))
     return total / N**3
-
-
-def _integral_1res_2d(gamma: float, eps: float, N: int) -> float:
-    """2D analogue on the square torus with e_2D = -cos - cos (test fixture only)."""
-    c = _axis_cos(N)
-    re = (-gamma) - c[:, None] - c[None, :]
-    return float(np.mean(1.0 / np.sqrt(re**2 + eps**2)))
 
 
 def integral_2res(p, gamma1: float, gamma2: float, eps: float, N: int) -> float:

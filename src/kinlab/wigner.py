@@ -20,8 +20,7 @@ periodization of g over the box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize

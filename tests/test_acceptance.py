@@ -188,7 +188,7 @@ def test_criterion_5_boltzmann_solver():
         return np.zeros((k, 3)), bz.sample_energy_shell_batch(E, k, shell, r)
 
     t0 = time.time()
-    ens = bz.solve(init, 20.0 / rate, n, shell, rng, table)
+    ens = bz.snapshots(init, [20.0 / rate], n, shell, rng, table)[-1]
     mass_ok = bool(np.all(ens.weight == 1.0 / n))
     drift = float(np.max(np.abs(dispersion(ens.V) - E)))
     drift_ok = drift <= 1e-8

@@ -5,23 +5,18 @@ import pytest
 from scipy import stats as sps
 
 from kinlab.boltzmann import (
-    DosTable,
-    Particle,
     ParticleEnsemble,
     ProjectionStalled,
     ShellEmpty,
     ShellSamplerConfig,
     build_dos_table,
     collision_rate,
-    dos,
     observable,
     project_to_shell,
-    sample_energy_shell,
     sample_energy_shell_batch,
     snapshots,
-    solve,
-    step_particle,
 )
+from kinlab.harness import experiments as ex
 from kinlab.lattice import dispersion, group_velocity
 from kinlab.wigner import TestObservable
 
@@ -41,21 +36,30 @@ def cfg():
 # ---------------------------------------------------------------------------
 
 
-def test_dos_outside_band(rng):
-    assert dos(-1.0, 1000, 1e-3, rng).value == 0.0
-    assert dos(7.5, 1000, 1e-3, rng).value == 0.0
+def dos_at(table, E):
+    """(Phi(E), stderr) read off the table.
+
+    Interpolating the bin stderr linearly bounds the stderr of the
+    interpolated value from above.
+    """
+    return float(table.interp(E)), float(np.interp(E, table.centers, table.stderr))
+
+
+def test_dos_outside_band(table):
+    assert table.interp(-1.0) == 0.0
+    assert table.interp(7.5) == 0.0
 
 
 def test_dos_estimates_consistent(rng):
-    a = dos(3.0, 400_000, 1e-3, rng)
-    b = dos(3.0, 400_000, 1e-3, rng)
-    assert abs(a.value - b.value) <= 3 * math.hypot(a.stderr, b.stderr)
+    a, a_err = dos_at(build_dos_table(400_000, rng), 3.0)
+    b, b_err = dos_at(build_dos_table(400_000, rng), 3.0)
+    assert abs(a - b) <= 3 * math.hypot(a_err, b_err)
 
 
 def test_dos_band_symmetry(rng):
-    a = dos(1.5, 400_000, 2e-3, rng)
-    b = dos(4.5, 400_000, 2e-3, rng)
-    assert abs(a.value - b.value) <= 3 * math.hypot(a.stderr, b.stderr)
+    a, a_err = dos_at(build_dos_table(400_000, rng), 1.5)
+    b, b_err = dos_at(build_dos_table(400_000, rng), 4.5)
+    assert abs(a - b) <= 3 * math.hypot(a_err, b_err)
 
 
 def test_dos_table_normalization_and_symmetry(table):
@@ -89,7 +93,7 @@ def test_collision_rate_vanishes_at_band_bottom(table):
 
 def test_shell_projection_contract(cfg, rng):
     for E in (1.0, 3.0, 5.0):
-        U = sample_energy_shell(E, cfg, rng)
+        U = sample_energy_shell_batch(E, 1, cfg, rng)[0]
         assert abs(dispersion(U) - E) <= 1e-12
 
 
@@ -97,6 +101,19 @@ def test_shell_batch_heterogeneous(cfg, rng):
     E = rng.uniform(1.0, 5.0, 200)
     U = sample_energy_shell_batch(E, 200, cfg, rng)
     assert np.max(np.abs(dispersion(U) - E)) <= 1e-12
+
+
+def test_shell_draws_independent_of_call_history(cfg):
+    # no state survives a call: earlier calls at the same energy must not
+    # change what a fresh generator draws, nor how much of its stream a call
+    # consumes (the second batch of each pair shows that)
+    def draws(seed):
+        r = np.random.default_rng(seed)
+        return np.concatenate([sample_energy_shell_batch(2.3, 300, cfg, r) for _ in range(2)])
+
+    cold = draws(8)
+    draws(9)
+    assert np.array_equal(draws(8), cold)
 
 
 def test_shell_empty_near_band_edge(rng):
@@ -154,8 +171,8 @@ def test_shell_acceptance_matches_dos(rng):
     hits = np.abs(dispersion(U) - E) < shell
     acc = hits.mean() / (2 * shell)
     acc_err = math.sqrt(hits.mean() * (1 - hits.mean()) / n) / (2 * shell)
-    d = dos(E, 400_000, shell, rng)
-    assert abs(acc - d.value) <= 3 * math.hypot(acc_err, d.stderr)
+    d, d_err = dos_at(build_dos_table(400_000, rng), E)
+    assert abs(acc - d) <= 3 * math.hypot(acc_err, d_err)
 
 
 # ---------------------------------------------------------------------------
@@ -163,26 +180,31 @@ def test_shell_acceptance_matches_dos(rng):
 # ---------------------------------------------------------------------------
 
 
+def one_particle(X, V):
+    return lambda n, r: (np.array([X], dtype=float), np.array([V], dtype=float))
+
+
 def test_ballistic_with_rate_override(table, cfg, rng):
-    p = Particle(np.array([0.5, 0.5, 0.5]), np.array([0.1, 0.2, 0.3]))
-    out = step_particle(p, 2.5, table, cfg, rng, rate=0.0)
-    assert np.array_equal(out.X, p.X + 2.5 * group_velocity(p.V))
-    assert np.array_equal(out.V, p.V)
-    assert out.weight == p.weight
+    X0, V0 = np.array([0.5, 0.5, 0.5]), np.array([0.1, 0.2, 0.3])
+    out = snapshots(one_particle(X0, V0), [2.5], 1, cfg, rng, table, collisions=False)[-1]
+    assert np.array_equal(out.X[0], X0 + 2.5 * group_velocity(V0))
+    assert np.array_equal(out.V[0], V0)
+    assert out.weight[0] == 1.0
 
 
 def test_energy_drift_over_1000_collisions(table, cfg, rng):
-    p = Particle(np.zeros(3), sample_energy_shell(3.0, cfg, rng))
-    E0 = dispersion(p.V)
-    out = step_particle(p, 1000.0, table, cfg, rng, rate=1.0)  # ~1000 collisions
-    assert abs(dispersion(out.V) - E0) <= 1e-8
+    V0 = sample_energy_shell_batch(3.0, 1, cfg, rng)[0]
+    E0 = dispersion(V0)
+    T = 1000.0 / collision_rate(V0, table)  # ~1000 collisions
+    out = snapshots(one_particle(np.zeros(3), V0), [T], 1, cfg, rng, table)[-1]
+    assert abs(dispersion(out.V[0]) - E0) <= 1e-8
 
 
 def test_solve_t0_matches_initial_law(table, cfg, rng):
     def init(n, r):
         return r.normal(size=(n, 3)), r.random((n, 3))
 
-    ens = solve(init, 0.0, 5000, cfg, rng, table)
+    ens = snapshots(init, [0.0], 5000, cfg, rng, table)[-1]
     ref_rng = np.random.default_rng(77)
     X, V = init(5000, ref_rng)
     assert sps.ks_2samp(ens.X[:, 0], X[:, 0]).pvalue > 0.001
@@ -196,7 +218,7 @@ def test_solve_weight_conserved_exactly(table, rng):
     def init(n, r):
         return np.zeros((n, 3)), sample_energy_shell_batch(3.0, n, cfg, r)
 
-    ens = solve(init, 3.0, 2000, cfg, rng, table, mass=0.75)
+    ens = snapshots(init, [3.0], 2000, cfg, rng, table, mass=0.75)[-1]
     assert np.all(ens.weight == 0.75 / 2000)  # per-particle weights never touched
     assert ens.total_weight() == pytest.approx(0.75, rel=1e-12)
 
@@ -208,7 +230,7 @@ def test_solve_displacement_speed_bound(table, rng):
     def init(n, r):
         return np.zeros((n, 3)), sample_energy_shell_batch(2.5, n, cfg, r)
 
-    ens = solve(init, T, 2000, cfg, rng, table)
+    ens = snapshots(init, [T], 2000, cfg, rng, table)[-1]
     assert np.max(np.abs(ens.X)) <= T + 1e-12
     assert np.linalg.norm(ens.X.mean(axis=0)) <= T
 
@@ -275,8 +297,10 @@ def test_observable_against_histogram_quadrature(rng):
 def test_ensemble_csv_roundtrip(tmp_path, rng):
     ens = ParticleEnsemble(rng.normal(size=(50, 3)), rng.random((50, 3)), rng.random(50))
     path = tmp_path / "ens.csv"
-    ens.write_csv(path)
-    back = ParticleEnsemble.read_csv(path)
+    header = ["X1", "X2", "X3", "V1", "V2", "V3", "weight"]
+    ex.write_csv(path, header, np.column_stack([ens.X, ens.V, ens.weight]))
+    arr = np.array([[row[h] for h in header] for row in ex.read_csv(path)])
+    back = ParticleEnsemble(arr[:, 0:3], arr[:, 3:6], arr[:, 6])
     assert np.array_equal(back.X, ens.X)
     assert np.array_equal(back.V, ens.V)
     assert np.array_equal(back.weight, ens.weight)

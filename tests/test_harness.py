@@ -245,6 +245,23 @@ def test_cli_determinism_bytes(tmp_path):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+def test_cli_transport_bytes_independent_of_call_history(tmp_path):
+    # a second compare/supnorm in the same process writes the same bytes as
+    # the first: no state carries over between runs
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(SMALL_CFG)
+    files = {"compare": "compare.csv", "supnorm": "supnorm.csv"}
+    for run in ("first", "second"):
+        for command in files:
+            out = tmp_path / run / command
+            assert cli_main([command, "--config", str(cfg_path), "--out", str(out),
+                             "--reproducible"]) == 0
+    for command, fname in files.items():
+        for name in (fname, "manifest.json"):
+            first = (tmp_path / "first" / command / name).read_bytes()
+            assert first == (tmp_path / "second" / command / name).read_bytes(), name
+
+
 def test_cli_seed_override(tmp_path):
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(SMALL_CFG)

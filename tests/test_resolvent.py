@@ -7,7 +7,6 @@ from kinlab.resolvent import (
     EXCEPTIONAL_SET,
     DegenerateFit,
     ResolventProbe,
-    _integral_1res_2d,
     dist_to_exceptional,
     fit_scaling,
     integral_1res,
@@ -104,6 +103,13 @@ def test_3res_monotone_in_eps_fixed_grid():
     k = (0.25, 0.25, 0.25)
     vals = [integral_3res(k, 3.0, 3.0, eps, 160) for eps in (0.1, 0.05)]
     assert vals[0] < vals[1]
+
+
+def _integral_1res_2d(gamma: float, eps: float, N: int) -> float:
+    """2D analogue of integral_1res on the square torus with e_2D = -cos - cos."""
+    c = np.cos(2.0 * np.pi * (np.arange(N) / N))
+    re = (-gamma) - c[:, None] - c[None, :]
+    return float(np.mean(1.0 / np.sqrt(re**2 + eps**2)))
 
 
 def test_2d_variant_log_band():
