@@ -33,10 +33,6 @@ class ShellEmpty(RuntimeError):
     """Rejection sampling exhausted its tries; E too close to a band edge."""
 
 
-class ProjectionStalled(RuntimeError):
-    """Newton projection hit a near-critical point of the dispersion."""
-
-
 @dataclass(frozen=True)
 class ShellSamplerConfig:
     shell_halfwidth: float = 1e-3
@@ -129,20 +125,6 @@ def _project_to_shell(U: np.ndarray, E: np.ndarray, tol: float, grad_floor: floa
     r = dispersion(U) - E
     ok &= np.abs(r) <= tol
     return reduce_torus(U), ok
-
-
-def project_to_shell(U, E, tol: float = 1e-12) -> np.ndarray:
-    """Newton-project points onto the exact level set e = E.
-
-    Raises ProjectionStalled when an iterate lands where |grad e| < 1e-8;
-    the rejection sampler handles that case by drawing a fresh proposal.
-    """
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    E = np.broadcast_to(np.asarray(E, dtype=float), (len(U),))
-    out, ok = _project_to_shell(U, E, tol)
-    if not np.all(ok):
-        raise ProjectionStalled("near-critical point of the dispersion; resample")
-    return out
 
 
 # Proposals drawn in one round across all pending slots (72 MB of float32).

@@ -95,7 +95,7 @@ def main(argv=None) -> int:
             print(f"lam={lam}: sup deviation {rep.sup_deviation[lam]:.6g}")
         print(f"decreasing across couplings: {rep.decreasing_across_lams}")
     elif args.command == "resolvent":
-        rep = ex.run_resolvent_suite(cfg)
+        rep = ex.run_resolvent_suite()
         emit("resolvent.csv", ex.RESOLVENT_HEADER, rep.rows)
         print(f"one-resolvent band ratio: {rep.band_ratio:.3f} (gate 3)")
         print(f"two-resolvent exponent: {rep.two_res_exponent:.3f} (gate 0.85)")

@@ -363,7 +363,7 @@ class ResolventReport:
     rows: list = field(default_factory=list)
 
 
-def run_resolvent_suite(cfg: ExperimentConfig = None, gamma: float = 3.0) -> ResolventReport:
+def run_resolvent_suite(gamma: float = 3.0) -> ResolventReport:
     """The three scaling sweeps; spans are pinned, so fits opt out of the span guard."""
     rows = []
 

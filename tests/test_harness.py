@@ -262,6 +262,23 @@ def test_cli_transport_bytes_independent_of_call_history(tmp_path):
             assert first == (tmp_path / "second" / command / name).read_bytes(), name
 
 
+def test_cli_resolvent_bytes_independent_of_call_history(tmp_path, monkeypatch):
+    # two small points per sweep; the three-resolvent k = 1/4 is on both grids
+    monkeypatch.setattr(ex, "BAND_SWEEP", ((1.0 / 3.0, 24), (0.2, 40)))
+    monkeypatch.setattr(ex, "TWORES_SWEEP", ((1.0 / 3.0, 24), (0.2, 40)))
+    monkeypatch.setattr(ex, "THREERES_SWEEP", ((1.0 / 3.0, 24), (0.2, 40)))
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(SMALL_CFG)
+    for run in ("first", "second"):
+        assert cli_main(["resolvent", "--config", str(cfg_path), "--out", str(tmp_path / run),
+                         "--reproducible"]) == 0
+    rows = ex.read_csv(tmp_path / "first" / "resolvent.csv")
+    assert [r["sweep"] for r in rows] == ["one_res"] * 2 + ["two_res"] * 2 + ["three_res"] * 2
+    for name in ("resolvent.csv", "manifest.json"):
+        first = (tmp_path / "first" / name).read_bytes()
+        assert first == (tmp_path / "second" / name).read_bytes(), name
+
+
 def test_cli_seed_override(tmp_path):
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(SMALL_CFG)

@@ -4,16 +4,28 @@ import numpy as np
 import pytest
 
 from kinlab.resolvent import (
-    EXCEPTIONAL_SET,
     DegenerateFit,
     ResolventProbe,
-    dist_to_exceptional,
     fit_scaling,
     integral_1res,
     integral_2res,
     integral_3res,
     resolvent_modulus_grid,
 )
+
+#: the two torus points where the two-resolvent integral degenerates
+EXCEPTIONAL_SET = ((0.0, 0.0, 0.0), (0.5, 0.5, 0.5))
+
+
+def dist_to_exceptional(p) -> float:
+    """Torus distance from p to the nearest exceptional point."""
+    p = np.asarray(p, dtype=float) % 1.0
+    best = math.inf
+    for q in EXCEPTIONAL_SET:
+        d = np.abs(p - np.asarray(q))
+        d = np.minimum(d, 1.0 - d)
+        best = min(best, float(np.sqrt(np.sum(d * d))))
+    return best
 
 
 def test_probe_invariants():
@@ -110,6 +122,78 @@ def _integral_1res_2d(gamma: float, eps: float, N: int) -> float:
     c = np.cos(2.0 * np.pi * (np.arange(N) / N))
     re = (-gamma) - c[:, None] - c[None, :]
     return float(np.mean(1.0 / np.sqrt(re**2 + eps**2)))
+
+
+# ---------------------------------------------------------------------------
+# brute-force references: plain sums over the full grid, no folding, no FFT
+# ---------------------------------------------------------------------------
+
+
+def _modulus(cos_sum, gamma, eps):
+    """1/|e - gamma - i eps| with e = 3 - (sum of the three cosines)."""
+    return 1.0 / np.sqrt((3.0 - gamma - cos_sum) ** 2 + eps**2)
+
+
+def _grid_modulus(shift, gamma, eps, N):
+    """|R_gamma(u + shift)| on the full N^3 grid u in {0, 1/N, ...}^3."""
+    u = np.arange(N) / N
+    c = [np.cos(2.0 * np.pi * (u + s)) for s in shift]
+    return _modulus(c[0][:, None, None] + c[1][None, :, None] + c[2][None, None, :], gamma, eps)
+
+
+def _brute_3res(k, gamma1, gamma2, gamma3, eps, N, sign):
+    """N^-6 sum over all (p, q) of |R1(p)| |R2(q)| |R3(p + sign*q + k)|."""
+    R1 = _grid_modulus((0.0, 0.0, 0.0), gamma1, eps, N)
+    R2 = _grid_modulus((0.0, 0.0, 0.0), gamma2, eps, N)
+    i = np.arange(N)
+    # T[a][i_p, i_q] = cos 2pi((i_p + sign*i_q)/N + k_a)
+    T = [np.cos(2.0 * np.pi * ((i[:, None] + sign * i[None, :]) / N + ka)) for ka in k]
+    total = 0.0
+    for p1 in range(N):
+        for p2 in range(N):
+            # axes (p3, q1, q2, q3)
+            s = T[0][p1][None, :, None, None] + T[1][p2][None, None, :, None] + T[2][:, None, None, :]
+            total += float(np.sum(R1[p1, p2][:, None, None, None] * R2[None] * _modulus(s, gamma3, eps)))
+    return total / N**6
+
+
+OFF_GRID_P = (0.137, 0.5, 0.61)
+
+
+@pytest.mark.parametrize("N", [24, 33, 48])
+def test_1res_matches_full_grid_sum(N):
+    eps = 1.0 / 3.0
+    for gamma in (3.0, 1.2):
+        ref = float(np.mean(_grid_modulus((0.0, 0.0, 0.0), gamma, eps, N)))
+        assert integral_1res(gamma, eps, N) == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("N", [24, 33, 48])
+@pytest.mark.parametrize("p", [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.25, 0.0, 0.75), OFF_GRID_P])
+def test_2res_matches_full_grid_sum(N, p):
+    eps = 1.0 / 3.0
+    for gamma1, gamma2 in ((3.0, 3.0), (2.0, 4.0)):
+        ref = float(np.mean(_grid_modulus(p, gamma1, eps, N) * _grid_modulus((0.0, 0.0, 0.0), gamma2, eps, N)))
+        assert integral_2res(p, gamma1, gamma2, eps, N) == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "k, gammas, sign",
+    [
+        ((0.25, 0.25, 0.25), (3.0, 3.0, 3.0), +1),  # on grid, one distinct gamma
+        ((0.25, 0.25, 0.25), (2.0, 3.0, 3.0), +1),  # on grid, gamma3 == gamma2 only
+        ((0.25, 0.5, 0.0), (3.0, 2.5, 3.5), -1),  # on grid, all distinct
+        ((0.5, 0.0, 0.75), (3.0, 3.0, 4.0), -1),  # on grid, gamma1 == gamma2 only
+        ((0.3, 0.1, 0.7), (3.0, 2.5, 3.5), +1),  # off grid, all distinct
+        ((0.3, 0.1, 0.7), (3.0, 3.0, 3.0), -1),  # off grid, one distinct gamma
+    ],
+)
+def test_3res_matches_double_sum(k, gammas, sign):
+    N, eps = 24, 1.0 / 3.0
+    gamma1, gamma2, gamma3 = gammas
+    ref = _brute_3res(k, gamma1, gamma2, gamma3, eps, N, sign)
+    v = integral_3res(k, gamma1, gamma2, eps, N, gamma3=gamma3, sign=sign)
+    assert v == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_2d_variant_log_band():
