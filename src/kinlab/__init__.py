@@ -11,10 +11,12 @@ expansion.
 
 Modules
 -------
-lattice    dispersion, box geometry, disorder fields, Fourier transforms,
-           semiclassical wave-packet construction
-dynamics   free/full/dense propagators, iterated-integral expansion of the
-           full evolution, remainder bookkeeping
+lattice    dispersion, box geometry, disorder fields, position-space states
+           and their momentum amplitudes, semiclassical wave-packet
+           construction
+dynamics   the split-step propagator with free and dense reference oracles,
+           iterated-integral expansion of the full evolution, residual norms
+           of its partial sums
 wigner     phase-space test observables and Wigner pairings
 boltzmann  particle Monte Carlo for the linear Boltzmann equation
 resolvent  torus integrals of resolvent products and scaling fits

@@ -2,22 +2,26 @@
 
 The full Hamiltonian is H = H0 + lam*V with H0 the nearest-neighbor kinetic
 term (multiplication by e(k) in momentum space) and V a diagonal on-site
-potential.  Three propagators are provided:
+potential.  States are position-space fields throughout; momentum
+amplitudes exist only inside the propagators.  Three propagators are
+provided:
 
-* evolve_free  -- exact free evolution, diagonal in momentum space;
 * evolve_full  -- Strang-split free/potential/free steps, two transforms per
-  step, unitary by construction;
+  step, unitary by construction; the one path the experiments use;
+* evolve_free  -- exact free evolution, diagonal in momentum space;
 * evolve_dense -- exact matrix exponential via eigendecomposition, usable as
   an oracle on small boxes only.
 
-The iterated-integral expansion of the full evolution in powers of lam is
-computed by the time-domain recursion
+The last two are reference oracles for the first.  The iterated-integral
+expansion of the full evolution in powers of lam is computed by the
+time-domain recursion
 
     phi_n(t) = -i lam * Int_0^t exp(-i (t-s) H0) V phi_{n-1}(s) ds
 
 with trapezoidal quadrature on a shared uniform grid; order n carries an
 exact lam^n prefactor because the coupling is factored out of the recursion
-and reapplied at the end.
+and reapplied at the end.  `duhamel_residuals` gives the norms of the full
+evolution minus the expansion's partial sums.
 """
 
 from __future__ import annotations
@@ -28,12 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from kinlab.lattice import (
-    MOMENTUM,
-    POSITION,
     BoxSpec,
     DisorderField,
     WaveFunction,
-    fourier_sum_factor,
     momentum_energies,
     to_momentum,
     to_position,
@@ -48,21 +49,13 @@ class HypothesisViolated(ValueError):
     """A bound was evaluated outside the hypotheses it is stated under."""
 
 
-STRANG = "strang-split"
-DENSE = "dense-oracle"
-
-
 @dataclass(frozen=True)
 class PropagatorConfig:
     dt: float = 1e-2
-    scheme: str = STRANG
-    dense_max_dim: int = 1024
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.scheme not in (STRANG, DENSE):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 def evolve_free(psi: WaveFunction, t: float) -> WaveFunction:
@@ -71,12 +64,8 @@ def evolve_free(psi: WaveFunction, t: float) -> WaveFunction:
         raise ValueError("t must be nonnegative")
     if t == 0:
         return psi.copy()
-    e = momentum_energies(psi.box).ravel()
-    phase = np.exp(-1j * t * e)
-    if psi.domain == MOMENTUM:
-        return WaveFunction(psi.box, psi.values * phase, MOMENTUM)
     out = to_momentum(psi)
-    out.values *= phase
+    out *= np.exp(-1j * t * momentum_energies(psi.box))
     return to_position(out)
 
 
@@ -104,26 +93,16 @@ def evolve_full(
         raise ValueError("t must be nonnegative")
     if V.box != psi.box:
         raise ValueError("state and disorder live on different boxes")
-    if cfg.scheme == DENSE:
-        return evolve_dense(psi, V, lam, t, max_dim=cfg.dense_max_dim)
     steps = _step_lengths(t, cfg.dt)
     if not steps:
         return psi.copy()
 
     L = psi.box.side
-    scale = fourier_sum_factor(psi.box)
     e = momentum_energies(psi.box)
     vgrid = V.values.reshape(L, L, L)
 
-    work = psi.grid() if psi.domain == POSITION else None
-    if work is None:
-        # start from the position representation
-        work = np.fft.ifftn(psi.grid()) * scale
-    else:
-        work = work.copy()
-
     # momentum space, leading free half step
-    work = np.fft.fftn(work)
+    work = np.fft.fftn(psi.grid())
     work *= np.exp(-0.5j * steps[0] * e)
     for j, h in enumerate(steps):
         work = np.fft.ifftn(work)
@@ -133,11 +112,7 @@ def evolve_full(
             work *= np.exp(-0.5j * (h + steps[j + 1]) * e)
         else:
             work *= np.exp(-0.5j * h * e)
-    if psi.domain == POSITION:
-        out = np.fft.ifftn(work)
-        return WaveFunction(psi.box, out.ravel(), POSITION)
-    # `work` holds the plain fftn of the position field = sqrt(V) * unitary values
-    return WaveFunction(psi.box, work.ravel() / scale, MOMENTUM)
+    return WaveFunction(psi.box, np.fft.ifftn(work).ravel())
 
 
 def dense_hamiltonian(box: BoxSpec, V: DisorderField, lam: float) -> np.ndarray:
@@ -162,29 +137,14 @@ def evolve_dense(
         raise DimensionTooLarge(
             f"dense oracle limited to dimension {max_dim}, box has {psi.box.volume}"
         )
-    pos = psi if psi.domain == POSITION else to_position(psi)
     H = dense_hamiltonian(psi.box, V, lam)
     w, Q = np.linalg.eigh(H)
-    out = Q @ (np.exp(-1j * t * w) * (Q.conj().T @ pos.values))
-    result = WaveFunction(psi.box, out, POSITION)
-    return result if psi.domain == POSITION else to_momentum(result)
+    return WaveFunction(psi.box, Q @ (np.exp(-1j * t * w) * (Q.conj().T @ psi.values)))
 
 
 # ---------------------------------------------------------------------------
 # Iterated-integral expansion
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class DuhamelLadder:
-    """Expansion terms phi_n at the final time, n = 0..order_cap."""
-
-    order_cap: int
-    t: float
-    dt: float  # effective grid step (t / n_steps)
-    n_steps: int
-    terms: list  # WaveFunction per order, in the input state's domain
-    norms: list  # float per order
 
 
 def duhamel_ladder(
@@ -195,11 +155,13 @@ def duhamel_ladder(
     lam: float,
     dt: float,
     max_order: int = 12,
-) -> DuhamelLadder:
-    """All expansion orders 0..N at time t on a shared uniform grid.
+) -> list:
+    """Expansion terms phi_n(t), n = 0..N, as position-space states.
 
+    The time grid is uniform with the largest step <= dt that lands on t.
     The recursion runs with unit coupling and order n is scaled by lam^n at
-    the end, so rescaling lam rescales term n by the exact n-th power.
+    the end, so rescaling lam rescales term n by the exact n-th power;
+    order 0 is the free evolution.
     """
     if N < 0:
         raise ValueError("order cap must be nonnegative")
@@ -213,10 +175,11 @@ def duhamel_ladder(
     e = momentum_energies(box).ravel()
     vflat = V.values
 
-    phi0_hat = psi0 if psi0.domain == MOMENTUM else to_momentum(psi0)
+    phi0_hat = to_momentum(psi0).ravel()
 
     if t == 0:
-        terms = [phi0_hat.copy() if n == 0 else WaveFunction(box, np.zeros(box.volume), MOMENTUM) for n in range(N + 1)]
+        terms = [phi0_hat.copy() if n == 0 else np.zeros(box.volume, dtype=np.complex128)
+                 for n in range(N + 1)]
     else:
         m = max(1, int(math.ceil(t / dt - 1e-12)))
         h = t / m
@@ -229,11 +192,11 @@ def duhamel_ladder(
 
         # order 0 on the grid (momentum space)
         grid_prev = np.empty((m + 1, box.volume), dtype=np.complex128)
-        grid_prev[0] = phi0_hat.values
+        grid_prev[0] = phi0_hat
         for j in range(1, m + 1):
             grid_prev[j] = grid_prev[j - 1] * step_phase
 
-        terms = [WaveFunction(box, grid_prev[m].copy(), MOMENTUM)]
+        terms = [grid_prev[m].copy()]
         for n in range(1, N + 1):
             grid_cur = np.empty_like(grid_prev)
             rho = mult_v(grid_prev[0])
@@ -243,49 +206,34 @@ def duhamel_ladder(
                 rho = mult_v(grid_prev[j])
                 B = B * step_phase + rho
                 grid_cur[j] = -1j * h * (B - 0.5 * rho)
-            terms.append(WaveFunction(box, grid_cur[m].copy(), MOMENTUM))
+            terms.append(grid_cur[m].copy())
             grid_prev = grid_cur
 
     for n in range(N + 1):
-        terms[n].values *= lam**n
-    if psi0.domain == POSITION:
-        terms = [to_position(w) for w in terms]
-    norms = [w.norm() for w in terms]
-    eff_dt = t / max(1, int(math.ceil(t / dt - 1e-12))) if t > 0 else dt
-    n_steps = int(round(t / eff_dt)) if t > 0 else 0
-    return DuhamelLadder(N, t, eff_dt, n_steps, terms, norms)
+        terms[n] *= lam**n
+    return [to_position(w.reshape(L, L, L)) for w in terms]
 
 
-def duhamel_term(
-    n: int,
-    t: float,
-    psi0: WaveFunction,
-    V: DisorderField,
-    lam: float,
-    dt: float,
-    max_order: int = 12,
-) -> WaveFunction:
-    """Order-n expansion term at time t; n = 0 is exactly the free evolution."""
-    return duhamel_ladder(n, t, psi0, V, lam, dt, max_order=max_order).terms[n]
-
-
-def remainder(
+def duhamel_residuals(
     N: int,
     t: float,
     psi0: WaveFunction,
     V: DisorderField,
     lam: float,
     cfg: PropagatorConfig,
-) -> WaveFunction:
-    """Full evolution minus the order-<=N ladder sum, for empirical norm studies."""
-    if N < 0:
-        raise ValueError("order cap must be nonnegative")
-    full = evolve_full(psi0, V, lam, t, cfg)
-    ladder = duhamel_ladder(N, t, psi0, V, lam, cfg.dt)
-    acc = full.values.copy()
-    for term in ladder.terms:
+) -> list:
+    """||e^{-itH} psi0 - sum_{n<=k} phi_n(t)|| for k = 0..N.
+
+    The full evolution is `evolve_full` with `cfg`; the expansion terms come
+    from `duhamel_ladder` on a grid of step at most cfg.dt.
+    """
+    terms = duhamel_ladder(N, t, psi0, V, lam, cfg.dt)
+    acc = evolve_full(psi0, V, lam, t, cfg).values.copy()
+    residuals = []
+    for term in terms:
         acc -= term.values
-    return WaveFunction(psi0.box, acc, full.domain)
+        residuals.append(float(np.linalg.norm(acc)))
+    return residuals
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ def main(argv=None) -> int:
             print(f"lam={lam}: |quantum - transport| = {d:.6g} (err {c:.2g})")
         print(f"nonincreasing within error bars: {rep.nonincreasing_within_errors}")
     elif args.command == "supnorm":
-        rep = ex.run_timegrid_sup(cfg, workers=args.threads)
+        rep = ex.run_timegrid_sup(cfg)
         emit("supnorm.csv", ex.SUPNORM_HEADER, ex.supnorm_csv_rows(rep))
         for lam in rep.lams:
             print(f"lam={lam}: sup deviation {rep.sup_deviation[lam]:.6g}")

@@ -100,7 +100,6 @@ class ExperimentConfig:
     wkb: WkbSpec
     observable: TestObservable
     duhamel: DuhamelStudySpec = field(default_factory=DuhamelStudySpec)
-    raw_text: str = ""
 
     def __post_init__(self):
         if not self.lambdas:
@@ -118,10 +117,6 @@ class ExperimentConfig:
                 )
         if self.dt <= 0 or self.T < 0:
             raise ConfigError("dt must be positive and T nonnegative")
-
-    @property
-    def etas(self) -> tuple:
-        return tuple(lam**2 for lam in self.lambdas)
 
     def box(self) -> BoxSpec:
         return BoxSpec(self.L)
@@ -225,7 +220,6 @@ def parse_config(text: str) -> ExperimentConfig:
         wkb=wkb,
         observable=observable,
         duhamel=duhamel,
-        raw_text=text,
     )
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from kinlab import boltzmann as bz
-from kinlab.dynamics import PropagatorConfig, duhamel_ladder, evolve_full
+from kinlab.dynamics import PropagatorConfig, duhamel_residuals, evolve_full
 from kinlab.graphs import (
     BoundParams,
     amplitude_bound,
@@ -84,31 +84,27 @@ def read_csv(path):
 
 def _realization_value(args):
     """One disorder realization: build, evolve, pair.  Returns (stream, value, trunc)."""
-    cfg, lam, stream, coupling = args
+    cfg, lam, stream = args
     eta = lam**2
     box = cfg.box()
     V = sample_disorder(box, cfg.master_seed, stream)
     psi0 = wkb_state(cfg.wkb, eta, box)
     t = cfg.T / eta
-    psi_t = evolve_full(psi0, V, coupling, t, PropagatorConfig(dt=cfg.dt))
+    psi_t = evolve_full(psi0, V, lam, t, PropagatorConfig(dt=cfg.dt))
     pairing = pair_wigner(cfg.observable, psi_t, eta)
     return stream, pairing.value, pairing.truncation_error
 
 
-def run_ensemble(
-    cfg: ExperimentConfig, lam: float, workers: int = 1, coupling_override: float = None
-) -> EnsembleStats:
+def run_ensemble(cfg: ExperimentConfig, lam: float, workers: int = 1) -> EnsembleStats:
     """Disorder ensemble of the Wigner observable at coupling lam.
 
     Realization i draws disorder stream i; stats aggregate in stream order
     regardless of the worker pool, so growing n_realizations leaves existing
-    realizations unchanged.  `coupling_override` evolves with a different
-    disorder coupling at fixed eta = lam^2 (0 disables the disorder).
+    realizations unchanged.
     """
     if lam not in cfg.lambdas:
         raise ValueError(f"lam={lam} not in the configured list {cfg.lambdas}")
-    coupling = lam if coupling_override is None else coupling_override
-    jobs = [(cfg, lam, i, coupling) for i in range(1, cfg.n_realizations + 1)]
+    jobs = [(cfg, lam, i) for i in range(1, cfg.n_realizations + 1)]
     stats = EnsembleStats(lam=lam, eta=lam**2)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -290,8 +286,8 @@ class TimeGridReport:
     decreasing_across_lams: bool
 
 
-def run_timegrid_sup(cfg: ExperimentConfig, workers: int = 1, stream: int = 1) -> TimeGridReport:
-    """Single-realization deviation from the transport value on a tau grid."""
+def run_timegrid_sup(cfg: ExperimentConfig) -> TimeGridReport:
+    """Deviation of disorder stream 1 from the transport value on a tau grid."""
     if cfg.tau_grid < 4:
         raise ValueError("tau grid needs >= 4 points")
     taus = tuple(float(x) for x in np.linspace(0.0, cfg.T, cfg.tau_grid))
@@ -310,7 +306,7 @@ def run_timegrid_sup(cfg: ExperimentConfig, workers: int = 1, stream: int = 1) -
     sup = {}
     for lam in cfg.lambdas:
         eta = lam**2
-        V = sample_disorder(box, cfg.master_seed, stream)
+        V = sample_disorder(box, cfg.master_seed, 1)
         psi = wkb_state(cfg.wkb, eta, box)
         devs = []
         prev_tau = 0.0
@@ -453,15 +449,8 @@ def run_duhamel_study(cfg: ExperimentConfig):
     v /= np.linalg.norm(v)
     psi0 = WaveFunction(box, v)
     V = sample_disorder(box, cfg.master_seed, 1)
-    prop = PropagatorConfig(dt=d.dt)
-    full = evolve_full(psi0, V, d.lam, d.t, prop)
-    ladder = duhamel_ladder(d.N, d.t, psi0, V, d.lam, d.dt)
-    rows = []
-    acc = full.values.copy()
-    for n in range(d.N + 1):
-        acc -= ladder.terms[n].values
-        rows.append([n, float(np.linalg.norm(acc))])
-    return rows
+    residuals = duhamel_residuals(d.N, d.t, psi0, V, d.lam, PropagatorConfig(dt=d.dt))
+    return [[n, r] for n, r in enumerate(residuals)]
 
 
 # ---------------------------------------------------------------------------

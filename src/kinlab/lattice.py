@@ -6,9 +6,11 @@ Conventions used throughout the package:
   fastest.  Site index ``idx`` in {0..L-1}^3 represents the lattice point
   with centered coordinate ``x = ((idx + L/2) mod L) - L/2``, so the box
   covers {-L/2, ..., L/2-1}^3 and the periodic seam sits at the faces.
-* Momentum space is the unit torus sampled on {0, 1/L, ..., (L-1)/L}^3.
-  The forward transform is the unitary scaling of the lattice Fourier sum
-  ``sum_x psi(x) exp(-2*pi*i k.x)``; on-grid momenta do not distinguish the
+* A ``WaveFunction`` is always a position-space field.  Momentum space is
+  the unit torus sampled on {0, 1/L, ..., (L-1)/L}^3, and momentum
+  amplitudes exist only as (L, L, L) arrays: ``to_momentum`` returns the
+  unitary scaling of the lattice Fourier sum ``sum_x psi(x) exp(-2*pi*i k.x)``
+  and ``to_position`` inverts it.  On-grid momenta do not distinguish the
   centered representative from the raw index, so a plain FFT applies.
 * Kinetic energy of the nearest-neighbor Hamiltonian (hopping -1/2, on-site
   +3) acts in momentum space as ``e(k) = 3 - sum_j cos(2 pi k_j)``, with
@@ -87,17 +89,12 @@ def momentum_energies(box: BoxSpec) -> np.ndarray:
 # Wave functions and transforms
 # ---------------------------------------------------------------------------
 
-POSITION = "position"
-MOMENTUM = "momentum"
-
-
 @dataclass
 class WaveFunction:
-    """Complex field on the box, flat length L^3, row-major (axis 3 fastest)."""
+    """Complex position-space field on the box, flat length L^3, row-major (axis 3 fastest)."""
 
     box: BoxSpec
     values: np.ndarray
-    domain: str = POSITION
 
     def __post_init__(self):
         self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
@@ -105,8 +102,6 @@ class WaveFunction:
             raise ValueError(
                 f"expected flat array of length {self.box.volume}, got shape {self.values.shape}"
             )
-        if self.domain not in (POSITION, MOMENTUM):
-            raise ValueError(f"unknown domain tag {self.domain!r}")
 
     def grid(self) -> np.ndarray:
         """(L, L, L) view of the flat data."""
@@ -117,7 +112,7 @@ class WaveFunction:
         return float(np.linalg.norm(self.values))
 
     def copy(self) -> "WaveFunction":
-        return WaveFunction(self.box, self.values.copy(), self.domain)
+        return WaveFunction(self.box, self.values.copy())
 
 
 def fourier_sum_factor(box: BoxSpec) -> float:
@@ -125,20 +120,15 @@ def fourier_sum_factor(box: BoxSpec) -> float:
     return math.sqrt(box.volume)
 
 
-def to_momentum(psi: WaveFunction) -> WaveFunction:
-    """Unitary forward transform; preserves the l2 norm exactly in exact arithmetic."""
-    if psi.domain != POSITION:
-        raise ValueError("to_momentum expects a position-domain state")
-    out = np.fft.fftn(psi.grid()).ravel() / fourier_sum_factor(psi.box)
-    return WaveFunction(psi.box, out, MOMENTUM)
+def to_momentum(psi: WaveFunction) -> np.ndarray:
+    """Unitary momentum amplitudes of psi, shape (L, L, L); preserves the l2 norm."""
+    return np.fft.fftn(psi.grid()) / fourier_sum_factor(psi.box)
 
 
-def to_position(psi_hat: WaveFunction) -> WaveFunction:
-    """Unitary inverse transform."""
-    if psi_hat.domain != MOMENTUM:
-        raise ValueError("to_position expects a momentum-domain state")
-    out = np.fft.ifftn(psi_hat.grid()).ravel() * fourier_sum_factor(psi_hat.box)
-    return WaveFunction(psi_hat.box, out, POSITION)
+def to_position(psi_hat: np.ndarray) -> WaveFunction:
+    """Unitary inverse of `to_momentum`; the box is read from the array's shape."""
+    box = BoxSpec(psi_hat.shape[0])
+    return WaveFunction(box, (np.fft.ifftn(psi_hat) * fourier_sum_factor(box)).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +270,7 @@ def wkb_state(
     X = np.stack(np.meshgrid(coord, coord, coord, indexing="ij"), axis=-1)
     amp = eta**1.5 * spec.envelope(X)
     values = (amp * np.exp(1j * spec.phase(X) / eta)).ravel()
-    psi = WaveFunction(box, values, POSITION)
+    psi = WaveFunction(box, values)
     if normalize:
         n = psi.norm()
         if n > 1.0:

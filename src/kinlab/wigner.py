@@ -26,12 +26,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import erfc
 
-from kinlab.lattice import (
-    MOMENTUM,
-    WaveFunction,
-    WkbSpec,
-    to_momentum,
-)
+from kinlab.lattice import WaveFunction, WkbSpec, to_momentum
 
 GAUSS_TAIL_THRESHOLD = 1e-10  # relative cutoff of the Fourier factor per axis
 ALIAS_LIMIT = 1e-2  # box-periodization budget triggering ResolutionTooCoarse
@@ -238,9 +233,7 @@ def pair_wigner_bilinear(
         raise ValueError("states live on different boxes")
     side = psi.box.side
     _check_resolution(J, eta, side)
-    Fphi = (phi if phi.domain == MOMENTUM else to_momentum(phi)).grid()
-    Fpsi = (psi if psi.domain == MOMENTUM else to_momentum(psi)).grid()
-    value, cutoffs, trunc = _pair_momentum_arrays(J, Fphi, Fpsi, eta, side)
+    value, cutoffs, trunc = _pair_momentum_arrays(J, to_momentum(phi), to_momentum(psi), eta, side)
     return WignerPairing(complex(value), eta, cutoffs, trunc)
 
 

@@ -8,7 +8,7 @@ def rng():
 
 
 def random_state(box, rng):
-    """Normalized random complex state on the box (position domain)."""
+    """Normalized random complex position-space state on the box."""
     from kinlab.lattice import WaveFunction
 
     v = rng.normal(size=box.volume) + 1j * rng.normal(size=box.volume)

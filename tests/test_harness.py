@@ -1,11 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from kinlab.dynamics import PropagatorConfig, evolve_full
 from kinlab.harness import experiments as ex
 from kinlab.harness.cli import main as cli_main
-from kinlab.harness.config import ConfigError, parse_config
+from kinlab.harness.config import ConfigError, DuhamelStudySpec, ExperimentConfig, parse_config
+from kinlab.lattice import TrigPolynomial, WkbSpec, sample_disorder, wkb_state
 from kinlab.harness.manifest import RunManifest
 from kinlab.harness.stats import EnsembleStats, StreamingMoments, bootstrap_slope
+from kinlab.wigner import TestObservable, pair_wigner
 
 SMALL_CFG = """
 [run]
@@ -54,7 +59,6 @@ def cfg():
 
 def test_config_roundtrip_fields(cfg):
     assert cfg.lambdas == (0.6, 0.45)
-    assert cfg.etas == (0.36, 0.2025)
     assert cfg.observable.coeff_dict()[(1, 0, 0)] == 0.25
     assert cfg.wkb.linear == (1.5707963, 0.0, 0.0)
     assert cfg.duhamel.N == 2
@@ -64,6 +68,48 @@ def test_config_digest_stable(cfg):
     assert cfg.digest() == parse_config(SMALL_CFG).digest()
     other = parse_config(SMALL_CFG.replace("master_seed = 12345", "master_seed = 99"))
     assert other.digest() != cfg.digest()
+
+
+# a valid value other than SMALL_CFG's for every config field; the nested
+# specs are walked field by field instead
+DIGEST_ALTERNATES = {
+    ExperimentConfig: {
+        "lambdas": (0.6, 0.5), "T": 0.1, "tau_grid": 5, "L": 22, "dt": 0.04,
+        "n_realizations": 5, "master_seed": 1, "n_particles": 4001,
+        "shell_halfwidth": 0.01, "dos_samples": 400001, "dos_bins": 257, "out_dir": "elsewhere",
+    },
+    WkbSpec: {
+        "center": (0.1, 0.0, 0.0), "sigma": 0.2, "linear": (1.0, 0.0, 0.0),
+        "trig": TrigPolynomial.from_dict({(1, 0, 0): (0.1, 0.0)}),
+    },
+    TestObservable: {
+        "center": (0.0, 0.0, 0.0), "sigma": (0.8, 0.8, 0.9), "amplitude": 2.0,
+        "coeffs": (((0, 0, 0), 1.0 + 0.0j),),
+    },
+    DuhamelStudySpec: {"L": 10, "t": 0.5, "lam": 0.2, "dt": 0.01, "N": 3},
+}
+NESTED_SPECS = {"wkb": WkbSpec, "observable": TestObservable, "duhamel": DuhamelStudySpec}
+
+
+def test_config_digest_covers_every_field(cfg):
+    base = cfg.digest()
+    changed = []
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name in NESTED_SPECS:
+            spec = getattr(cfg, f.name)
+            assert type(spec) is NESTED_SPECS[f.name]
+            for g in dataclasses.fields(spec):
+                alt = DIGEST_ALTERNATES[type(spec)][g.name]
+                assert alt != getattr(spec, g.name)
+                nested = dataclasses.replace(spec, **{g.name: alt})
+                other = dataclasses.replace(cfg, **{f.name: nested})
+                changed.append((f"{f.name}.{g.name}", other.digest() != base))
+        else:
+            alt = DIGEST_ALTERNATES[ExperimentConfig][f.name]
+            assert alt != getattr(cfg, f.name)
+            other = dataclasses.replace(cfg, **{f.name: alt})
+            changed.append((f.name, other.digest() != base))
+    assert [name for name, ok in changed if not ok] == []
 
 
 def test_config_rejects_box_budget_violation():
@@ -134,8 +180,6 @@ def test_ensemble_deterministic_and_seed_isolated(cfg):
     a = ex.run_ensemble(cfg, 0.6)
     b = ex.run_ensemble(cfg, 0.6)
     assert a.values == b.values  # bit-identical
-    import dataclasses
-
     bigger = dataclasses.replace(cfg, n_realizations=6)
     c = ex.run_ensemble(bigger, 0.6)
     assert c.values[:4] == a.values  # realization i keyed by stream, not count
@@ -145,12 +189,6 @@ def test_ensemble_workers_equivalent(cfg):
     a = ex.run_ensemble(cfg, 0.6, workers=1)
     b = ex.run_ensemble(cfg, 0.6, workers=2)
     assert a.values == b.values
-
-
-def test_ensemble_zero_coupling_override_kills_variance(cfg):
-    s = ex.run_ensemble(cfg, 0.6, coupling_override=0.0)
-    assert s.variance <= 1e-12
-    assert s.max_rel_imag < 1e-8
 
 
 def test_ensemble_moments_exposed(cfg):
@@ -199,8 +237,6 @@ def test_timegrid_report_max_dominates(cfg):
 
 
 def test_timegrid_needs_four_points(cfg):
-    import dataclasses
-
     with pytest.raises(ValueError):
         ex.run_timegrid_sup(dataclasses.replace(cfg, tau_grid=1))
 
@@ -250,14 +286,21 @@ def test_cli_transport_bytes_independent_of_call_history(tmp_path):
     # the first: no state carries over between runs
     cfg_path = tmp_path / "cfg.ini"
     cfg_path.write_text(SMALL_CFG)
-    files = {"compare": "compare.csv", "supnorm": "supnorm.csv"}
+    files = {
+        "simulate": ("ensemble_lam0.6.csv",),
+        "selfavg": ("selfavg.csv",),
+        "compare": ("compare.csv",),
+        "supnorm": ("supnorm.csv",),
+        "graphs": ("graphs.csv", "schedule.csv"),
+        "duhamel": ("duhamel.csv",),
+    }
     for run in ("first", "second"):
         for command in files:
             out = tmp_path / run / command
             assert cli_main([command, "--config", str(cfg_path), "--out", str(out),
                              "--reproducible"]) == 0
-    for command, fname in files.items():
-        for name in (fname, "manifest.json"):
+    for command, fnames in files.items():
+        for name in (*fnames, "manifest.json"):
             first = (tmp_path / "first" / command / name).read_bytes()
             assert first == (tmp_path / "second" / command / name).read_bytes(), name
 
@@ -328,10 +371,11 @@ def test_transport_only_agreement():
     ).replace("sigma = 0.25", "sigma = 0.2").replace("T = 0.2", "T = 0.5")
     cfg = parse_config(text)
     lam = 0.2  # eta = 0.04
-    stats = ex.run_ensemble(
-        __import__("dataclasses").replace(cfg, n_realizations=1), lam, coupling_override=0.0
-    )
-    quantum = stats.values[0].real
+    eta = lam**2
+    V = sample_disorder(cfg.box(), cfg.master_seed, 1)
+    psi0 = wkb_state(cfg.wkb, eta, cfg.box())
+    psi_t = evolve_full(psi0, V, 0.0, cfg.T / eta, PropagatorConfig(dt=cfg.dt))
+    quantum = pair_wigner(cfg.observable, psi_t, eta).value.real
     table = ex._dos_table(cfg)
     val, err = ex.boltzmann_observable(cfg, cfg.T, table, collisions=False)
     rel = abs(quantum - val.real) / abs(val.real)
@@ -339,8 +383,6 @@ def test_transport_only_agreement():
 
 
 def test_timegrid_sup_smaller_at_weaker_coupling_over_seeds():
-    import dataclasses
-
     text = SMALL_CFG.replace("lambdas = 0.6 0.45", "lambdas = 0.6 0.3").replace(
         "L = 20", "L = 64"
     ).replace("T = 0.2", "T = 0.5").replace("n_particles = 4000", "n_particles = 20000")
