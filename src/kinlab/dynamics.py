@@ -7,7 +7,9 @@ amplitudes exist only inside the propagators.  Three propagators are
 provided:
 
 * evolve_full  -- Strang-split free/potential/free steps, two transforms per
-  step, unitary by construction; the one path the experiments use;
+  step, unitary by construction; the one path the experiments use.  Its
+  phase grids are built once per call, so a step is two transforms and
+  two in-place multiplies;
 * evolve_free  -- exact free evolution, diagonal in momentum space;
 * evolve_dense -- exact matrix exponential via eigendecomposition, usable as
   an oracle on small boxes only.
@@ -69,14 +71,13 @@ def evolve_free(psi: WaveFunction, t: float) -> WaveFunction:
     return to_position(out)
 
 
-def _step_lengths(t: float, dt: float) -> list:
-    """Full steps of size dt with the last step shortened to land on t."""
+def _step_counts(t: float, dt: float) -> tuple:
+    """(number of full steps of dt, length of a shortened last step or 0.0)."""
     n_full = int(math.floor(t / dt + 1e-12))
     rem = t - n_full * dt
-    steps = [dt] * n_full
-    if rem > 1e-12 * max(t, dt):
-        steps.append(rem)
-    return steps
+    if rem <= 1e-12 * max(t, dt):
+        rem = 0.0
+    return n_full, rem
 
 
 def evolve_full(
@@ -87,31 +88,48 @@ def evolve_full(
     Strang splitting (free half step, potential phase, free half step) with
     adjacent half steps merged, so each step costs two transforms.  Norm is
     preserved to rounding; the global error against the dense oracle is
-    O(dt^2).
+    O(dt^2).  The free half phase, the merged full phase and the potential
+    kick of a step of dt are built once per call; only a shortened last
+    step builds its own.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if V.box != psi.box:
         raise ValueError("state and disorder live on different boxes")
-    steps = _step_lengths(t, cfg.dt)
-    if not steps:
+    n_full, rem = _step_counts(t, cfg.dt)
+    if n_full == 0 and rem == 0.0:
         return psi.copy()
 
     L = psi.box.side
     e = momentum_energies(psi.box)
     vgrid = V.values.reshape(L, L, L)
 
-    # momentum space, leading free half step
-    work = np.fft.fftn(psi.grid())
-    work *= np.exp(-0.5j * steps[0] * e)
-    for j, h in enumerate(steps):
+    def kicked(work, kick):
         work = np.fft.ifftn(work)
-        work *= np.exp(-1j * h * lam * vgrid)
-        work = np.fft.fftn(work)
-        if j + 1 < len(steps):
-            work *= np.exp(-0.5j * (h + steps[j + 1]) * e)
-        else:
-            work *= np.exp(-0.5j * h * e)
+        work *= kick
+        return np.fft.fftn(work)
+
+    # momentum space; each phase keeps the operand order of a per-step exp,
+    # so -0.5j * (dt + dt) reproduces the merged half steps bitwise
+    work = np.fft.fftn(psi.grid())
+    if n_full:
+        dt = cfg.dt
+        half = np.exp(-0.5j * dt * e)
+        kick = np.exp(-1j * dt * lam * vgrid)
+        work *= half
+        work = kicked(work, kick)
+        if n_full > 1:
+            full = np.exp(-0.5j * (dt + dt) * e)
+            for _ in range(n_full - 1):
+                work *= full
+                work = kicked(work, kick)
+        work *= np.exp(-0.5j * (dt + rem) * e) if rem else half
+    if rem:
+        rem_half = np.exp(-0.5j * rem * e)
+        if not n_full:
+            work *= rem_half
+        work = kicked(work, np.exp(-1j * rem * lam * vgrid))
+        work *= rem_half
     return WaveFunction(psi.box, np.fft.ifftn(work).ravel())
 
 

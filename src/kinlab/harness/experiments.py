@@ -43,7 +43,7 @@ SEED_STUDY = 7004
 
 
 # ---------------------------------------------------------------------------
-# CSV helpers (repr round-trip for floats)
+# CSV output (repr round-trip for floats)
 # ---------------------------------------------------------------------------
 
 
@@ -57,38 +57,16 @@ def write_csv(path, header, rows):
             )
 
 
-def read_csv(path):
-    """Rows as dicts; numeric-looking fields parsed back to int/float."""
-    out = []
-    with open(path, newline="") as f:
-        r = csv.reader(f)
-        header = next(r)
-        for row in r:
-            d = {}
-            for key, cell in zip(header, row):
-                try:
-                    d[key] = int(cell)
-                except ValueError:
-                    try:
-                        d[key] = float(cell)
-                    except ValueError:
-                        d[key] = cell
-            out.append(d)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Quantum ensemble
 # ---------------------------------------------------------------------------
 
 
 def _realization_value(args):
-    """One disorder realization: build, evolve, pair.  Returns (stream, value, trunc)."""
-    cfg, lam, stream = args
+    """One disorder realization: draw, evolve psi0, pair.  Returns (stream, value, trunc)."""
+    cfg, lam, psi0, stream = args
     eta = lam**2
-    box = cfg.box()
-    V = sample_disorder(box, cfg.master_seed, stream)
-    psi0 = wkb_state(cfg.wkb, eta, box)
+    V = sample_disorder(psi0.box, cfg.master_seed, stream)
     t = cfg.T / eta
     psi_t = evolve_full(psi0, V, lam, t, PropagatorConfig(dt=cfg.dt))
     pairing = pair_wigner(cfg.observable, psi_t, eta)
@@ -104,7 +82,8 @@ def run_ensemble(cfg: ExperimentConfig, lam: float, workers: int = 1) -> Ensembl
     """
     if lam not in cfg.lambdas:
         raise ValueError(f"lam={lam} not in the configured list {cfg.lambdas}")
-    jobs = [(cfg, lam, i) for i in range(1, cfg.n_realizations + 1)]
+    psi0 = wkb_state(cfg.wkb, lam**2, cfg.box())
+    jobs = [(cfg, lam, psi0, i) for i in range(1, cfg.n_realizations + 1)]
     stats = EnsembleStats(lam=lam, eta=lam**2)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -302,11 +281,11 @@ def run_timegrid_sup(cfg: ExperimentConfig) -> TimeGridReport:
     mu_vals = [bz.observable(s, cfg.observable)[0].real for s in snaps]
 
     box = cfg.box()
+    V = sample_disorder(box, cfg.master_seed, 1)
     deviations = {}
     sup = {}
     for lam in cfg.lambdas:
         eta = lam**2
-        V = sample_disorder(box, cfg.master_seed, 1)
         psi = wkb_state(cfg.wkb, eta, box)
         devs = []
         prev_tau = 0.0

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import erf
@@ -70,19 +69,11 @@ def group_velocity(k) -> np.ndarray:
     return np.sin(2.0 * np.pi * k)
 
 
-@lru_cache(maxsize=8)
-def _energy_grid(side: int) -> np.ndarray:
-    """e(k) on the full momentum grid, shape (L, L, L)."""
-    freqs = np.arange(side) / side
+def momentum_energies(box: BoxSpec) -> np.ndarray:
+    """e(k) on the full momentum grid of `box`, shape (L, L, L)."""
+    freqs = np.arange(box.side) / box.side
     c = np.cos(2.0 * np.pi * freqs)
     return 3.0 - (c[:, None, None] + c[None, :, None] + c[None, None, :])
-
-
-def momentum_energies(box: BoxSpec) -> np.ndarray:
-    """Read-only e(k) grid for `box` (cached)."""
-    g = _energy_grid(box.side)
-    g.flags.writeable = False
-    return g
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ from kinlab.harness import experiments as ex
 from kinlab.lattice import dispersion, group_velocity
 from kinlab.wigner import TestObservable
 
+from conftest import read_csv
+
 
 @pytest.fixture(scope="module")
 def table():
@@ -300,7 +302,7 @@ def test_ensemble_csv_roundtrip(tmp_path, rng):
     path = tmp_path / "ens.csv"
     header = ["X1", "X2", "X3", "V1", "V2", "V3", "weight"]
     ex.write_csv(path, header, np.column_stack([ens.X, ens.V, ens.weight]))
-    arr = np.array([[row[h] for h in header] for row in ex.read_csv(path)])
+    arr = np.array([[row[h] for h in header] for row in read_csv(path)])
     back = ParticleEnsemble(arr[:, 0:3], arr[:, 3:6], arr[:, 6])
     assert np.array_equal(back.X, ens.X)
     assert np.array_equal(back.V, ens.V)

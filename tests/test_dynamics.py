@@ -117,6 +117,48 @@ def test_full_gauge_shift_constant(rng):
     assert abs(overlap - np.exp(-1j * lam * c * t)) < 1e-9
 
 
+def per_step_exp_reference(psi, V, lam, t, dt):
+    """The split step with both phases recomputed by np.exp on every step."""
+    n_full = int(math.floor(t / dt + 1e-12))
+    rem = t - n_full * dt
+    steps = [dt] * n_full
+    if rem > 1e-12 * max(t, dt):
+        steps.append(rem)
+    if not steps:
+        return psi.values.copy()
+    L = psi.box.side
+    freqs = np.arange(L) / L
+    c = np.cos(2.0 * np.pi * freqs)
+    e = 3.0 - (c[:, None, None] + c[None, :, None] + c[None, None, :])
+    vgrid = V.values.reshape(L, L, L)
+    work = np.fft.fftn(psi.grid())
+    work *= np.exp(-0.5j * steps[0] * e)
+    for j, h in enumerate(steps):
+        work = np.fft.ifftn(work)
+        work *= np.exp(-1j * h * lam * vgrid)
+        work = np.fft.fftn(work)
+        if j + 1 < len(steps):
+            work *= np.exp(-0.5j * (h + steps[j + 1]) * e)
+        else:
+            work *= np.exp(-0.5j * h * e)
+    return np.fft.ifftn(work).ravel()
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.6])
+@pytest.mark.parametrize(
+    "t",
+    [0.0, 0.03, 0.1, 0.2, 0.7, 0.75, 1.23],
+    ids=["zero", "short_only", "one_step", "two_steps", "multiple", "remainder", "many_remainder"],
+)
+def test_full_bitwise_matches_per_step_exp(t, lam, rng):
+    box = BoxSpec(16)
+    V = sample_disorder(box, 11, 3)
+    psi = random_state(box, rng)
+    dt = 0.1
+    out = evolve_full(psi, V, lam, t, PropagatorConfig(dt=dt))
+    assert np.array_equal(out.values, per_step_exp_reference(psi, V, lam, t, dt))
+
+
 # ---------------------------------------------------------------------------
 # dense oracle
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from kinlab.harness.manifest import RunManifest
 from kinlab.harness.stats import EnsembleStats, StreamingMoments, bootstrap_slope
 from kinlab.wigner import TestObservable, pair_wigner
 
+from conftest import read_csv
+
 SMALL_CFG = """
 [run]
 lambdas = 0.6 0.45
@@ -207,7 +209,7 @@ def test_csv_roundtrip(tmp_path):
     path = tmp_path / "t.csv"
     rows = [[0.1, 3, "abc", 1.2345678901234567e-8], [2.0, -1, "x,y", 7.0]]
     ex.write_csv(path, ["a", "b", "c", "d"], rows)
-    back = ex.read_csv(path)
+    back = read_csv(path)
     assert back[0]["a"] == 0.1
     assert back[0]["d"] == 1.2345678901234567e-8
     assert back[1]["c"] == "x,y"
@@ -265,7 +267,7 @@ def test_cli_graphs_and_duhamel(tmp_path):
 
     out2 = tmp_path / "o2"
     assert cli_main(["duhamel", "--config", str(cfg_path), "--out", str(out2)]) == 0
-    rows = ex.read_csv(out2 / "duhamel.csv")
+    rows = read_csv(out2 / "duhamel.csv")
     assert rows[-1]["residual_norm"] < rows[0]["residual_norm"]
 
 
@@ -315,7 +317,7 @@ def test_cli_resolvent_bytes_independent_of_call_history(tmp_path, monkeypatch):
     for run in ("first", "second"):
         assert cli_main(["resolvent", "--config", str(cfg_path), "--out", str(tmp_path / run),
                          "--reproducible"]) == 0
-    rows = ex.read_csv(tmp_path / "first" / "resolvent.csv")
+    rows = read_csv(tmp_path / "first" / "resolvent.csv")
     assert [r["sweep"] for r in rows] == ["one_res"] * 2 + ["two_res"] * 2 + ["three_res"] * 2
     for name in ("resolvent.csv", "manifest.json"):
         first = (tmp_path / "first" / name).read_bytes()
@@ -336,17 +338,17 @@ def test_cli_simulate_compare_supnorm(tmp_path):
     cfg_path.write_text(SMALL_CFG)
     out = tmp_path / "o4"
     assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out), "--lam", "0.6"]) == 0
-    rows = ex.read_csv(out / "ensemble_lam0.6.csv")
+    rows = read_csv(out / "ensemble_lam0.6.csv")
     assert len(rows) == 4 and {"realization", "value_re", "value_im", "truncation"} <= set(rows[0])
 
     out5 = tmp_path / "o5"
     assert cli_main(["compare", "--config", str(cfg_path), "--out", str(out5)]) == 0
-    rows = ex.read_csv(out5 / "compare.csv")
+    rows = read_csv(out5 / "compare.csv")
     assert [r["lam"] for r in rows] == [0.6, 0.45]
 
     out6 = tmp_path / "o6"
     assert cli_main(["supnorm", "--config", str(cfg_path), "--out", str(out6)]) == 0
-    rows = ex.read_csv(out6 / "supnorm.csv")
+    rows = read_csv(out6 / "supnorm.csv")
     assert len(rows) == 2 * 4  # two couplings, four grid points
 
 
