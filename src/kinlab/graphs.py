@@ -34,10 +34,6 @@ class NotConnected(ValueError):
     """Operation requires a pairing with at least one transfer pair."""
 
 
-class NoCrossing(ValueError):
-    """No generalized crossing on the requested line."""
-
-
 class TooLarge(ValueError):
     """Exhaustive enumeration requested beyond nbar = 6."""
 
@@ -208,22 +204,6 @@ def classify(p: Pairing) -> PairingClass:
     if decreasing:
         return PairingClass(PairKind.TRANSFER, antiparallel=True, transfer_count=m)
     return PairingClass(PairKind.CROSSING_TRANSFER, transfer_count=m)
-
-
-def minimal_generalized_crossing(p: Pairing, line: int):
-    """A crossing whose interval {i1..l2} contains no other crossing interval properly."""
-    found = crossings_on_line(p, line)
-    if not found:
-        raise NoCrossing(f"no generalized crossing on line {line}")
-    intervals = [(i1, l2) for _, i1, l2 in found]
-
-    def is_minimal(iv):
-        a, b = iv
-        return not any(a <= c and d <= b and (c, d) != (a, b) for c, d in intervals)
-
-    minimal = [cr for cr, iv in zip(found, intervals) if is_minimal(iv)]
-    minimal.sort(key=lambda cr: (cr[2] - cr[1], cr[1], cr[0]))
-    return minimal[0]
 
 
 # ---------------------------------------------------------------------------

