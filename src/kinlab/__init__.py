@@ -20,7 +20,8 @@ dynamics   the split-step propagator with free and dense reference oracles,
 wigner     phase-space test observables and Wigner pairings
 boltzmann  particle Monte Carlo for the linear Boltzmann equation
 resolvent  torus integrals of resolvent products and scaling fits
-graphs     pairing enumeration, classification, and variance bound formulas
+graphs     pairing enumeration and classification
+bounds     amplitude, remainder and variance bound formulas
 harness    experiment orchestration, config files, CSV/manifest output, CLI
 """
 

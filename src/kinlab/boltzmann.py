@@ -36,13 +36,12 @@ class ShellEmpty(RuntimeError):
 @dataclass(frozen=True)
 class ShellSamplerConfig:
     shell_halfwidth: float = 1e-3
-    projection_tol: float = 1e-12
     max_tries: int = 2_000_000
 
     def __post_init__(self):
         if not 0.0 < self.shell_halfwidth <= 0.1:
             raise ValueError("shell_halfwidth must lie in (0, 0.1]")
-        if self.projection_tol <= 0 or self.max_tries < 1:
+        if self.max_tries < 1:
             raise ValueError("bad sampler config")
 
 
@@ -75,15 +74,17 @@ class DosTable:
         return float(np.sum(self.values * width))
 
 
-def build_dos_table(
-    n_samples: int, rng: np.random.Generator, bins: int = 512, chunk: int = 4_000_000
-) -> DosTable:
+# Uniform samples drawn per round by `build_dos_table` (96 MB of float64).
+DOS_CHUNK = 4_000_000
+
+
+def build_dos_table(n_samples: int, rng: np.random.Generator, bins: int = 512) -> DosTable:
     """Tabulate Phi by histogramming e(U) over uniform torus samples."""
     edges = np.linspace(0.0, 6.0, bins + 1)
     counts = np.zeros(bins, dtype=np.int64)
     left = n_samples
     while left > 0:
-        n = min(left, chunk)
+        n = min(left, DOS_CHUNK)
         U = rng.random((n, 3))
         counts += np.histogram(dispersion(U), bins=edges)[0]
         left -= n
@@ -103,18 +104,24 @@ def collision_rate(V, table: DosTable) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _project_to_shell(U: np.ndarray, E: np.ndarray, tol: float, grad_floor: float = 1e-8):
+# Energy residual |e(U) - E| at which a projected point counts as on the shell.
+PROJECTION_TOL = 1e-12
+# Gradient norm below which Newton projection stalls (a critical point of e).
+GRAD_FLOOR = 1e-8
+
+
+def _project_to_shell(U: np.ndarray, E: np.ndarray):
     """Newton steps along grad e to the exact level set; returns (U, ok mask)."""
     U = U.copy()
     ok = np.ones(len(U), dtype=bool)
     for _ in range(60):
         r = dispersion(U) - E
-        live = ok & (np.abs(r) > tol)
+        live = ok & (np.abs(r) > PROJECTION_TOL)
         if not np.any(live):
             break
         g = 2.0 * math.pi * group_velocity(U[live])
         g2 = np.sum(g * g, axis=1)
-        stall = g2 < grad_floor**2
+        stall = g2 < GRAD_FLOOR**2
         if np.any(stall):
             idx = np.flatnonzero(live)[stall]
             ok[idx] = False
@@ -123,7 +130,7 @@ def _project_to_shell(U: np.ndarray, E: np.ndarray, tol: float, grad_floor: floa
         step[good] = (r[live][good] / g2[good])[:, None] * g[good]
         U[live] -= step
     r = dispersion(U) - E
-    ok &= np.abs(r) <= tol
+    ok &= np.abs(r) <= PROJECTION_TOL
     return reduce_torus(U), ok
 
 
@@ -176,9 +183,7 @@ def sample_energy_shell_batch(
         hit = np.abs(e32 - E32[pending, None]) < halfwidth
         rows = np.flatnonzero(hit.any(axis=1))
         first = np.argmax(hit[rows], axis=1)
-        proj, ok = _project_to_shell(
-            U[:, rows, first].T.astype(np.float64), E[pending[rows]], cfg.projection_tol
-        )
+        proj, ok = _project_to_shell(U[:, rows, first].T.astype(np.float64), E[pending[rows]])
         out[pending[rows[ok]]] = proj[ok]
         pending = np.delete(pending, rows[ok])
         tries += k

@@ -43,12 +43,12 @@ from kinlab.lattice import (
 )
 
 
+# Highest expansion order `duhamel_ladder` computes.
+MAX_ORDER = 12
+
+
 class DimensionTooLarge(ValueError):
     """Dense-oracle request above the configured matrix dimension limit."""
-
-
-class HypothesisViolated(ValueError):
-    """A bound was evaluated outside the hypotheses it is stated under."""
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,6 @@ def duhamel_ladder(
     V: DisorderField,
     lam: float,
     dt: float,
-    max_order: int = 12,
 ) -> list:
     """Expansion terms phi_n(t), n = 0..N, as position-space states.
 
@@ -183,8 +182,8 @@ def duhamel_ladder(
     """
     if N < 0:
         raise ValueError("order cap must be nonnegative")
-    if N > max_order:
-        raise ValueError(f"order cap {N} above max_order {max_order}")
+    if N > MAX_ORDER:
+        raise ValueError(f"order cap {N} above MAX_ORDER {MAX_ORDER}")
     if t < 0:
         raise ValueError("t must be nonnegative")
 
@@ -252,90 +251,3 @@ def duhamel_residuals(
         acc -= term.values
         residuals.append(float(np.linalg.norm(acc)))
     return residuals
-
-
-# ---------------------------------------------------------------------------
-# Remainder norm bound
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RemainderBoundParams:
-    N: int
-    kappa: int
-    eps: float
-    lam: float
-    t: float
-    C: float = 1.0
-    phi_norm: float = 1.0
-
-    def __post_init__(self):
-        if self.N < 1 or self.kappa < 1:
-            raise ValueError("N and kappa must be positive integers")
-        if self.eps <= 0 or self.lam <= 0 or self.t <= 0:
-            raise ValueError("eps, lam, t must be positive")
-        if self.C <= 0:
-            raise ValueError("C must be positive")
-
-
-def _log_abs_log(eps: float) -> float:
-    a = abs(math.log(eps))
-    return math.log(a) if a > 0 else float("-inf")
-
-
-def _exp_or_inf(x: float) -> float:
-    if x == float("-inf"):
-        return 0.0
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return float("inf")
-
-
-def remainder_bound(params: RemainderBoundParams) -> float:
-    """Evaluate the expected squared remainder-norm bound at the given parameters.
-
-    The three bracketed lines are evaluated literally (log-domain arithmetic,
-    so astronomically large values come back as inf rather than failing).
-    Requires eps <= 1/t.
-    """
-    if params.eps > 1.0 / params.t + 1e-15:
-        raise HypothesisViolated(f"eps={params.eps} exceeds 1/t={1.0 / params.t}")
-    N, kap, eps, lam, t, C = (
-        params.N,
-        params.kappa,
-        params.eps,
-        params.lam,
-        params.t,
-        params.C,
-    )
-    log_eps = math.log(eps)
-    lal = _log_abs_log(eps)
-    log_b1 = math.log(C) + 2.0 * math.log(lam) - log_eps
-    log_b2 = log_b1 + lal
-    log_n = math.log(N)
-    log_k = math.log(kap)
-    lg4n = math.lgamma(4 * N + 1)
-    log_4n = math.log(4 * N)
-
-    t1 = 2 * log_n + 2 * log_k + 4 * N * log_b1 - 0.5 * math.lgamma(N + 1)
-
-    inner2 = np.logaddexp(
-        0.2 * log_eps + lg4n,
-        2.0 * log_eps + 20 * N * log_4n,
-    )
-    t2 = 2 * log_n + 2 * log_k + 4 * N * log_b2 + 3 * lal + inner2
-
-    pieces3 = [
-        -N * log_k + lg4n,
-        (-N + 5) * log_k + log_eps + lg4n + 4 * log_4n,
-        (-N + 9) * log_k + 2 * log_eps + lg4n + 8 * log_4n,
-        3 * log_eps + 20 * N * log_4n,
-    ]
-    inner3 = pieces3[0]
-    for p in pieces3[1:]:
-        inner3 = np.logaddexp(inner3, p)
-    t3 = -2.0 * log_eps + 4 * N * log_b2 + 3 * lal + inner3
-
-    total = sum(_exp_or_inf(float(x)) for x in (t1, t2, t3))
-    return params.phi_norm**2 * total

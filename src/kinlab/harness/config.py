@@ -60,6 +60,14 @@ def _floats(s: str) -> tuple:
     return tuple(float(tok) for tok in s.split())
 
 
+def _vector(s: str, what: str) -> tuple:
+    """Exactly three floats."""
+    v = _floats(s)
+    if len(v) != 3:
+        raise ConfigError(f"{what} needs 3 components, got {s!r}")
+    return v
+
+
 def _parse_terms(s: str) -> dict:
     """Terms "m1 m2 m3 : a b" separated by ";" as {(m1, m2, m3): (a, b)}; b defaults to 0."""
     out = {}
@@ -68,9 +76,11 @@ def _parse_terms(s: str) -> dict:
         if not chunk:
             continue
         left, right = chunk.split(":")
-        m = tuple(int(float(tok)) for tok in left.split())
+        m = _vector(left, "frequency")
+        if not all(x.is_integer() for x in m):
+            raise ConfigError(f"frequency needs integer components, got {left.strip()!r}")
         a_b = [float(tok) for tok in right.split()] + [0.0, 0.0]
-        out[m] = (a_b[0], a_b[1])
+        out[tuple(int(x) for x in m)] = (a_b[0], a_b[1])
     return out
 
 
@@ -181,15 +191,18 @@ def parse_config(text: str) -> ExperimentConfig:
 
     wkb_sec = cp["wkb"] if "wkb" in cp else {}
     wkb = WkbSpec(
-        center=_floats(wkb_sec.get("center", "0 0 0")),
+        center=_vector(wkb_sec.get("center", "0 0 0"), "wkb center"),
         sigma=float(wkb_sec.get("sigma", "0.35")),
-        linear=_floats(wkb_sec.get("linear", "0 0 0")),
+        linear=_vector(wkb_sec.get("linear", "0 0 0"), "wkb linear"),
         trig=TrigPolynomial.from_dict(_parse_terms(wkb_sec.get("trig", ""))),
     )
     obs_sec = cp["observable"] if "observable" in cp else {}
+    obs_sigma = _vector(obs_sec.get("sigma", "1 1 1"), "observable sigma")
+    if not all(x > 0 for x in obs_sigma):
+        raise ConfigError(f"observable sigma must be positive, got {obs_sigma}")
     observable = TestObservable.make(
-        center=_floats(obs_sec.get("center", "0 0 0")),
-        sigma=_floats(obs_sec.get("sigma", "1 1 1")),
+        center=_vector(obs_sec.get("center", "0 0 0"), "observable center"),
+        sigma=obs_sigma,
         amplitude=float(obs_sec.get("amplitude", "1.0")),
         coeffs={
             m: complex(a, b)

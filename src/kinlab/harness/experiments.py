@@ -19,15 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from kinlab import boltzmann as bz
+from kinlab.bounds import BoundParams, amplitude_bound, schedule_parameters, variance_bound
 from kinlab.dynamics import PropagatorConfig, duhamel_residuals, evolve_full
-from kinlab.graphs import (
-    BoundParams,
-    amplitude_bound,
-    classify,
-    enumerate_connected,
-    schedule_parameters,
-    variance_bound,
-)
+from kinlab.graphs import classify, enumerate_connected
 from kinlab.harness.config import ExperimentConfig
 from kinlab.harness.manifest import RunManifest
 from kinlab.harness.stats import EnsembleStats, bootstrap_slope
@@ -328,6 +322,7 @@ TWORES_SWEEP = ((0.1, 96), (0.05, 192), (0.02, 512), (0.01, 800))
 THREERES_SWEEP = ((0.1, 512), (0.05, 512), (0.02, 512))
 TWORES_P = (0.5, 0.0, 0.0)
 THREERES_K = (0.25, 0.25, 0.25)
+GAMMA = 3.0  # spectral parameter of every resolvent in the suite
 
 
 @dataclass
@@ -338,39 +333,39 @@ class ResolventReport:
     rows: list = field(default_factory=list)
 
 
-def run_resolvent_suite(gamma: float = 3.0) -> ResolventReport:
+def run_resolvent_suite() -> ResolventReport:
     """The three scaling sweeps; spans are pinned, so fits opt out of the span guard."""
     rows = []
 
     band_vals = []
     for eps, N in BAND_SWEEP:
-        v = integral_1res(gamma, eps, N)
+        v = integral_1res(GAMMA, eps, N)
         band_vals.append((eps, v))
-        rows.append(["one_res", eps, v, v / abs(math.log(eps)), N, gamma, "", "", "", ""])
+        rows.append(["one_res", eps, v, v / abs(math.log(eps)), N, GAMMA, "", "", "", ""])
     ratios = [v / abs(math.log(e)) for e, v in band_vals]
     band_ratio = max(ratios) / min(ratios)
 
     eps2, vals2 = [], []
     for eps, N in TWORES_SWEEP:
-        v = integral_2res(TWORES_P, gamma, gamma, eps, N)
+        v = integral_2res(TWORES_P, GAMMA, GAMMA, eps, N)
         eps2.append(eps)
         vals2.append(v)
     fit2 = fit_scaling(eps2, vals2, 2, enforce_span=False)
     for (eps, N), v in zip(TWORES_SWEEP, vals2):
         rows.append(
-            ["two_res", eps, v, v / math.log(eps) ** 2, N, gamma, gamma, "",
+            ["two_res", eps, v, v / math.log(eps) ** 2, N, GAMMA, GAMMA, "",
              " ".join(map(str, TWORES_P)), fit2.exponent]
         )
 
     eps3, vals3 = [], []
     for eps, N in THREERES_SWEEP:
-        v = integral_3res(THREERES_K, gamma, gamma, eps, N, gamma3=gamma, sign=+1)
+        v = integral_3res(THREERES_K, GAMMA, GAMMA, eps, N, gamma3=GAMMA, sign=+1)
         eps3.append(eps)
         vals3.append(v)
     fit3 = fit_scaling(eps3, vals3, 4, enforce_span=False)
     for (eps, N), v in zip(THREERES_SWEEP, vals3):
         rows.append(
-            ["three_res", eps, v, v / abs(math.log(eps)) ** 4, N, gamma, gamma, gamma,
+            ["three_res", eps, v, v / abs(math.log(eps)) ** 4, N, GAMMA, GAMMA, GAMMA,
              " ".join(map(str, THREERES_K)), fit3.exponent]
         )
 
@@ -394,8 +389,7 @@ def run_graph_suite(cfg: ExperimentConfig):
             for p in enumerate_connected(n1, n2):
                 label = classify(p).label()
                 counts[label] = counts.get(label, 0) + 1
-            params = BoundParams(lam=lam_for_bound, eps=sched.eps, t=t, nbar=nbar)
-            bound = amplitude_bound(None, params)
+            bound = amplitude_bound(BoundParams(lam=lam_for_bound, eps=sched.eps, t=t, nbar=nbar))
             for label in sorted(counts):
                 graph_rows.append([n1, n2, label, counts[label], float(bound)])
 

@@ -10,7 +10,7 @@ import numpy as np
 
 @dataclass
 class StreamingMoments:
-    """Numerically stable running mean/variance with associative merge."""
+    """Numerically stable running mean/variance."""
 
     n: int = 0
     mean: float = 0.0
@@ -21,17 +21,6 @@ class StreamingMoments:
         delta = x - self.mean
         self.mean += delta / self.n
         self.m2 += delta * (x - self.mean)
-
-    def merge(self, other: "StreamingMoments") -> "StreamingMoments":
-        if other.n == 0:
-            return StreamingMoments(self.n, self.mean, self.m2)
-        if self.n == 0:
-            return StreamingMoments(other.n, other.mean, other.m2)
-        n = self.n + other.n
-        delta = other.mean - self.mean
-        mean = self.mean + delta * other.n / n
-        m2 = self.m2 + other.m2 + delta**2 * self.n * other.n / n
-        return StreamingMoments(n, mean, m2)
 
     @property
     def variance(self) -> float:
@@ -63,10 +52,6 @@ class EnsembleStats:
     @property
     def n(self) -> int:
         return len(self.values)
-
-    @property
-    def variance_defined(self) -> bool:
-        return self.n >= 2
 
     def real_parts(self) -> np.ndarray:
         return np.array([v.real for v in self.values])

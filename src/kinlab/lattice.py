@@ -239,12 +239,14 @@ def envelope_tail_mass(spec: WkbSpec, eta: float, box: BoxSpec) -> float:
     return 1.0 - inside
 
 
-def wkb_state(
-    spec: WkbSpec, eta: float, box: BoxSpec, normalize: bool = True, tail_tol: float = 1e-8
-) -> WaveFunction:
+# Envelope mass `wkb_state` allows outside the box.
+TAIL_TOL = 1e-8
+
+
+def wkb_state(spec: WkbSpec, eta: float, box: BoxSpec, normalize: bool = True) -> WaveFunction:
     """Sample eta^(3/2) h(eta x) exp(i S(eta x)/eta) on the centered box.
 
-    Raises BoxTooSmall when the envelope carries more than `tail_tol` of its
+    Raises BoxTooSmall when the envelope carries more than `TAIL_TOL` of its
     mass outside the box.  With `normalize` the result is capped at unit
     norm (norm = min(1, raw norm)); the raw Riemann-sum norm approaches
     ||h||_L2 = 1 as eta -> 0.
@@ -252,9 +254,9 @@ def wkb_state(
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
     tail = envelope_tail_mass(spec, eta, box)
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         raise BoxTooSmall(
-            f"envelope tail mass {tail:.3e} outside box exceeds {tail_tol:.1e}; "
+            f"envelope tail mass {tail:.3e} outside box exceeds {TAIL_TOL:.1e}; "
             f"increase side {box.side} or reduce sigma/center"
         )
     coord = box.site_coordinates() * eta

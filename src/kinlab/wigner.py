@@ -60,9 +60,6 @@ class TestObservable:
         )
         return TestObservable(tuple(center), tuple(sigma), float(amplitude), items)
 
-    def coeff_dict(self) -> dict:
-        return dict(self.coeffs)
-
     def spatial(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         z = (X - np.asarray(self.center)) / np.asarray(self.sigma)
@@ -77,14 +74,6 @@ class TestObservable:
 
     def evaluate(self, X, V) -> np.ndarray:
         return self.spatial(X) * self.velocity(V)
-
-    def is_real(self) -> bool:
-        table = self.coeff_dict()
-        for m, c in table.items():
-            mm = tuple(-x for x in m)
-            if mm not in table or abs(np.conj(table[mm]) - c) > 1e-14 * max(1.0, abs(c)):
-                return False
-        return True
 
     def velocity_max_abs(self) -> float:
         """max_V |h(V)|, dense grid plus local polish (good to ~1e-8)."""

@@ -14,15 +14,9 @@ import pytest
 from scipy import stats as sps
 
 from kinlab import boltzmann as bz
+from kinlab.bounds import schedule_parameters, variance_bound
 from kinlab.dynamics import PropagatorConfig, duhamel_ladder, duhamel_residuals, evolve_dense, evolve_full
-from kinlab.graphs import (
-    PairKind,
-    classify,
-    connected_count,
-    enumerate_connected,
-    schedule_parameters,
-    variance_bound,
-)
+from kinlab.graphs import PairKind, classify, enumerate_connected
 from kinlab.harness import experiments as ex
 from kinlab.harness.config import parse_config
 from kinlab.harness.stats import bootstrap_slope
@@ -126,7 +120,7 @@ def test_criterion_2_wigner_identities(rng):
     vals = np.zeros(box.volume, complex)
     vals[0] = 1.0
     delta_val = pair_wigner(J, WaveFunction(box, vals), 0.5).value
-    expected = np.conj(J.spatial(np.zeros(3))) * np.conj(J.coeff_dict()[(0, 0, 0)])
+    expected = np.conj(J.spatial(np.zeros(3))) * np.conj(dict(J.coeffs)[(0, 0, 0)])
     delta_ok = abs(delta_val - expected) < 1e-6
 
     ok = bound_ok and mass_ok and delta_ok
@@ -150,7 +144,7 @@ def test_criterion_4_pairing_combinatorics():
     for nbar in range(1, 6):
         for n1 in range(nbar + 1):
             pairings = enumerate_connected(n1, nbar - n1)
-            count_ok &= len(pairings) == connected_count(nbar)
+            count_ok &= len(pairings) == graph_fixtures.connected_count(nbar)
             count_ok &= len(pairings) <= 2**nbar * math.factorial(nbar)
             for p in pairings:
                 c = classify(p)  # classification is total and single-valued

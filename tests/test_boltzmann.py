@@ -129,7 +129,7 @@ def test_projection_stall_at_critical_point():
     # |grad e| < 1e-8 at the band bottom: the Newton step stalls, and the
     # sampler sees the point as not projected
     U = np.array([[1e-10, 1e-10, 1e-10]])
-    _, ok = _project_to_shell(U, np.array([0.5]), 1e-12)
+    _, ok = _project_to_shell(U, np.array([0.5]))
     assert not ok[0]
 
 

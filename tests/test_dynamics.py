@@ -6,18 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kinlab.bounds import HypothesisViolated, RemainderBoundParams, remainder_bound
 from kinlab.dynamics import (
     DimensionTooLarge,
-    HypothesisViolated,
     PropagatorConfig,
-    RemainderBoundParams,
     dense_hamiltonian,
     duhamel_ladder,
     duhamel_residuals,
     evolve_dense,
     evolve_free,
     evolve_full,
-    remainder_bound,
 )
 from kinlab.lattice import BoxSpec, DisorderField, WaveFunction, sample_disorder
 from kinlab.wigner import TestObservable, pair_wigner

@@ -5,24 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinlab.dynamics import HypothesisViolated
-from kinlab.graphs import (
+from kinlab.bounds import (
     BoundParams,
+    HypothesisViolated,
+    amplitude_bound,
+    amplitude_bound_basic,
+    schedule_parameters,
+    variance_bound,
+)
+from kinlab.graphs import (
     NotConnected,
     Pairing,
     PairKind,
     TooLarge,
-    amplitude_bound,
-    amplitude_bound_basic,
     classify,
-    connected_count,
     crossings_on_line,
     enumerate_connected,
     generalized_crossing_lines,
-    matching_count,
-    schedule_parameters,
-    variance_bound,
 )
+
+from test_dynamics import _mpmath_remainder_bound
 
 # caption-anchored example pairings (nbar = 5 with split 3+2, nbar = 3 all-transfer)
 FIG_CROSSING_FIRST_LINE = Pairing.make(
@@ -42,6 +44,21 @@ FIG_ANTIPARALLEL = Pairing.make(2, 1, [((1, 1), (2, 3)), ((1, 2), (2, 2)), ((1, 
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
+
+
+def matching_count(m: int) -> int:
+    """(m-1)!! perfect matchings of m labeled points (0 for odd m)."""
+    if m % 2:
+        return 0
+    out = 1
+    for k in range(m - 1, 0, -2):
+        out *= k
+    return out
+
+
+def connected_count(nbar: int) -> int:
+    """(2 nbar - 1)!! minus the internally matched product p(nbar)^2."""
+    return matching_count(2 * nbar) - matching_count(nbar) ** 2
 
 
 def test_minimal_connected_pairings():
@@ -129,9 +146,14 @@ def test_exhaustive_trichotomy_nbar_le_5():
                     assert c.line in (1, 2)
 
 
+def swap_lines(p: Pairing) -> Pairing:
+    swapped = [((3 - la, ia), (3 - lb, ib)) for (la, ia), (lb, ib) in p.pairs]
+    return Pairing.make(p.n1, p.n2, swapped)
+
+
 def test_swap_lines_symmetry():
     for p in enumerate_connected(2, 2):
-        q = p.swap_lines()
+        q = swap_lines(p)
         lines_p = set(generalized_crossing_lines(p))
         lines_q = set(generalized_crossing_lines(q))
         assert lines_q == {3 - l for l in lines_p}
@@ -208,14 +230,14 @@ def test_minimal_crossing_requires_crossing():
 
 
 def test_amplitude_improved_over_basic_ratio():
-    p = BoundParams(lam=0.2, eps=0.05, t=3.0, nbar=3, c_J=1.7)
-    ratio = amplitude_bound(None, p) / amplitude_bound_basic(p)
-    assert ratio == pytest.approx(0.05**0.2 * abs(1.7 * math.log(0.05)), rel=1e-12)
+    p = BoundParams(lam=0.2, eps=0.05, t=3.0, nbar=3)
+    ratio = amplitude_bound(p) / amplitude_bound_basic(p)
+    assert ratio == pytest.approx(0.05**0.2 * abs(math.log(0.05)), rel=1e-12)
 
 
 def test_amplitude_monotone_in_time():
-    a = amplitude_bound(None, BoundParams(lam=0.2, eps=0.05, t=1.0, nbar=2))
-    b = amplitude_bound(None, BoundParams(lam=0.2, eps=0.05, t=5.0, nbar=2))
+    a = amplitude_bound(BoundParams(lam=0.2, eps=0.05, t=1.0, nbar=2))
+    b = amplitude_bound(BoundParams(lam=0.2, eps=0.05, t=5.0, nbar=2))
     assert b > a
 
 
@@ -226,7 +248,7 @@ def test_amplitude_fixture_high_precision():
         mp.e ** (4 * e * t) * lam ** (2 * nbar) * e ** (mp.mpf(1) / 5 - nbar)
         * abs(mp.log(e)) ** (nbar + 5)
     )
-    got = amplitude_bound(None, BoundParams(lam=0.1, eps=0.1, t=9.0, nbar=2))
+    got = amplitude_bound(BoundParams(lam=0.1, eps=0.1, t=9.0, nbar=2))
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -262,3 +284,38 @@ def test_schedule_defaults_and_envelope():
 def test_variance_bound_lambda_guard():
     with pytest.raises(HypothesisViolated):
         variance_bound(0.5, 0.6)
+
+
+def _mpmath_variance_part(N, eps, lam, t):
+    """(N+1)^2 sum_{n1,n2<=N} 2^nbar nbar! eps^(1/5) |log eps| * basic amplitude bound."""
+    mp.mp.dps = 60
+    e, l, tt = mp.mpf(eps), mp.mpf(lam), mp.mpf(t)
+    ale = abs(mp.log(e))
+    total = mp.mpf(0)
+    for m1 in range(N + 1):
+        for m2 in range(N + 1):
+            nbar = m1 + m2
+            amp = mp.e ** (4 * e * tt) * l ** (2 * nbar) * e ** (mp.mpf(1) / 5 - nbar) * ale ** (nbar + 5)
+            total += 2**nbar * mp.factorial(nbar) * amp
+    return float((N + 1) ** 2 * total)
+
+
+def test_variance_bound_matches_high_precision():
+    # N = 0: every part is finite; the remainder is evaluated at N = 1
+    T, lam = 0.5, 0.3
+    vb = variance_bound(T, lam)
+    s, t = vb.schedule, T / lam**2
+    assert s.N == 0
+    var = _mpmath_variance_part(0, s.eps, lam, t)
+    rem = _mpmath_remainder_bound(1, s.kappa, s.eps, lam)
+    total = 2 * rem + 4 * (math.sqrt(rem) + rem) + math.sqrt(var)
+    assert vb.variance_part == pytest.approx(var, rel=1e-10)
+    assert vb.remainder_part == pytest.approx(rem, rel=1e-10)
+    assert vb.total == pytest.approx(total, rel=1e-10)
+
+    # N = 1: the remainder overflows to inf, the variance part stays finite
+    T, lam = 2.0, 1e-60
+    vb = variance_bound(T, lam)
+    s = vb.schedule
+    assert s.N == 1
+    assert vb.variance_part == pytest.approx(_mpmath_variance_part(1, s.eps, lam, T / lam**2), rel=1e-10)

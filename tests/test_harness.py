@@ -13,6 +13,7 @@ from kinlab.harness.stats import EnsembleStats, StreamingMoments, bootstrap_slop
 from kinlab.wigner import TestObservable, pair_wigner
 
 from conftest import read_csv
+from test_graphs import connected_count
 
 SMALL_CFG = """
 [run]
@@ -61,7 +62,7 @@ def cfg():
 
 def test_config_roundtrip_fields(cfg):
     assert cfg.lambdas == (0.6, 0.45)
-    assert cfg.observable.coeff_dict()[(1, 0, 0)] == 0.25
+    assert dict(cfg.observable.coeffs)[(1, 0, 0)] == 0.25
     assert cfg.wkb.linear == (1.5707963, 0.0, 0.0)
     assert cfg.duhamel.N == 2
 
@@ -120,6 +121,31 @@ def test_config_rejects_box_budget_violation():
         parse_config(bad)
 
 
+WKB_LINEAR = "linear = 1.5707963 0 0\n"
+HARMONIC = "; 1 0 0 : 0.25 0 ;"
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        pytest.param("center = 0 0 0\nsigma = 0.25", "center = 0 0\nsigma = 0.25", id="wkb-center-2"),
+        pytest.param(WKB_LINEAR, "linear = 1.5707963 0 0 0\n", id="wkb-linear-4"),
+        pytest.param("center = 0.1 0 0", "center = 0.1", id="observable-center-1"),
+        pytest.param("sigma = 0.8 0.8 0.8", "sigma = 1.0", id="observable-sigma-1"),
+        pytest.param("sigma = 0.8 0.8 0.8", "sigma = -1 -1 -1", id="observable-sigma-negative"),
+        pytest.param("sigma = 0.8 0.8 0.8", "sigma = 0.8 0 0.8", id="observable-sigma-zero"),
+        pytest.param(HARMONIC, "; 0.5 0 0 : 0.25 0 ;", id="harmonic-fractional"),
+        pytest.param(HARMONIC, "; 1 0 : 0.25 0 ;", id="harmonic-2"),
+        pytest.param(WKB_LINEAR, WKB_LINEAR + "trig = 0.5 0 0 : 0.02 0\n", id="trig-fractional"),
+        pytest.param(WKB_LINEAR, WKB_LINEAR + "trig = 1 0 0 0 : 0.02 0\n", id="trig-4"),
+    ],
+)
+def test_config_rejects_bad_vector(old, new):
+    assert SMALL_CFG.count(old) == 1
+    with pytest.raises(ConfigError):
+        parse_config(SMALL_CFG.replace(old, new))
+
+
 def test_config_rejects_nondescending():
     bad = SMALL_CFG.replace("lambdas = 0.6 0.45", "lambdas = 0.45 0.6")
     with pytest.raises(ConfigError):
@@ -140,27 +166,8 @@ def test_streaming_moments_match_numpy(rng):
     assert acc.variance == pytest.approx(x.var(ddof=1), rel=1e-12)
 
 
-def test_streaming_merge_associative(rng):
-    x = rng.normal(size=100)
-    parts = []
-    for chunk in np.array_split(x, 7):
-        acc = StreamingMoments()
-        for v in chunk:
-            acc.push(float(v))
-        parts.append(acc)
-    merged_lr = parts[0]
-    for p in parts[1:]:
-        merged_lr = merged_lr.merge(p)
-    merged_tree = parts[0].merge(parts[1]).merge(parts[2].merge(parts[3])).merge(
-        parts[4].merge(parts[5]).merge(parts[6])
-    )
-    assert merged_lr.variance == pytest.approx(merged_tree.variance, rel=1e-10)
-    assert merged_lr.variance == pytest.approx(np.var(x, ddof=1), rel=1e-10)
-
-
 def test_single_realization_variance_undefined():
     s = EnsembleStats(lam=0.3, eta=0.09, values=[1.0 + 0j])
-    assert not s.variance_defined
     assert np.isnan(s.variance)
 
 
@@ -245,8 +252,6 @@ def test_timegrid_needs_four_points(cfg):
 
 def test_graph_suite_rows(cfg):
     graph_rows, sched_rows = ex.run_graph_suite(cfg)
-    from kinlab.graphs import connected_count
-
     for nbar in range(1, 6):
         total = sum(r[3] for r in graph_rows if r[0] + r[1] == nbar)
         assert total == connected_count(nbar) * (nbar + 1)  # all splits
