@@ -74,8 +74,9 @@ class DosTable:
         return float(np.sum(self.values * width))
 
 
-# Uniform samples drawn per round by `build_dos_table` (96 MB of float64).
-DOS_CHUNK = 4_000_000
+# Uniform samples drawn per round by `build_dos_table` (1.5 MiB of float64,
+# so a round and its temporaries stay in cache).
+DOS_CHUNK = 1 << 16
 
 
 def build_dos_table(n_samples: int, rng: np.random.Generator, bins: int = 512) -> DosTable:
@@ -134,7 +135,8 @@ def _project_to_shell(U: np.ndarray, E: np.ndarray):
     return reduce_torus(U), ok
 
 
-# Proposals drawn in one round across all pending slots (72 MB of float32).
+# Proposals drawn in one round across all pending slots: at most 72 MB of
+# float32 components, plus 24 MB each for the cosine scratch and energies.
 _ROUND_BUDGET = 6_000_000
 # Row length of the first round, before the call has seen any acceptance.
 _FIRST_ROW = 1024
@@ -171,16 +173,31 @@ def sample_energy_shell_batch(
     pending = np.arange(n)
     tries = proposals = hits = 0
     k = _FIRST_ROW
+    # one set of work buffers for the whole call; a round of P rows of k
+    # proposals, P * k <= max(n, _ROUND_BUDGET), works in views of their heads
+    size = max(n, _ROUND_BUDGET)
+    u_buf = np.empty(3 * size, dtype=np.float32)
+    c_buf = np.empty(size, dtype=np.float32)
+    e_buf = np.empty(size, dtype=np.float32)
+    two_pi = np.float32(2.0 * math.pi)
     while pending.size:
         k = max(1, min(k, _ROUND_BUDGET // pending.size))
+        m = pending.size * k
         # component-major layout: U[j, i, r] is component j of proposal r in
-        # slot i's row, so the energy is three contiguous adds
-        U = rng.random((3, pending.size, k), dtype=np.float32)
-        c = np.multiply(U, np.float32(2.0 * math.pi))
-        np.cos(c, out=c)
-        e32 = np.float32(3.0) - c[0] - c[1] - c[2]
-        del c
-        hit = np.abs(e32 - E32[pending, None]) < halfwidth
+        # slot i's row, so the energy is three contiguous subtractions
+        U = u_buf[: 3 * m].reshape(3, pending.size, k)
+        rng.random(out=U, dtype=np.float32)
+        c = c_buf[:m].reshape(pending.size, k)
+        e32 = e_buf[:m].reshape(pending.size, k)
+        e32.fill(3.0)
+        for j in range(3):
+            np.multiply(U[j], two_pi, out=c)
+            np.cos(c, out=c)
+            e32 -= c
+        # |e - E_i| in the float32 operation order of 3 - c0 - c1 - c2 - E_i
+        e32 -= E32[pending, None]
+        np.abs(e32, out=e32)
+        hit = e32 < halfwidth
         rows = np.flatnonzero(hit.any(axis=1))
         first = np.argmax(hit[rows], axis=1)
         proj, ok = _project_to_shell(U[:, rows, first].T.astype(np.float64), E[pending[rows]])

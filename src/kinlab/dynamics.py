@@ -6,10 +6,10 @@ potential.  States are position-space fields throughout; momentum
 amplitudes exist only inside the propagators.  Three propagators are
 provided:
 
-* evolve_full  -- Strang-split free/potential/free steps, two transforms per
-  step, unitary by construction; the one path the experiments use.  Its
-  phase grids are built once per call, so a step is two transforms and
-  two in-place multiplies;
+* evolve_full  -- Strang-split free/potential/free steps, unitary by
+  construction; the one path the experiments use.  Its phase grids are
+  built once per call, so a step is two in-place transforms and two
+  in-place multiplies on one work array;
 * evolve_free  -- exact free evolution, diagonal in momentum space;
 * evolve_dense -- exact matrix exponential via eigendecomposition, usable as
   an oracle on small boxes only.
@@ -105,11 +105,12 @@ def evolve_full(
     vgrid = V.values.reshape(L, L, L)
 
     def kicked(work, kick):
-        work = np.fft.ifftn(work)
+        np.fft.ifftn(work, out=work)
         work *= kick
-        return np.fft.fftn(work)
+        np.fft.fftn(work, out=work)
 
-    # momentum space; each phase keeps the operand order of a per-step exp,
+    # momentum space; a fresh array, since psi.grid() is a view of the
+    # caller's state.  Each phase keeps the operand order of a per-step exp,
     # so -0.5j * (dt + dt) reproduces the merged half steps bitwise
     work = np.fft.fftn(psi.grid())
     if n_full:
@@ -117,20 +118,21 @@ def evolve_full(
         half = np.exp(-0.5j * dt * e)
         kick = np.exp(-1j * dt * lam * vgrid)
         work *= half
-        work = kicked(work, kick)
+        kicked(work, kick)
         if n_full > 1:
             full = np.exp(-0.5j * (dt + dt) * e)
             for _ in range(n_full - 1):
                 work *= full
-                work = kicked(work, kick)
+                kicked(work, kick)
         work *= np.exp(-0.5j * (dt + rem) * e) if rem else half
     if rem:
         rem_half = np.exp(-0.5j * rem * e)
         if not n_full:
             work *= rem_half
-        work = kicked(work, np.exp(-1j * rem * lam * vgrid))
+        kicked(work, np.exp(-1j * rem * lam * vgrid))
         work *= rem_half
-    return WaveFunction(psi.box, np.fft.ifftn(work).ravel())
+    np.fft.ifftn(work, out=work)
+    return WaveFunction(psi.box, work.ravel())
 
 
 def dense_hamiltonian(box: BoxSpec, V: DisorderField, lam: float) -> np.ndarray:

@@ -56,13 +56,21 @@ class ConfigError(ValueError):
     pass
 
 
-def _floats(s: str) -> tuple:
-    return tuple(float(tok) for tok in s.split())
+def _number(s: str, kind, what: str):
+    """`kind(s)` for kind int or float; ConfigError if s does not parse."""
+    try:
+        return kind(s)
+    except ValueError:
+        raise ConfigError(f"{what} needs {kind.__name__} values, got {s!r}") from None
+
+
+def _floats(s: str, what: str) -> tuple:
+    return tuple(_number(tok, float, what) for tok in s.split())
 
 
 def _vector(s: str, what: str) -> tuple:
     """Exactly three floats."""
-    v = _floats(s)
+    v = _floats(s, what)
     if len(v) != 3:
         raise ConfigError(f"{what} needs 3 components, got {s!r}")
     return v
@@ -75,11 +83,13 @@ def _parse_terms(s: str) -> dict:
         chunk = chunk.strip()
         if not chunk:
             continue
-        left, right = chunk.split(":")
+        left, sep, right = chunk.partition(":")
+        if not sep or ":" in right:
+            raise ConfigError(f"term needs the form 'm1 m2 m3 : a b', got {chunk!r}")
         m = _vector(left, "frequency")
         if not all(x.is_integer() for x in m):
             raise ConfigError(f"frequency needs integer components, got {left.strip()!r}")
-        a_b = [float(tok) for tok in right.split()] + [0.0, 0.0]
+        a_b = list(_floats(right, "term coefficient")) + [0.0, 0.0]
         out[tuple(int(x) for x in m)] = (a_b[0], a_b[1])
     return out
 
@@ -127,6 +137,9 @@ class ExperimentConfig:
                 )
         if self.dt <= 0 or self.T < 0:
             raise ConfigError("dt must be positive and T nonnegative")
+        for key in ("n_realizations", "n_particles", "dos_samples", "dos_bins"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
 
     def box(self) -> BoxSpec:
         return BoxSpec(self.L)
@@ -189,10 +202,16 @@ def parse_config(text: str) -> ExperimentConfig:
             return DEFAULTS[key]
         raise ConfigError(f"missing run key {key!r}")
 
+    def num(key, kind):
+        return _number(get(key), kind, key)
+
     wkb_sec = cp["wkb"] if "wkb" in cp else {}
+    wkb_sigma = _number(wkb_sec.get("sigma", "0.35"), float, "wkb sigma")
+    if not wkb_sigma > 0:
+        raise ConfigError(f"wkb sigma must be positive, got {wkb_sigma}")
     wkb = WkbSpec(
         center=_vector(wkb_sec.get("center", "0 0 0"), "wkb center"),
-        sigma=float(wkb_sec.get("sigma", "0.35")),
+        sigma=wkb_sigma,
         linear=_vector(wkb_sec.get("linear", "0 0 0"), "wkb linear"),
         trig=TrigPolynomial.from_dict(_parse_terms(wkb_sec.get("trig", ""))),
     )
@@ -203,7 +222,7 @@ def parse_config(text: str) -> ExperimentConfig:
     observable = TestObservable.make(
         center=_vector(obs_sec.get("center", "0 0 0"), "observable center"),
         sigma=obs_sigma,
-        amplitude=float(obs_sec.get("amplitude", "1.0")),
+        amplitude=_number(obs_sec.get("amplitude", "1.0"), float, "observable amplitude"),
         coeffs={
             m: complex(a, b)
             for m, (a, b) in _parse_terms(obs_sec.get("harmonics", "0 0 0 : 1 0")).items()
@@ -211,24 +230,24 @@ def parse_config(text: str) -> ExperimentConfig:
     )
     duh_sec = cp["duhamel"] if "duhamel" in cp else {}
     duhamel = DuhamelStudySpec(
-        L=int(duh_sec.get("L", "16")),
-        t=float(duh_sec.get("t", "2.0")),
-        lam=float(duh_sec.get("lam", "0.3")),
-        dt=float(duh_sec.get("dt", "0.001")),
-        N=int(duh_sec.get("N", "4")),
+        L=_number(duh_sec.get("L", "16"), int, "duhamel L"),
+        t=_number(duh_sec.get("t", "2.0"), float, "duhamel t"),
+        lam=_number(duh_sec.get("lam", "0.3"), float, "duhamel lam"),
+        dt=_number(duh_sec.get("dt", "0.001"), float, "duhamel dt"),
+        N=_number(duh_sec.get("N", "4"), int, "duhamel N"),
     )
     return ExperimentConfig(
-        lambdas=_floats(get("lambdas")),
-        T=float(get("T")),
-        tau_grid=int(get("tau_grid")),
-        L=int(get("L")),
-        dt=float(get("dt")),
-        n_realizations=int(get("n_realizations")),
-        master_seed=int(get("master_seed")),
-        n_particles=int(get("n_particles")),
-        shell_halfwidth=float(get("shell_halfwidth")),
-        dos_samples=int(get("dos_samples")),
-        dos_bins=int(get("dos_bins")),
+        lambdas=_floats(get("lambdas"), "lambdas"),
+        T=num("T", float),
+        tau_grid=num("tau_grid", int),
+        L=num("L", int),
+        dt=num("dt", float),
+        n_realizations=num("n_realizations", int),
+        master_seed=num("master_seed", int),
+        n_particles=num("n_particles", int),
+        shell_halfwidth=num("shell_halfwidth", float),
+        dos_samples=num("dos_samples", int),
+        dos_bins=num("dos_bins", int),
         out_dir=get("out_dir"),
         wkb=wkb,
         observable=observable,

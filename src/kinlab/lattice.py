@@ -59,8 +59,8 @@ def reduce_torus(k) -> np.ndarray:
 
 def dispersion(k) -> np.ndarray:
     """Kinetic energy e(k) = 3 - sum_j cos(2 pi k_j); values in [0, 6]."""
-    k = np.asarray(k, dtype=float)
-    return 3.0 - np.sum(np.cos(2.0 * np.pi * k), axis=-1)
+    c = np.cos(2.0 * np.pi * np.asarray(k, dtype=float))
+    return 3.0 - (c[..., 0] + c[..., 1] + c[..., 2])
 
 
 def group_velocity(k) -> np.ndarray:

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from kinlab import boltzmann
 from kinlab.boltzmann import (
     ParticleEnsemble,
     ShellEmpty,
     ShellSamplerConfig,
+    _FIRST_ROW,
+    _HITS_PER_ROW,
+    _ROUND_BUDGET,
     _project_to_shell,
     build_dos_table,
     collision_rate,
@@ -74,6 +78,23 @@ def test_dos_table_normalization_and_symmetry(table):
     assert frac_off < 0.02  # 3-sigma outliers at roughly the nominal rate
 
 
+@pytest.mark.parametrize("chunk", [1000, 4_000_000])
+def test_dos_table_independent_of_chunk(chunk, monkeypatch):
+    # the rounds draw one stream in pieces, so the counts cannot depend on
+    # their size; 300_001 is a multiple of neither chunk nor DOS_CHUNK
+    ref = build_dos_table(300_001, np.random.default_rng(3), bins=128)
+    monkeypatch.setattr(boltzmann, "DOS_CHUNK", chunk)
+    out = build_dos_table(300_001, np.random.default_rng(3), bins=128)
+    assert np.array_equal(out.values, ref.values)
+    assert np.array_equal(out.stderr, ref.stderr)
+
+
+def test_dispersion_matches_axis_sum(rng):
+    for k in (rng.uniform(-1.0, 2.0, (100_000, 3)), rng.random(3)):
+        ref = 3.0 - np.sum(np.cos(2.0 * np.pi * k), axis=-1)
+        assert np.array_equal(dispersion(k), ref)
+
+
 def test_collision_rate_depends_on_energy_only(table, rng):
     E = 2.7
     U = sample_energy_shell_batch(E, 64, ShellSamplerConfig(), rng)
@@ -115,6 +136,48 @@ def test_shell_draws_independent_of_call_history(cfg):
     cold = draws(8)
     draws(9)
     assert np.array_equal(draws(8), cold)
+
+
+def allocating_shell_reference(E, n, cfg, rng):
+    """`sample_energy_shell_batch` with fresh arrays every round: the
+    reference for the sampler's reused work buffers."""
+    E = np.broadcast_to(np.asarray(E, dtype=float), (n,)).copy()
+    out = np.empty((n, 3))
+    E32 = E.astype(np.float32)
+    halfwidth = np.float32(cfg.shell_halfwidth * (1.0 - 1e-5))
+    pending = np.arange(n)
+    proposals = hits = 0
+    k = _FIRST_ROW
+    while pending.size:
+        k = max(1, min(k, _ROUND_BUDGET // pending.size))
+        U = rng.random((3, pending.size, k), dtype=np.float32)
+        c = np.multiply(U, np.float32(2.0 * math.pi))
+        np.cos(c, out=c)
+        e32 = np.float32(3.0) - c[0] - c[1] - c[2]
+        hit = np.abs(e32 - E32[pending, None]) < halfwidth
+        rows = np.flatnonzero(hit.any(axis=1))
+        first = np.argmax(hit[rows], axis=1)
+        proj, ok = _project_to_shell(U[:, rows, first].T.astype(np.float64), E[pending[rows]])
+        out[pending[rows[ok]]] = proj[ok]
+        pending = np.delete(pending, rows[ok])
+        proposals += hit.size
+        hits += int(np.count_nonzero(hit))
+        k = math.ceil(_HITS_PER_ROW * proposals / hits) if hits else 4 * k
+    return out
+
+
+@pytest.mark.parametrize("energies", ["scalar", "per_slot"])
+def test_shell_batch_matches_allocating_reference(energies):
+    # 13k slots at shell 0.005 accept about one proposal in a thousand, so
+    # the call takes several rounds of reused buffers with shrinking P
+    n = 13_000
+    cfg = ShellSamplerConfig(shell_halfwidth=0.005)
+    E = 1.0 if energies == "scalar" else np.random.default_rng(4).uniform(0.5, 5.5, n)
+    r_got, r_want = np.random.default_rng(21), np.random.default_rng(21)
+    got = sample_energy_shell_batch(E, n, cfg, r_got)
+    want = allocating_shell_reference(E, n, cfg, r_want)
+    assert np.array_equal(got, want)
+    assert r_got.random() == r_want.random()  # same share of the stream
 
 
 def test_shell_empty_near_band_edge(rng):

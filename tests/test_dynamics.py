@@ -149,12 +149,25 @@ def per_step_exp_reference(psi, V, lam, t, dt):
     ids=["zero", "short_only", "one_step", "two_steps", "multiple", "remainder", "many_remainder"],
 )
 def test_full_bitwise_matches_per_step_exp(t, lam, rng):
-    box = BoxSpec(16)
+    # 12 is not a power of two, so a 1/L^3 folded anywhere would round differently
+    for side in (16, 12):
+        box = BoxSpec(side)
+        V = sample_disorder(box, 11, 3)
+        psi = random_state(box, rng)
+        dt = 0.1
+        out = evolve_full(psi, V, lam, t, PropagatorConfig(dt=dt))
+        assert np.array_equal(out.values, per_step_exp_reference(psi, V, lam, t, dt))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.25], ids=["zero", "short_last_step"])
+def test_full_leaves_input_untouched(t, rng):
+    box = BoxSpec(8)
     V = sample_disorder(box, 11, 3)
     psi = random_state(box, rng)
-    dt = 0.1
-    out = evolve_full(psi, V, lam, t, PropagatorConfig(dt=dt))
-    assert np.array_equal(out.values, per_step_exp_reference(psi, V, lam, t, dt))
+    before = psi.values.copy()
+    out = evolve_full(psi, V, 0.6, t, PropagatorConfig(dt=0.1))
+    assert np.array_equal(psi.values, before)
+    assert not np.shares_memory(out.values, psi.values)
 
 
 # ---------------------------------------------------------------------------

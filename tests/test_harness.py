@@ -146,6 +146,30 @@ def test_config_rejects_bad_vector(old, new):
         parse_config(SMALL_CFG.replace(old, new))
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        pytest.param("dos_bins = 256", "dos_bins = 0", id="dos-bins-0"),
+        pytest.param("dos_samples = 400000", "dos_samples = -5", id="dos-samples-negative"),
+        pytest.param("n_realizations = 4", "n_realizations = 0", id="realizations-0"),
+        pytest.param("n_particles = 4000", "n_particles = 0", id="particles-0"),
+        pytest.param(HARMONIC, "; 1 0 0 0.25 0 ;", id="harmonic-no-colon"),
+        pytest.param(WKB_LINEAR, WKB_LINEAR + "trig = 1 0 0 0.02 0\n", id="trig-no-colon"),
+        pytest.param("sigma = 0.25", "sigma = 0", id="wkb-sigma-0"),
+        pytest.param("sigma = 0.25", "sigma = -0.25", id="wkb-sigma-negative"),
+        pytest.param("L = 20", "L = twenty", id="run-int-nonnumeric"),
+        pytest.param("T = 0.2", "T = 0.2s", id="run-float-nonnumeric"),
+        pytest.param("sigma = 0.8 0.8 0.8", "sigma = 0.8 a 0.8", id="vector-nonnumeric"),
+        pytest.param(HARMONIC, "; 1 0 0 : 0.25 i ;", id="coefficient-nonnumeric"),
+        pytest.param("N = 2", "N = 2.5", id="duhamel-int-nonnumeric"),
+    ],
+)
+def test_config_rejects_bad_value(old, new):
+    assert SMALL_CFG.count(old) == 1
+    with pytest.raises(ConfigError):
+        parse_config(SMALL_CFG.replace(old, new))
+
+
 def test_config_rejects_nondescending():
     bad = SMALL_CFG.replace("lambdas = 0.6 0.45", "lambdas = 0.45 0.6")
     with pytest.raises(ConfigError):
