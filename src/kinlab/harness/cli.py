@@ -13,9 +13,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from pathlib import Path
 
 from kinlab.harness import experiments as ex
 from kinlab.harness.config import load_config
+from kinlab.harness.manifest import RunManifest
 
 
 def _add_common(p):
@@ -53,12 +55,10 @@ def main(argv=None) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, master_seed=args.seed)
-    out = ex.ensure_outdir(cfg, args.out)
-    manifest = ex.make_manifest(cfg, task_seeds={"disorder_stream_base": 1,
-                                                 "boltzmann": ex.SEED_BOLTZMANN,
-                                                 "dos": ex.SEED_DOS,
-                                                 "bootstrap": ex.SEED_BOOTSTRAP,
-                                                 "study": ex.SEED_STUDY})
+    out = Path(args.out or cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = RunManifest(config_digest=cfg.digest(), master_seed=cfg.master_seed,
+                           task_seeds=dict(ex.TASK_SEEDS))
     written = []
 
     def emit(name, header, rows):

@@ -35,6 +35,12 @@ Grammar (INI, parsed with configparser; `#` comments allowed):
     dt = 0.001
     N = 4
 
+The sections are the dataclasses `ExperimentConfig` ([run]), `WkbSpec`,
+`TestObservable` and `DuhamelStudySpec`, one key per field (the observable's
+`coeffs` are written as `harmonics`).  A missing key takes its field's
+default; a field without a default is a required key.  Unknown keys and
+sections, and values the classes reject, raise ConfigError.
+
 All physical numbers are in lattice units (spacing 1, hbar 1); eta = lam^2
 throughout.  Loading validates the per-coupling box budget
 L >= 2 (T/lam^2 + 6 sigma/lam^2): ballistic travel plus envelope support
@@ -44,10 +50,14 @@ must stay clear of the periodic seam.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
-import io
 from dataclasses import dataclass, field
+from functools import partial
+from typing import get_type_hints
 
+from kinlab.boltzmann import ShellSamplerConfig
+from kinlab.dynamics import MAX_ORDER, PropagatorConfig
 from kinlab.lattice import BoxSpec, TrigPolynomial, WkbSpec
 from kinlab.wigner import TestObservable
 
@@ -56,7 +66,7 @@ class ConfigError(ValueError):
     pass
 
 
-def _number(s: str, kind, what: str):
+def _number(kind, s: str, what: str):
     """`kind(s)` for kind int or float; ConfigError if s does not parse."""
     try:
         return kind(s)
@@ -65,7 +75,7 @@ def _number(s: str, kind, what: str):
 
 
 def _floats(s: str, what: str) -> tuple:
-    return tuple(_number(tok, float, what) for tok in s.split())
+    return tuple(_number(float, tok, what) for tok in s.split())
 
 
 def _vector(s: str, what: str) -> tuple:
@@ -94,6 +104,26 @@ def _parse_terms(s: str) -> dict:
     return out
 
 
+def _harmonics(s: str, what: str) -> tuple:
+    """`TestObservable.coeffs` from terms: sorted ((m1, m2, m3), a + ib) pairs."""
+    return tuple((m, complex(a, b)) for m, (a, b) in sorted(_parse_terms(s).items()))
+
+
+# value parsers by field type
+_TYPE_PARSERS = {
+    int: partial(_number, int),
+    float: partial(_number, float),
+    str: lambda s, what: s,
+    tuple: _vector,
+    TrigPolynomial: lambda s, what: TrigPolynomial.from_dict(_parse_terms(s)),
+}
+# fields with their own key name or grammar: field -> (key, parser)
+_OWN_PARSERS = {
+    "lambdas": ("lambdas", _floats),
+    "coeffs": ("harmonics", _harmonics),
+}
+
+
 @dataclass(frozen=True)
 class DuhamelStudySpec:
     L: int = 16
@@ -102,23 +132,31 @@ class DuhamelStudySpec:
     dt: float = 1e-3
     N: int = 4
 
+    def __post_init__(self):
+        BoxSpec(self.L)  # side validity
+        PropagatorConfig(dt=self.dt)
+        if self.t < 0:
+            raise ValueError(f"t must be nonnegative, got {self.t}")
+        if not 0 <= self.N <= MAX_ORDER:
+            raise ValueError(f"N must lie in [0, {MAX_ORDER}], got {self.N}")
+
 
 @dataclass
 class ExperimentConfig:
     lambdas: tuple
     T: float
-    tau_grid: int
     L: int
     dt: float
     n_realizations: int
     master_seed: int
-    n_particles: int
-    shell_halfwidth: float
-    dos_samples: int
-    dos_bins: int
-    out_dir: str
-    wkb: WkbSpec
-    observable: TestObservable
+    tau_grid: int = 6
+    n_particles: int = 100_000
+    shell_halfwidth: float = 0.005
+    dos_samples: int = 4_000_000
+    dos_bins: int = 512
+    out_dir: str = "out"
+    wkb: WkbSpec = field(default_factory=WkbSpec)
+    observable: TestObservable = field(default_factory=TestObservable)
     duhamel: DuhamelStudySpec = field(default_factory=DuhamelStudySpec)
 
     def __post_init__(self):
@@ -140,119 +178,61 @@ class ExperimentConfig:
         for key in ("n_realizations", "n_particles", "dos_samples", "dos_bins"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        if self.tau_grid < 4:
+            raise ConfigError(f"tau_grid needs >= 4 points, got {self.tau_grid}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
+        ShellSamplerConfig(shell_halfwidth=self.shell_halfwidth)
 
     def box(self) -> BoxSpec:
         return BoxSpec(self.L)
 
     def digest(self) -> str:
-        canon = canonical_text(self)
-        return hashlib.sha256(canon.encode()).hexdigest()
+        """sha256 of the dataclass repr, which lists every field and nested spec."""
+        return hashlib.sha256(repr(self).encode()).hexdigest()
 
 
-def canonical_text(cfg: ExperimentConfig) -> str:
-    """Deterministic serialization used for config digests."""
-    buf = io.StringIO()
-    buf.write("[run]\n")
-    buf.write(f"lambdas = {' '.join(repr(x) for x in cfg.lambdas)}\n")
-    for key in ("T", "dt", "shell_halfwidth"):
-        buf.write(f"{key} = {repr(getattr(cfg, key))}\n")
-    for key in ("tau_grid", "L", "n_realizations", "master_seed", "n_particles",
-                "dos_samples", "dos_bins"):
-        buf.write(f"{key} = {getattr(cfg, key)}\n")
-    buf.write(f"out_dir = {cfg.out_dir}\n")
-    buf.write("[wkb]\n")
-    buf.write(f"center = {' '.join(repr(x) for x in cfg.wkb.center)}\n")
-    buf.write(f"sigma = {repr(cfg.wkb.sigma)}\n")
-    buf.write(f"linear = {' '.join(repr(x) for x in cfg.wkb.linear)}\n")
-    buf.write(f"trig = {cfg.wkb.trig.terms}\n")
-    buf.write("[observable]\n")
-    buf.write(f"center = {' '.join(repr(x) for x in cfg.observable.center)}\n")
-    buf.write(f"sigma = {' '.join(repr(x) for x in cfg.observable.sigma)}\n")
-    buf.write(f"amplitude = {repr(cfg.observable.amplitude)}\n")
-    buf.write(f"harmonics = {cfg.observable.coeffs}\n")
-    buf.write("[duhamel]\n")
-    d = cfg.duhamel
-    buf.write(f"L = {d.L}\nt = {repr(d.t)}\nlam = {repr(d.lam)}\ndt = {repr(d.dt)}\nN = {d.N}\n")
-    return buf.getvalue()
+def _parse_section(cp, name: str, cls, **given):
+    """`cls` from section [name]: each field's key parsed by the field's type.
 
-
-DEFAULTS = {
-    "tau_grid": "6",
-    "n_particles": "100000",
-    "shell_halfwidth": "0.005",
-    "dos_samples": "4000000",
-    "dos_bins": "512",
-    "out_dir": "out",
-}
+    Fields in `given` are set as passed and are not keys of the section.
+    """
+    values = dict(cp[name]) if cp.has_section(name) else {}  # keys lowercased
+    types = get_type_hints(cls)
+    kwargs = dict(given)
+    keys = set()
+    for f in dataclasses.fields(cls):
+        if f.name in given:
+            continue
+        key, parse = _OWN_PARSERS.get(f.name, (f.name, _TYPE_PARSERS[types[f.name]]))
+        lower = key.lower()
+        keys.add(lower)
+        if lower in values:
+            kwargs[f.name] = parse(values[lower], f"{name} {key}")
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"missing {name} key {key!r}")
+    unknown = sorted(set(values) - keys)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys {unknown}")
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError(f"[{name}] {e}") from None
 
 
 def parse_config(text: str) -> ExperimentConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     cp.read_string(text)
-    if "run" not in cp:
-        raise ConfigError("missing [run] section")
-    run = cp["run"]
-
-    def get(key, default=None):
-        if key in run:
-            return run[key]
-        if default is not None:
-            return default
-        if key in DEFAULTS:
-            return DEFAULTS[key]
-        raise ConfigError(f"missing run key {key!r}")
-
-    def num(key, kind):
-        return _number(get(key), kind, key)
-
-    wkb_sec = cp["wkb"] if "wkb" in cp else {}
-    wkb_sigma = _number(wkb_sec.get("sigma", "0.35"), float, "wkb sigma")
-    if not wkb_sigma > 0:
-        raise ConfigError(f"wkb sigma must be positive, got {wkb_sigma}")
-    wkb = WkbSpec(
-        center=_vector(wkb_sec.get("center", "0 0 0"), "wkb center"),
-        sigma=wkb_sigma,
-        linear=_vector(wkb_sec.get("linear", "0 0 0"), "wkb linear"),
-        trig=TrigPolynomial.from_dict(_parse_terms(wkb_sec.get("trig", ""))),
-    )
-    obs_sec = cp["observable"] if "observable" in cp else {}
-    obs_sigma = _vector(obs_sec.get("sigma", "1 1 1"), "observable sigma")
-    if not all(x > 0 for x in obs_sigma):
-        raise ConfigError(f"observable sigma must be positive, got {obs_sigma}")
-    observable = TestObservable.make(
-        center=_vector(obs_sec.get("center", "0 0 0"), "observable center"),
-        sigma=obs_sigma,
-        amplitude=_number(obs_sec.get("amplitude", "1.0"), float, "observable amplitude"),
-        coeffs={
-            m: complex(a, b)
-            for m, (a, b) in _parse_terms(obs_sec.get("harmonics", "0 0 0 : 1 0")).items()
-        },
-    )
-    duh_sec = cp["duhamel"] if "duhamel" in cp else {}
-    duhamel = DuhamelStudySpec(
-        L=_number(duh_sec.get("L", "16"), int, "duhamel L"),
-        t=_number(duh_sec.get("t", "2.0"), float, "duhamel t"),
-        lam=_number(duh_sec.get("lam", "0.3"), float, "duhamel lam"),
-        dt=_number(duh_sec.get("dt", "0.001"), float, "duhamel dt"),
-        N=_number(duh_sec.get("N", "4"), int, "duhamel N"),
-    )
-    return ExperimentConfig(
-        lambdas=_floats(get("lambdas"), "lambdas"),
-        T=num("T", float),
-        tau_grid=num("tau_grid", int),
-        L=num("L", int),
-        dt=num("dt", float),
-        n_realizations=num("n_realizations", int),
-        master_seed=num("master_seed", int),
-        n_particles=num("n_particles", int),
-        shell_halfwidth=num("shell_halfwidth", float),
-        dos_samples=num("dos_samples", int),
-        dos_bins=num("dos_bins", int),
-        out_dir=get("out_dir"),
-        wkb=wkb,
-        observable=observable,
-        duhamel=duhamel,
-    )
+    types = get_type_hints(ExperimentConfig)
+    specs = {f.name: types[f.name] for f in dataclasses.fields(ExperimentConfig)
+             if dataclasses.is_dataclass(types[f.name])}
+    unknown = sorted(set(cp.sections()) - {"run", *specs})
+    if unknown:
+        raise ConfigError(f"unknown sections {unknown}")
+    nested = {name: _parse_section(cp, name, cls) for name, cls in specs.items()}
+    return _parse_section(cp, "run", ExperimentConfig, **nested)
 
 
 def load_config(path) -> ExperimentConfig:

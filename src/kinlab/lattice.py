@@ -198,7 +198,7 @@ class WkbSpec:
     """
 
     center: tuple = (0.0, 0.0, 0.0)
-    sigma: float = 0.5
+    sigma: float = 0.35
     linear: tuple = (0.0, 0.0, 0.0)
     trig: TrigPolynomial = field(default_factory=TrigPolynomial)
 

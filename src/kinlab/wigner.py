@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import erfc
 
 from kinlab.lattice import WaveFunction, WkbSpec
@@ -48,6 +47,10 @@ class TestObservable:
     sigma: tuple = (1.0, 1.0, 1.0)
     amplitude: float = 1.0
     coeffs: tuple = (((0, 0, 0), 1.0 + 0.0j),)
+
+    def __post_init__(self):
+        if not all(s > 0 for s in self.sigma):
+            raise ValueError(f"observable sigma must be positive, got {self.sigma}")
 
     @staticmethod
     def make(center=(0.0, 0.0, 0.0), sigma=(1.0, 1.0, 1.0), amplitude=1.0, coeffs=None):
@@ -74,23 +77,6 @@ class TestObservable:
 
     def evaluate(self, X, V) -> np.ndarray:
         return self.spatial(X) * self.velocity(V)
-
-    def velocity_max_abs(self) -> float:
-        """max_V |h(V)|, dense grid plus local polish (good to ~1e-8)."""
-        grid = np.linspace(0.0, 1.0, 48, endpoint=False)
-        V = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
-        vals = np.abs(self.velocity(V))
-        best = V[int(np.argmax(vals))]
-
-        def neg(v):
-            return -abs(complex(self.velocity(v.reshape(1, 3))[0]))
-
-        res = minimize(neg, best, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-12})
-        return float(max(vals.max(), -res.fun))
-
-    def cj_constant(self) -> float:
-        """C_J = Int dxi sup_v |J^(xi, v)| = ||g^||_L1 * max|h| = |amplitude| * max|h|."""
-        return abs(self.amplitude) * self.velocity_max_abs()
 
 
 @dataclass

@@ -24,6 +24,7 @@ from kinlab.lattice import BoxSpec, WaveFunction, WkbSpec, dispersion, sample_di
 from kinlab.wigner import TestObservable, pair_wigner, pair_wigner_bilinear
 
 import test_graphs as graph_fixtures
+from conftest import cj_constant
 
 WORKERS = min(os.cpu_count() or 1, 8)
 
@@ -98,7 +99,7 @@ def test_criterion_2_wigner_identities(rng):
         center=(0.2, -0.1, 0.0), sigma=(0.6, 0.5, 0.7), amplitude=1.3,
         coeffs={(0, 0, 0): 0.8, (1, 0, 0): 0.3 - 0.2j, (-1, 0, 0): 0.3 + 0.2j},
     )
-    cj = J.cj_constant()
+    cj = cj_constant(J)
     worst = 0.0
     for _ in range(1000):
         a = rng.normal(size=box.volume) + 1j * rng.normal(size=box.volume)

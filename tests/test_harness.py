@@ -1,8 +1,13 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kinlab
 from kinlab.dynamics import PropagatorConfig, evolve_full
 from kinlab.harness import experiments as ex
 from kinlab.harness.cli import main as cli_main
@@ -65,6 +70,13 @@ def test_config_roundtrip_fields(cfg):
     assert dict(cfg.observable.coeffs)[(1, 0, 0)] == 0.25
     assert cfg.wkb.linear == (1.5707963, 0.0, 0.0)
     assert cfg.duhamel.N == 2
+    # the six required keys alone: every other field keeps its dataclass default
+    minimal = parse_config(
+        "[run]\nlambdas = 0.3\nT = 0.1\nL = 64\ndt = 0.05\nn_realizations = 2\nmaster_seed = 1\n"
+    )
+    assert minimal == ExperimentConfig(
+        lambdas=(0.3,), T=0.1, L=64, dt=0.05, n_realizations=2, master_seed=1
+    )
 
 
 def test_config_digest_stable(cfg):
@@ -162,12 +174,34 @@ def test_config_rejects_bad_vector(old, new):
         pytest.param("sigma = 0.8 0.8 0.8", "sigma = 0.8 a 0.8", id="vector-nonnumeric"),
         pytest.param(HARMONIC, "; 1 0 0 : 0.25 i ;", id="coefficient-nonnumeric"),
         pytest.param("N = 2", "N = 2.5", id="duhamel-int-nonnumeric"),
+        pytest.param("shell_halfwidth = 0.02", "shell_halfwidth = 0", id="shell-halfwidth-0"),
+        pytest.param("shell_halfwidth = 0.02", "shell_halfwidth = 0.2", id="shell-halfwidth-wide"),
+        pytest.param("tau_grid = 4", "tau_grid = 3", id="tau-grid-3"),
+        pytest.param("L = 8", "L = 9", id="duhamel-L-odd"),
+        pytest.param("dt = 0.005", "dt = 0", id="duhamel-dt-0"),
+        pytest.param("t = 1.0", "t = -1.0", id="duhamel-t-negative"),
+        pytest.param("N = 2", "N = -1", id="duhamel-N-negative"),
+        pytest.param("N = 2", "N = 13", id="duhamel-N-above-max-order"),
+        pytest.param("master_seed = 12345", "master_seed = -1", id="master-seed-negative"),
+        pytest.param("L = 20", "L = 21", id="run-L-odd"),
+        pytest.param("n_particles = 4000", "n_particle = 4000", id="unknown-key"),
+        pytest.param("[duhamel]", "[duhamell]", id="unknown-section"),
     ],
 )
 def test_config_rejects_bad_value(old, new):
     assert SMALL_CFG.count(old) == 1
     with pytest.raises(ConfigError):
         parse_config(SMALL_CFG.replace(old, new))
+
+
+def test_cli_import_skips_scipy_optimize():
+    # a fresh interpreter, so modules other tests imported do not count
+    code = "import sys, kinlab.harness.cli; print('scipy.optimize' in sys.modules)"
+    src = str(Path(kinlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_config_rejects_nondescending():

@@ -25,7 +25,7 @@ from kinlab.wigner import (
     wkb_limit_sampler,
 )
 
-from conftest import random_state
+from conftest import cj_constant, random_state, velocity_max_abs
 
 
 def oracle_pairing(J, phi, psi, eta):
@@ -283,7 +283,7 @@ def test_conjugate_linearity_in_observable(rng):
 
 def test_bilinear_bound_sample(observable, rng):
     box = BoxSpec(16)
-    cj = observable.cj_constant()
+    cj = cj_constant(observable)
     for _ in range(50):
         phi = random_state(box, rng)
         psi = random_state(box, rng)
@@ -296,9 +296,9 @@ def test_cj_constant_closed_form(observable):
     grid = np.linspace(0, 1, 101)
     V = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1).reshape(-1, 3)
     hmax_grid = np.abs(observable.velocity(V)).max()
-    cj = observable.cj_constant()
+    cj = cj_constant(observable)
     assert cj >= abs(observable.amplitude) * hmax_grid - 1e-8
-    assert cj == pytest.approx(abs(observable.amplitude) * observable.velocity_max_abs(), abs=1e-12)
+    assert cj == pytest.approx(abs(observable.amplitude) * velocity_max_abs(observable), abs=1e-12)
     # xi quadrature of |g^| per axis reproduces |amplitude|
     xi = np.linspace(-80, 80, 2_000_001)
     g_l1 = trapezoid(
