@@ -224,7 +224,10 @@ def _parse_section(cp, name: str, cls, **given):
 
 def parse_config(text: str) -> ExperimentConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    cp.read_string(text)
+    try:
+        cp.read_string(text)
+    except configparser.Error as e:
+        raise ConfigError(str(e)) from None
     types = get_type_hints(ExperimentConfig)
     specs = {f.name: types[f.name] for f in dataclasses.fields(ExperimentConfig)
              if dataclasses.is_dataclass(types[f.name])}

@@ -362,7 +362,7 @@ def run_resolvent_suite() -> ResolventReport:
 
     eps3, vals3 = [], []
     for eps, N in THREERES_SWEEP:
-        v = integral_3res(THREERES_K, GAMMA, GAMMA, eps, N, gamma3=GAMMA, sign=+1)
+        v = integral_3res(THREERES_K, GAMMA, GAMMA, eps, N, gamma3=GAMMA)
         eps3.append(eps)
         vals3.append(v)
     fit3 = fit_scaling(eps3, vals3, 4, enforce_span=False)

@@ -8,11 +8,12 @@ The one- and two-resolvent rules are streamed slab by slab and folded by
 lattice symmetry: along an axis whose shift p is 0 or 1/2 mod 1, the pair
 (cos 2pi(i/N + p), cos 2pi i/N) is unchanged under i -> N - i, so only the
 indices 0..N//2 are visited, with multiplicities as weights.  The
-six-dimensional three-resolvent integral is reduced to O(N^3 log N) by
-evaluating the inner convolution spectrally; each distinct gamma's grid is
-built and transformed once, and a shift k on the grid is applied as an
-index roll.  Scaling fits divide out a stated power of |log eps| first and
-regress the remainder against log(1/eps).
+six-dimensional three-resolvent integral needs even N and works on the same
+folded (N/2 + 1)^3 grid: the unshifted moduli are even in every axis, so
+their convolution is one DCT-I product, and the shifted third modulus is
+streamed slab by slab, each slab folded onto the mirror classes before its
+reduction.  Its transforms run on one thread.  Scaling fits divide out a
+stated power of |log eps| first and regress the remainder against log(1/eps).
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ class ResolventProbe:
             raise ValueError(f"N={self.N} below the resolution contract ceil(8/eps)={math.ceil(8.0 / self.eps)}")
 
 
-def _axis_cos(N: int, shift: float = 0.0, dtype=np.float64) -> np.ndarray:
+def _axis_cos(N: int, shift: float = 0.0) -> np.ndarray:
     k = (np.arange(N, dtype=np.float64) / N + shift) % 1.0
-    return np.cos(2.0 * np.pi * k).astype(dtype)
+    return np.cos(2.0 * np.pi * k)
 
 
 def _axis_weights(N: int, shift: float) -> np.ndarray:
@@ -68,28 +69,13 @@ def _axis_weights(N: int, shift: float) -> np.ndarray:
     return w
 
 
-def _modulus_slab(c1: np.ndarray, c2: np.ndarray, c3_val: float, gamma: float, eps: float, dtype):
+def _modulus_slab(c1: np.ndarray, c2: np.ndarray, c3_val: float, gamma: float, eps: float) -> np.ndarray:
     """1/|e(k) - gamma - i eps| on one slab of fixed c3; e = 3 - c1 - c2 - c3."""
-    re = ((3.0 - c3_val - gamma) - c1[:, None] - c2[None, :]).astype(dtype, copy=False)
+    re = (3.0 - c3_val - gamma) - c1[:, None] - c2[None, :]
     np.square(re, out=re)
-    re += dtype(eps) ** 2
+    re += eps**2
     np.sqrt(re, out=re)
     return np.reciprocal(re, out=re)
-
-
-def _modulus_grid(gamma: float, eps: float, N: int, dtype, shift=(0.0, 0.0, 0.0)) -> np.ndarray:
-    """1/|e(k + shift) - gamma - i eps| on the N^3 grid, written slab by slab along axis 0."""
-    c = [_axis_cos(N, shift=float(s)) for s in shift]
-    out = np.empty((N, N, N), dtype=dtype)
-    for i1 in range(N):
-        out[i1] = _modulus_slab(c[1], c[2], c[0][i1], gamma, eps, dtype)
-    return out
-
-
-def resolvent_modulus_grid(gamma: float, eps: float, N: int, dtype=np.float64) -> np.ndarray:
-    """1/|e(k) - gamma - i eps| on the N^3 grid {0, 1/N, ...}^3."""
-    ResolventProbe(gamma, eps, N)
-    return _modulus_grid(gamma, eps, N, dtype)
 
 
 def _folded_rule(p, eps: float, N: int, gamma1: float, gamma2: float = None) -> float:
@@ -104,9 +90,9 @@ def _folded_rule(p, eps: float, N: int, gamma1: float, gamma2: float = None) -> 
     plain = [_axis_cos(N)[: len(w)] for w in weights]
     total = 0.0
     for j, wj in enumerate(w3.tolist()):
-        slab = _modulus_slab(shifted[0], shifted[1], shifted[2][j], gamma1, eps, np.float64)
+        slab = _modulus_slab(shifted[0], shifted[1], shifted[2][j], gamma1, eps)
         if gamma2 is not None:
-            slab *= _modulus_slab(plain[0], plain[1], plain[2][j], gamma2, eps, np.float64)
+            slab *= _modulus_slab(plain[0], plain[1], plain[2][j], gamma2, eps)
         total += wj * float(w1 @ slab @ w2)
     return total / N**3
 
@@ -129,65 +115,53 @@ def integral_2res(p, gamma1: float, gamma2: float, eps: float, N: int) -> float:
     return _folded_rule(p, eps, N, gamma1, gamma2)
 
 
-def integral_3res(
-    k,
-    gamma1: float,
-    gamma2: float,
-    eps: float,
-    N: int,
-    gamma3: float = None,
-    sign: int = +1,
-) -> float:
-    """Average over (p, q) of |R1(p)| |R2(q)| |R3(p + sign*q + k)|.
+def _folded_grid(gamma: float, eps: float, N: int) -> np.ndarray:
+    """1/|e(k) - gamma - i eps| at the grid indices 0..N//2 of every axis, slab by slab."""
+    c = _axis_cos(N)[: N // 2 + 1]
+    out = np.empty((len(c),) * 3)
+    for i, ci in enumerate(c.tolist()):
+        out[i] = _modulus_slab(c, c, ci, gamma, eps)
+    return out
 
-    Evaluated as the p-average of |R1| against the spectral correlation /
-    convolution G(p) = N^-3 sum_q |R2(q)| |R3(p + sign*q + k)|.  Each
-    distinct gamma's grid is built once (|R1| is |R2| when gamma1 == gamma2)
-    and |R2| is transformed once.  When k*N is integral, |R3(x + k)| is an
-    index roll s = k*N of the unshifted gamma3 grid, so G(p) = G0(p + s/N)
-    with G0 computed at k = 0 (reusing the |R2| spectrum when gamma3 ==
-    gamma2), and the roll is applied in the final reduction; the suite's
-    point then costs one grid build, one forward and one inverse transform.
-    Off-grid k builds the shifted |R3| table.  Single precision is used on
-    large grids (N >= 384).
+
+def integral_3res(k, gamma1: float, gamma2: float, eps: float, N: int, gamma3: float = None) -> float:
+    """Average over (p, q) of |R1(p)| |R2(q)| |R3(p + q + k)|, for even N.
+
+    With x = p + q this is N^-6 sum_x H(x) |R3(x + k)|, where H = |R1| * |R2|
+    is the cyclic convolution of the unshifted moduli.  Both are even in
+    every axis, so H is too, and for even N the DFT of an even sequence is
+    the DCT-I of its indices 0..N/2: H = idctn(dctn(|R1|) dctn(|R2|)) on the
+    folded (N/2 + 1)^3 grids (one grid and one forward transform when
+    gamma1 == gamma2), transformed in place on one thread.  |R3(x + k)| is
+    streamed in N x N slabs of fixed x1, on or off the grid; each slab is
+    summed over the mirror classes {j, N - j} of its two axes and contracted
+    with the contiguous row H[min(x1, N - x1)].  |R2| is even, so the
+    average of |R1(p)| |R2(q)| |R3(p - q + k)| is the same number.
     """
     if gamma3 is None:
         gamma3 = gamma2
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
     ResolventProbe(gamma1, eps, N)
     ResolventProbe(gamma2, eps, N)
     ResolventProbe(gamma3, eps, N)
-    k = np.asarray(k, dtype=float) % 1.0
-    dtype = np.float32 if N >= 384 else np.float64
-    kN = k * N
-    on_grid = bool(np.all(kN == np.round(kN)))
-
-    B = resolvent_modulus_grid(gamma2, eps, N, dtype)
-    FB = sfft.rfftn(B, workers=-1)
-    A = B if gamma1 == gamma2 else None
-    del B
-    if on_grid:
-        roll = tuple(int(s) % N for s in kN)
-        FC = FB if gamma3 == gamma2 else sfft.rfftn(resolvent_modulus_grid(gamma3, eps, N, dtype), workers=-1)
+    if N % 2:
+        raise ValueError(f"integral_3res needs even N (got N={N}): DCT-I is the DFT of an even sequence only then")
+    h = N // 2
+    H = sfft.dctn(_folded_grid(gamma2, eps, N), type=1, overwrite_x=True)
+    if gamma1 == gamma2:
+        H *= H
     else:
-        roll = (0, 0, 0)
-        FC = sfft.rfftn(_modulus_grid(gamma3, eps, N, dtype, shift=k), workers=-1)
-    # sign +1: sum_q B(q) C(p+q) is a correlation; sign -1: a convolution
-    spec = np.conj(FB) if sign == +1 else FB
-    del FB
-    spec *= FC
-    del FC
-    G = sfft.irfftn(spec, s=(N, N, N), workers=-1)
-    del spec
-    if A is None:
-        A = resolvent_modulus_grid(gamma1, eps, N, dtype)
+        H *= sfft.dctn(_folded_grid(gamma1, eps, N), type=1, overwrite_x=True)
+    H = sfft.idctn(H, type=1, overwrite_x=True)
+    c = [_axis_cos(N, shift=float(s)) for s in np.asarray(k, dtype=float) % 1.0]
     total = 0.0
     for i1 in range(N):
-        g = G[(i1 + roll[0]) % N]
-        if roll[1] or roll[2]:
-            g = np.roll(g, (-roll[1], -roll[2]), axis=(0, 1))
-        total += float(np.vdot(A[i1].astype(np.float64, copy=False), g.astype(np.float64, copy=False)))
+        slab = _modulus_slab(c[1], c[2], c[0][i1], gamma3, eps)
+        # rows, then columns, j and N - j fold onto j <= h
+        slab[1:h] += slab[:h:-1]
+        fold = slab[: h + 1]
+        fold[:, 1:h] += fold[:, :h:-1]
+        # einsum, not BLAS: a threaded dot would change the sum order with the thread count
+        total += float(np.einsum("ij,ij->", H[min(i1, N - i1)], fold[:, : h + 1]))
     return total / N**6
 
 

@@ -5,6 +5,7 @@ The heavy disorder ensembles (criteria 6/7) are shared through a module
 fixture; expect roughly ten minutes on two cores.
 """
 
+import dataclasses
 import math
 import os
 import time
@@ -220,6 +221,18 @@ def test_criterion_7_kinetic_limit_mean(cfg, ensembles):
                   f"{rep.nonincreasing_within_errors}; relative gap at lam=0.3: "
                   f"{rel_gap * 100:.1f}% (gate 25%); transport side {rep.boltzmann_value[-1]:.4f} "
                   f"+- {rep.boltzmann_stderr[-1]:.4f}; {time.time() - t0:.0f}s")
+
+
+def test_step_size_converged(cfg, ensembles):
+    # stream 1 at lam = 0.3, at dt, dt/2 and dt/4: Strang's error is O(dt^2)
+    lam = 0.3
+    psi0 = wkb_state(cfg.wkb, lam**2, cfg.box())
+    W = [ex._realization_value((dataclasses.replace(cfg, dt=cfg.dt / m), lam, psi0, 1))[1] for m in (1, 2, 4)]
+    ratio = abs(W[0] - W[1]) / abs(W[1] - W[2])
+    err = 4.0 / 3.0 * abs(W[1] - W[0])  # Richardson estimate of the error at dt
+    se = ensembles[cfg.lambdas.index(lam)].stderr_mean
+    assert 3.5 <= ratio <= 4.5, f"Richardson ratio {ratio:.2f} (gate [3.5, 4.5])"
+    assert err < 0.1 * se, f"step error {err:.2e} at dt = {cfg.dt} against stderr of the mean {se:.2e}"
 
 
 def test_criterion_8_duhamel_consistency(rng):

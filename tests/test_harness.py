@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import kinlab
-from kinlab.dynamics import PropagatorConfig, evolve_full
+from kinlab.dynamics import evolve_free
 from kinlab.harness import experiments as ex
 from kinlab.harness.cli import main as cli_main
 from kinlab.harness.config import ConfigError, DuhamelStudySpec, ExperimentConfig, parse_config
-from kinlab.lattice import TrigPolynomial, WkbSpec, sample_disorder, wkb_state
+from kinlab.lattice import TrigPolynomial, WkbSpec, wkb_state
 from kinlab.harness.manifest import RunManifest
 from kinlab.harness.stats import EnsembleStats, StreamingMoments, bootstrap_slope
 from kinlab.wigner import TestObservable, pair_wigner
@@ -186,6 +186,8 @@ def test_config_rejects_bad_vector(old, new):
         pytest.param("L = 20", "L = 21", id="run-L-odd"),
         pytest.param("n_particles = 4000", "n_particle = 4000", id="unknown-key"),
         pytest.param("[duhamel]", "[duhamell]", id="unknown-section"),
+        pytest.param("[run]\nlambdas = 0.6 0.45", "lambdas = 0.6 0.45\n[run]", id="key-before-section"),
+        pytest.param("lambdas = 0.6 0.45", "lambdas = 0.6 0.45\nlambdas = 0.6 0.3", id="duplicate-key"),
     ],
 )
 def test_config_rejects_bad_value(old, new):
@@ -437,9 +439,8 @@ def test_transport_only_agreement():
     cfg = parse_config(text)
     lam = 0.2  # eta = 0.04
     eta = lam**2
-    V = sample_disorder(cfg.box(), cfg.master_seed, 1)
     psi0 = wkb_state(cfg.wkb, eta, cfg.box())
-    psi_t = evolve_full(psi0, V, 0.0, cfg.T / eta, PropagatorConfig(dt=cfg.dt))
+    psi_t = evolve_free(psi0, cfg.T / eta)  # lam = 0: the exact free evolution
     quantum = pair_wigner(cfg.observable, psi_t, eta).value.real
     table = ex._dos_table(cfg)
     val, err = ex.boltzmann_observable(cfg, cfg.T, table, collisions=False)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ import pytest
 from kinlab.resolvent import (
     DegenerateFit,
     ResolventProbe,
+    _folded_grid,
     fit_scaling,
     integral_1res,
     integral_2res,
     integral_3res,
-    resolvent_modulus_grid,
 )
 
 #: the two torus points where the two-resolvent integral degenerates
@@ -48,17 +49,20 @@ def test_exceptional_set_distance():
 
 
 def test_modulus_grid_extremes():
-    g = resolvent_modulus_grid(0.0, 0.1, 96)
+    g = _grid_modulus((0.0, 0.0, 0.0), 0.0, 0.1, 96)
     assert g[0, 0, 0] == pytest.approx(1.0 / 0.1, rel=1e-14)
     assert g.max() <= 1.0 / 0.1 + 1e-12
     assert g.min() >= 1.0 / math.sqrt(49 + 0.1**2) - 1e-12
-    off = resolvent_modulus_grid(-1.0, 0.1, 96)
+    off = _grid_modulus((0.0, 0.0, 0.0), -1.0, 0.1, 96)
     assert off.max() <= 1.0
 
 
 def test_modulus_grid_reflection_symmetry():
-    g = resolvent_modulus_grid(2.0, 0.1, 80)
+    g = _grid_modulus((0.0, 0.0, 0.0), 2.0, 0.1, 80)
     assert np.allclose(g, np.roll(g[::-1, ::-1, ::-1], (1, 1, 1), axis=(0, 1, 2)))
+    # _folded_grid is the grid on the indices 0..N//2 (the sum order differs)
+    h = 80 // 2
+    np.testing.assert_allclose(_folded_grid(2.0, 0.1, 80), g[: h + 1, : h + 1, : h + 1], rtol=1e-13, atol=0)
 
 
 def test_1res_off_spectrum_small():
@@ -99,9 +103,27 @@ def test_3res_factorized_bounds():
 
 
 def test_3res_sign_reflection():
-    a = integral_3res((0.3, 0.1, 0.7), 3.0, 2.5, 0.1, 96, gamma3=3.5, sign=+1)
-    b = integral_3res((0.7, 0.9, 0.3), 3.0, 2.5, 0.1, 96, gamma3=3.5, sign=-1)
+    # (p, q) -> (-p, -q) with every |R| even: the average is the same at k and -k
+    a = integral_3res((0.3, 0.1, 0.7), 3.0, 2.5, 0.1, 96, gamma3=3.5)
+    b = integral_3res((0.7, 0.9, 0.3), 3.0, 2.5, 0.1, 96, gamma3=3.5)
     assert abs(a - b) <= 1e-10 * a
+
+
+def test_3res_rejects_odd_N():
+    with pytest.raises(ValueError, match="even N"):
+        integral_3res((0.25, 0.25, 0.25), 3.0, 3.0, 0.1, 81)
+
+
+def test_3res_memory_is_folded():
+    # off-grid k: the shifted third modulus is streamed, never stored as a grid
+    N = 160
+    tracemalloc.start()
+    try:
+        integral_3res((0.3, 0.1, 0.7), 3.0, 3.0, 0.05, N, gamma3=3.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * N**3 / 4
 
 
 def test_3res_grid_refinement_stable():
@@ -177,22 +199,31 @@ def test_2res_matches_full_grid_sum(N, p):
         assert integral_2res(p, gamma1, gamma2, eps, N) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
+# (N, k, gammas, sign of the reference double sum); integral_3res takes no sign,
+# so matching references of both signs shows that the value does not depend on it
+THREE_RES_CASES = [
+    (24, (0.25, 0.25, 0.25), (3.0, 3.0, 3.0), +1),  # on grid, one distinct gamma
+    (24, (0.25, 0.25, 0.25), (2.0, 3.0, 3.0), +1),  # on grid, gamma3 == gamma2 only
+    (24, (0.25, 0.5, 0.0), (3.0, 2.5, 3.5), -1),  # on grid, all distinct
+    (24, (0.5, 0.0, 0.75), (3.0, 3.0, 4.0), -1),  # on grid, gamma1 == gamma2 only
+    (24, (0.3, 0.1, 0.7), (3.0, 2.5, 3.5), +1),  # off grid, all distinct
+    (24, (0.3, 0.1, 0.7), (3.0, 3.0, 3.0), -1),  # off grid, one distinct gamma
+    (26, (0.5, 3 / 26, 0.0), (3.0, 2.5, 3.5), +1),  # N/2 odd, on grid
+    (26, (0.3, 0.1, 0.7), (2.0, 3.0, 3.0), -1),  # N/2 odd, off grid
+]
+
+
 @pytest.mark.parametrize(
-    "k, gammas, sign",
-    [
-        ((0.25, 0.25, 0.25), (3.0, 3.0, 3.0), +1),  # on grid, one distinct gamma
-        ((0.25, 0.25, 0.25), (2.0, 3.0, 3.0), +1),  # on grid, gamma3 == gamma2 only
-        ((0.25, 0.5, 0.0), (3.0, 2.5, 3.5), -1),  # on grid, all distinct
-        ((0.5, 0.0, 0.75), (3.0, 3.0, 4.0), -1),  # on grid, gamma1 == gamma2 only
-        ((0.3, 0.1, 0.7), (3.0, 2.5, 3.5), +1),  # off grid, all distinct
-        ((0.3, 0.1, 0.7), (3.0, 3.0, 3.0), -1),  # off grid, one distinct gamma
-    ],
+    "N, k, gammas, sign",
+    THREE_RES_CASES,
+    # the ids name (k, gammas, sign) only, so the N = 24 cases keep their ids
+    ids=[f"k{i}-gammas{i}-{case[-1]}" for i, case in enumerate(THREE_RES_CASES)],
 )
-def test_3res_matches_double_sum(k, gammas, sign):
-    N, eps = 24, 1.0 / 3.0
+def test_3res_matches_double_sum(N, k, gammas, sign):
+    eps = 1.0 / 3.0
     gamma1, gamma2, gamma3 = gammas
     ref = _brute_3res(k, gamma1, gamma2, gamma3, eps, N, sign)
-    v = integral_3res(k, gamma1, gamma2, eps, N, gamma3=gamma3, sign=sign)
+    v = integral_3res(k, gamma1, gamma2, eps, N, gamma3=gamma3)
     assert v == pytest.approx(ref, rel=1e-12, abs=0)
 
 
