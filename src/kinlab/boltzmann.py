@@ -6,17 +6,17 @@ elastic jumps with kernel 2 pi delta(e(U) - e(V)).  Because the jump law
 depends on V only through the conserved energy e(V), each particle carries
 an exponential clock with a fixed rate R = 2 pi Phi(e(V)), where Phi is the
 density of states of e pushed forward from the uniform torus measure,
-tabulated once by `build_dos_table`.
+tabulated once by `build_dos_table` from a float32 histogram.
 
 The delta kernel is regularized by a shell of half-width `shell_halfwidth`.
-A jump draws the new velocity with `sample_energy_shell_batch`: the first
-of i.i.d. uniform torus proposals inside the shell is Newton-projected onto
-the exact level set, so post-collision energies match the pre-collision
-energy to the projection tolerance while the angular law converges to the
-level-set measure as the shell shrinks (bias O(shell)).  `snapshots` is the
-one driver: it evolves an ensemble through an increasing list of times.
-The module keeps no state between calls; every result is a function of the
-arguments and the generator's state.
+A jump draws the new velocity with `sample_energy_shell_batch`: a point
+uniform on the shell, with its third coordinate drawn on its slice of the
+shell, is Newton-projected onto the exact level set, so post-collision
+energies match the pre-collision energy to the projection tolerance while
+the angular law converges to the level-set measure as the shell shrinks
+(bias O(shell)).  `snapshots` alone advances ensembles, through an
+increasing list of times.  The module keeps no state between calls; every
+result is a function of the arguments and the generator's state.
 """
 
 from __future__ import annotations
@@ -74,8 +74,10 @@ class DosTable:
         return float(np.sum(self.values * width))
 
 
-# Uniform samples drawn per round by `build_dos_table` (1.5 MiB of float64,
-# so a round and its temporaries stay in cache).
+# Rows of three uniforms drawn per round by `build_dos_table` (768 KiB of
+# float32, so a round and its temporaries stay in cache).  The energies are
+# float32 too: off by a few 1e-7 against a bin width of 6 / bins, at a small
+# fraction of the cost of float64 cosines.
 DOS_CHUNK = 1 << 16
 
 
@@ -83,11 +85,14 @@ def build_dos_table(n_samples: int, rng: np.random.Generator, bins: int = 512) -
     """Tabulate Phi by histogramming e(U) over uniform torus samples."""
     edges = np.linspace(0.0, 6.0, bins + 1)
     counts = np.zeros(bins, dtype=np.int64)
+    two_pi = np.float32(2.0 * math.pi)
     left = n_samples
     while left > 0:
         n = min(left, DOS_CHUNK)
-        U = rng.random((n, 3))
-        counts += np.histogram(dispersion(U), bins=edges)[0]
+        c = rng.random((n, 3), dtype=np.float32)
+        c *= two_pi
+        np.cos(c, out=c)
+        counts += np.histogram(3.0 - c[:, 0] - c[:, 1] - c[:, 2], bins=edges)[0]
         left -= n
     width = np.diff(edges)
     values = counts / (n_samples * width)
@@ -135,15 +140,9 @@ def _project_to_shell(U: np.ndarray, E: np.ndarray):
     return reduce_torus(U), ok
 
 
-# Proposals drawn in one round across all pending slots: at most 72 MB of
-# float32 components, plus 24 MB each for the cosine scratch and energies.
-_ROUND_BUDGET = 6_000_000
-# Row length of the first round, before the call has seen any acceptance.
-_FIRST_ROW = 1024
-# Expected shell hits per row once the acceptance is known.  Longer rows
-# miss less often but waste the proposals after their first hit; at one hit
-# per row a row misses with probability about exp(-1).
-_HITS_PER_ROW = 1.0
+# Proposals drawn in one round across all pending slots (12.6 MB of float64
+# work buffers, 2 MB per temporary).
+_ROUND_PROPOSALS = 1 << 18
 
 
 def sample_energy_shell_batch(
@@ -151,67 +150,69 @@ def sample_energy_shell_batch(
 ) -> np.ndarray:
     """n torus points with e(U) = E_i exactly (to the projection tolerance).
 
-    E may be a scalar or an array of per-slot energies.  Each round gives
-    every pending slot its own row of k uniform float32 proposals.  The first
-    proposal of a row inside the shell |e - E_i| < shell_halfwidth is
-    Newton-projected onto e = E_i in float64 and fills the slot; a slot whose
-    row has no hit, or whose projection stalls, stays pending for the next
-    round.  So each slot's point is the first shell hit of its own i.i.d.
-    proposal sequence, whatever k is.  k follows the acceptance seen so far
-    in this call, so the draws depend only on the arguments and the state of
-    `rng`.  Raises ShellEmpty once a pending slot has seen cfg.max_tries
-    proposals.
+    E may be a scalar or an array of per-slot energies.  A proposal draws k1
+    and k2 uniformly; with a = 3 - E_i - cos 2 pi k1 - cos 2 pi k2, the k3
+    with |e - E_i| < h = shell_halfwidth are those with cos 2 pi k3 in
+    (a - h, a + h), a slice of angular width w.  The proposal is accepted
+    with probability w / arccos(1 - 2h), the largest width, and then
+    k3 = +-theta / 2 pi with theta uniform on the slice.  So an accepted point
+    is uniform on the shell, like the first shell hit among uniform torus
+    proposals.  Each round gives every pending slot its own row of k
+    proposals; the row's first accepted point, Newton-projected onto
+    e = E_i, fills the slot, and a slot with none, or whose projection
+    stalls, stays pending.  k follows the acceptance seen so far in this
+    call, so the draws depend only on the arguments and the state of `rng`.
+    Raises ShellEmpty once a pending slot has seen cfg.max_tries proposals.
     """
     E = np.broadcast_to(np.asarray(E, dtype=float), (n,)).copy()
     if np.any((E <= 0.0) | (E >= 6.0)):
         raise ShellEmpty("energy outside the open band (0, 6)")
     out = np.empty((n, 3))
-    E32 = E.astype(np.float32)
-    # the float32 shell test tolerates 1e-7 rounding; the projection
-    # afterwards runs in float64
-    halfwidth = np.float32(cfg.shell_halfwidth * (1.0 - 1e-5))
+    h = cfg.shell_halfwidth
+    w_max = math.acos(1.0 - 2.0 * h)
+    two_pi = 2.0 * math.pi
     pending = np.arange(n)
     tries = proposals = hits = 0
-    k = _FIRST_ROW
+    k = 1
     # one set of work buffers for the whole call; a round of P rows of k
-    # proposals, P * k <= max(n, _ROUND_BUDGET), works in views of their heads
-    size = max(n, _ROUND_BUDGET)
-    u_buf = np.empty(3 * size, dtype=np.float32)
-    c_buf = np.empty(size, dtype=np.float32)
-    e_buf = np.empty(size, dtype=np.float32)
-    two_pi = np.float32(2.0 * math.pi)
+    # proposals, P * k <= max(n, _ROUND_PROPOSALS), works in views of their heads
+    size = max(n, _ROUND_PROPOSALS)
+    u_buf = np.empty(3 * size)
+    f_buf = np.empty((3, size))
     while pending.size:
-        k = max(1, min(k, _ROUND_BUDGET // pending.size))
+        k = max(1, min(k, _ROUND_PROPOSALS // pending.size))
         m = pending.size * k
-        # component-major layout: U[j, i, r] is component j of proposal r in
-        # slot i's row, so the energy is three contiguous subtractions
+        # U[0] and U[1] are k1 and k2, U[2] the acceptance uniform
         U = u_buf[: 3 * m].reshape(3, pending.size, k)
-        rng.random(out=U, dtype=np.float32)
-        c = c_buf[:m].reshape(pending.size, k)
-        e32 = e_buf[:m].reshape(pending.size, k)
-        e32.fill(3.0)
-        for j in range(3):
-            np.multiply(U[j], two_pi, out=c)
-            np.cos(c, out=c)
-            e32 -= c
-        # |e - E_i| in the float32 operation order of 3 - c0 - c1 - c2 - E_i
-        e32 -= E32[pending, None]
-        np.abs(e32, out=e32)
-        hit = e32 < halfwidth
+        rng.random(out=U)
+        a, lo, w = (f[:m].reshape(pending.size, k) for f in f_buf)
+        np.cos(np.multiply(U[0], two_pi, out=a), out=a)
+        np.cos(np.multiply(U[1], two_pi, out=w), out=w)
+        np.subtract((3.0 - E[pending])[:, None], a, out=a)
+        a -= w
+        # the slice is theta in [lo, lo + w]: lo = arccos(a + h), lo + w = arccos(a - h)
+        np.arccos(np.clip(a + h, -1.0, 1.0, out=lo), out=lo)
+        np.arccos(np.clip(a - h, -1.0, 1.0, out=w), out=w)
+        w -= lo
+        hit = U[2] * w_max < w
         rows = np.flatnonzero(hit.any(axis=1))
         first = np.argmax(hit[rows], axis=1)
-        proj, ok = _project_to_shell(U[:, rows, first].T.astype(np.float64), E[pending[rows]])
+        v = rng.random((2, rows.size))
+        theta = lo[rows, first] + v[0] * w[rows, first]
+        k3 = np.copysign(theta, v[1] - 0.5) / two_pi
+        U3 = np.column_stack([U[0, rows, first], U[1, rows, first], k3])
+        proj, ok = _project_to_shell(U3, E[pending[rows]])
         out[pending[rows[ok]]] = proj[ok]
         pending = np.delete(pending, rows[ok])
         tries += k
-        proposals += hit.size
+        proposals += m
         hits += int(np.count_nonzero(hit))
         if pending.size and tries >= cfg.max_tries:
             raise ShellEmpty(
                 f"no shell hit after {tries} proposals at E={E[pending[0]]:.4f}, "
                 f"shell={cfg.shell_halfwidth}"
             )
-        k = math.ceil(_HITS_PER_ROW * proposals / hits) if hits else 4 * k
+        k = math.ceil(proposals / hits) if hits else 4 * k
     return out
 
 
@@ -268,12 +269,11 @@ def snapshots(
     rng: np.random.Generator,
     table: DosTable,
     collisions: bool = True,
-    mass: float = 1.0,
 ):
     """Ensemble states at an increasing sequence of times (shared trajectories).
 
     `initial_sampler(n, rng)` returns initial (X, V) arrays; each particle
-    carries weight mass/n, which no step changes.  `collisions=False` gives
+    carries weight 1/n, which no step changes.  `collisions=False` gives
     free flight.
     """
     times = list(times)
@@ -282,7 +282,7 @@ def snapshots(
     X, V = initial_sampler(n_particles, rng)
     X = np.array(X, dtype=float)
     V = reduce_torus(np.array(V, dtype=float))
-    weight = np.full(n_particles, mass / n_particles)
+    weight = np.full(n_particles, 1.0 / n_particles)
     prev = 0.0
     out = []
     for t in times:

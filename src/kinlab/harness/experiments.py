@@ -177,22 +177,26 @@ class KineticComparison:
     nonincreasing_within_errors: bool
 
 
-def _dos_table(cfg: ExperimentConfig) -> bz.DosTable:
-    rng = np.random.default_rng([cfg.master_seed, SEED_DOS])
-    return bz.build_dos_table(cfg.dos_samples, rng, bins=cfg.dos_bins)
+def transport_snapshots(cfg: ExperimentConfig, taus, collisions=True) -> list:
+    """Transport ensembles at the increasing times `taus`, from the WKB limit law.
 
-
-def boltzmann_observable(cfg: ExperimentConfig, T: float, table=None, collisions=True):
-    """(value, stderr) of the observable under the transport solution at time T."""
-    if table is None:
-        table = _dos_table(cfg)
-    rng = np.random.default_rng([cfg.master_seed, SEED_BOLTZMANN])
+    The DOS table and the particles draw from their own keyed generators.
+    """
+    table = bz.build_dos_table(
+        cfg.dos_samples, np.random.default_rng([cfg.master_seed, SEED_DOS]), bins=cfg.dos_bins
+    )
     shell = bz.ShellSamplerConfig(shell_halfwidth=cfg.shell_halfwidth)
+    rng = np.random.default_rng([cfg.master_seed, SEED_BOLTZMANN])
 
     def init(n, r):
         return wkb_limit_sampler(cfg.wkb, n, r)
 
-    ens = bz.snapshots(init, [T], cfg.n_particles, shell, rng, table, collisions=collisions)[-1]
+    return bz.snapshots(init, taus, cfg.n_particles, shell, rng, table, collisions=collisions)
+
+
+def boltzmann_observable(cfg: ExperimentConfig, T: float, collisions=True):
+    """(value, stderr) of the observable under the transport solution at time T."""
+    ens = transport_snapshots(cfg, [T], collisions)[-1]
     return bz.observable(ens, cfg.observable)
 
 
@@ -207,8 +211,7 @@ def run_kinetic_comparison(
     """
     if ensemble_stats is None:
         ensemble_stats = [run_ensemble(cfg, lam, workers) for lam in cfg.lambdas]
-    table = _dos_table(cfg)
-    b_val, b_err = boltzmann_observable(cfg, cfg.T, table)
+    b_val, b_err = boltzmann_observable(cfg, cfg.T)
 
     q_means, q_errs, diffs, combined = [], [], [], []
     for s in ensemble_stats:
@@ -267,14 +270,7 @@ class TimeGridReport:
 def run_timegrid_sup(cfg: ExperimentConfig) -> TimeGridReport:
     """Deviation of disorder stream 1 from the transport value on a tau grid."""
     taus = tuple(float(x) for x in np.linspace(0.0, cfg.T, cfg.tau_grid))
-    table = _dos_table(cfg)
-    shell = bz.ShellSamplerConfig(shell_halfwidth=cfg.shell_halfwidth)
-    rng = np.random.default_rng([cfg.master_seed, SEED_BOLTZMANN])
-
-    def init(n, r):
-        return wkb_limit_sampler(cfg.wkb, n, r)
-
-    snaps = bz.snapshots(init, taus, cfg.n_particles, shell, rng, table)
+    snaps = transport_snapshots(cfg, taus)
     mu_vals = [bz.observable(s, cfg.observable)[0].real for s in snaps]
 
     box = cfg.box()

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,6 @@ from kinlab.boltzmann import (
     ParticleEnsemble,
     ShellEmpty,
     ShellSamplerConfig,
-    _FIRST_ROW,
-    _HITS_PER_ROW,
-    _ROUND_BUDGET,
     _project_to_shell,
     build_dos_table,
     collision_rate,
@@ -78,6 +76,26 @@ def test_dos_table_normalization_and_symmetry(table):
     assert frac_off < 0.02  # 3-sigma outliers at roughly the nominal rate
 
 
+def float64_dos_counts(n_samples, rng, edges):
+    """Histogram of float64 energies over float64 uniform draws: the oracle
+    for the float32 table."""
+    counts = np.zeros(len(edges) - 1, dtype=np.int64)
+    for left in range(n_samples, 0, -(1 << 16)):
+        counts += np.histogram(dispersion(rng.random((min(left, 1 << 16), 3))), bins=edges)[0]
+    return counts
+
+
+def test_float32_dos_table_matches_float64_histogram(table):
+    # independent streams: the tables differ by sampling noise, and by the
+    # float32 rounding of e (a few 1e-7 against a bin width of 0.0117)
+    n = table.n_samples
+    counts = float64_dos_counts(n, np.random.default_rng(6), table.edges)
+    width = np.diff(table.edges)
+    values = counts / (n * width)
+    se = np.hypot(table.stderr, np.sqrt(np.maximum(counts, 1)) / (n * width))
+    assert np.mean(np.abs(table.values - values) > 3 * se) < 0.02
+
+
 @pytest.mark.parametrize("chunk", [1000, 4_000_000])
 def test_dos_table_independent_of_chunk(chunk, monkeypatch):
     # the rounds draw one stream in pieces, so the counts cannot depend on
@@ -138,18 +156,20 @@ def test_shell_draws_independent_of_call_history(cfg):
     assert np.array_equal(draws(8), cold)
 
 
-def allocating_shell_reference(E, n, cfg, rng):
-    """`sample_energy_shell_batch` with fresh arrays every round: the
-    reference for the sampler's reused work buffers."""
+def float32_shell_reference(E, n, shell_halfwidth, rng):
+    """The shell sampler before slice draws: rows of uniform float32 torus
+    proposals, a float32 shell test with a (1 - 1e-5) margin, and the first
+    hit of a row Newton-projected in float64.  Its points are the first shell
+    hit of i.i.d. uniform proposals, the law the slice draws must keep."""
     E = np.broadcast_to(np.asarray(E, dtype=float), (n,)).copy()
     out = np.empty((n, 3))
     E32 = E.astype(np.float32)
-    halfwidth = np.float32(cfg.shell_halfwidth * (1.0 - 1e-5))
+    halfwidth = np.float32(shell_halfwidth * (1.0 - 1e-5))
     pending = np.arange(n)
     proposals = hits = 0
-    k = _FIRST_ROW
+    k = 1024
     while pending.size:
-        k = max(1, min(k, _ROUND_BUDGET // pending.size))
+        k = max(1, min(k, 6_000_000 // pending.size))
         U = rng.random((3, pending.size, k), dtype=np.float32)
         c = np.multiply(U, np.float32(2.0 * math.pi))
         np.cos(c, out=c)
@@ -162,26 +182,57 @@ def allocating_shell_reference(E, n, cfg, rng):
         pending = np.delete(pending, rows[ok])
         proposals += hit.size
         hits += int(np.count_nonzero(hit))
-        k = math.ceil(_HITS_PER_ROW * proposals / hits) if hits else 4 * k
+        k = math.ceil(proposals / hits) if hits else 4 * k
     return out
 
 
-@pytest.mark.parametrize("energies", ["scalar", "per_slot"])
-def test_shell_batch_matches_allocating_reference(energies):
-    # 13k slots at shell 0.005 accept about one proposal in a thousand, so
-    # the call takes several rounds of reused buffers with shrinking P
-    n = 13_000
-    cfg = ShellSamplerConfig(shell_halfwidth=0.005)
-    E = 1.0 if energies == "scalar" else np.random.default_rng(4).uniform(0.5, 5.5, n)
-    r_got, r_want = np.random.default_rng(21), np.random.default_rng(21)
-    got = sample_energy_shell_batch(E, n, cfg, r_got)
-    want = allocating_shell_reference(E, n, cfg, r_want)
-    assert np.array_equal(got, want)
-    assert r_got.random() == r_want.random()  # same share of the stream
+@pytest.mark.parametrize("E", [1.0, 3.0])
+def test_shell_law_matches_float32_reference(E):
+    # two-sample KS per coordinate and for the largest |sin 2 pi k_j|, the
+    # steepness of the level set at the point; Bonferroni over the four
+    n, h = 20_000, 0.005
+    got = sample_energy_shell_batch(E, n, ShellSamplerConfig(shell_halfwidth=h), np.random.default_rng(41))
+    want = float32_shell_reference(E, n, h, np.random.default_rng(42))
+
+    def columns(U):
+        return [U[:, 0], U[:, 1], U[:, 2], np.max(np.abs(np.sin(2 * np.pi * U)), axis=1)]
+
+    pvals = [sps.ks_2samp(a, b).pvalue for a, b in zip(columns(got), columns(want))]
+    assert min(pvals) * 4 > 0.001, pvals
+
+
+@pytest.mark.parametrize("E", [1.0, 1.9, 3.0])
+def test_shell_axis_mean_identity(E):
+    # the law is symmetric under permuting axes and sum_j cos 2 pi k_j = 3 - E
+    # on the level set, so each axis has E[cos 2 pi k_j] = (3 - E) / 3
+    n = 60_000
+    U = sample_energy_shell_batch(E, n, ShellSamplerConfig(shell_halfwidth=0.005), np.random.default_rng(43))
+    c = np.cos(2 * np.pi * U)
+    z = (c.mean(axis=0) - (3.0 - E) / 3.0) / (c.std(axis=0, ddof=1) / math.sqrt(n))
+    assert np.max(np.abs(z)) <= 4.0, z
+
+
+@pytest.mark.parametrize("E", [2.0, 4.0])
+def test_shell_draws_at_van_hove_energies(E, rng):
+    # saddle points of e lie on these level sets
+    U = sample_energy_shell_batch(E, 2000, ShellSamplerConfig(shell_halfwidth=0.005), rng)
+    assert np.max(np.abs(dispersion(U) - E)) <= 1e-12
+
+
+def test_shell_work_buffers_bounded(rng):
+    # one set of round-sized work buffers, whatever the number of proposals
+    # (about a million for 15k slots at this acceptance)
+    tracemalloc.start()
+    try:
+        sample_energy_shell_batch(1.0, 15_306, ShellSamplerConfig(shell_halfwidth=0.005), rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_shell_empty_near_band_edge(rng):
-    cfg = ShellSamplerConfig(shell_halfwidth=1e-3, max_tries=30_000)
+    cfg = ShellSamplerConfig(shell_halfwidth=1e-3, max_tries=1_000)
     with pytest.raises(ShellEmpty):
         sample_energy_shell_batch(1e-5, 4, cfg, rng)
     with pytest.raises(ShellEmpty):
@@ -284,9 +335,9 @@ def test_solve_weight_conserved_exactly(table, rng):
     def init(n, r):
         return np.zeros((n, 3)), sample_energy_shell_batch(3.0, n, cfg, r)
 
-    ens = snapshots(init, [3.0], 2000, cfg, rng, table, mass=0.75)[-1]
-    assert np.all(ens.weight == 0.75 / 2000)  # per-particle weights never touched
-    assert ens.total_weight() == pytest.approx(0.75, rel=1e-12)
+    ens = snapshots(init, [3.0], 2000, cfg, rng, table)[-1]
+    assert np.all(ens.weight == 1.0 / 2000)  # per-particle weights never touched
+    assert ens.total_weight() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_solve_displacement_speed_bound(table, rng):

@@ -442,8 +442,7 @@ def test_transport_only_agreement():
     psi0 = wkb_state(cfg.wkb, eta, cfg.box())
     psi_t = evolve_free(psi0, cfg.T / eta)  # lam = 0: the exact free evolution
     quantum = pair_wigner(cfg.observable, psi_t, eta).value.real
-    table = ex._dos_table(cfg)
-    val, err = ex.boltzmann_observable(cfg, cfg.T, table, collisions=False)
+    val, err = ex.boltzmann_observable(cfg, cfg.T, collisions=False)
     rel = abs(quantum - val.real) / abs(val.real)
     assert rel <= 0.03
 
