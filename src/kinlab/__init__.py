@@ -14,9 +14,8 @@ Modules
 lattice    dispersion, box geometry, disorder fields, position-space states
            and their momentum amplitudes, semiclassical wave-packet
            construction
-dynamics   the split-step propagator with free and dense reference oracles,
-           iterated-integral expansion of the full evolution, residual norms
-           of its partial sums
+dynamics   the split-step propagator, iterated-integral expansion of the
+           full evolution, residual norms of its partial sums
 wigner     phase-space test observables and Wigner pairings
 boltzmann  particle Monte Carlo for the linear Boltzmann equation
 resolvent  torus integrals of resolvent products and scaling fits

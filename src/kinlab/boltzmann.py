@@ -237,14 +237,14 @@ class ParticleEnsemble:
         return float(np.sum(self.weight))
 
 
-def _advance_batch(X, V, dT, table, cfg, rng, collisions=True):
+def _advance_batch(X, V, dT, table, cfg, rng):
     """Advance all particles by dT in place; returns (X, V)."""
-    n = len(X)
-    R = collision_rate(V, table) if collisions else np.zeros(n)
+    R = collision_rate(V, table)
     E = dispersion(V)
-    t_left = np.full(n, float(dT))
+    t_left = np.full(len(X), float(dT))
     active = np.flatnonzero(R > 0.0)
-    # rate-zero particles fly ballistically for the whole step
+    # rate-zero particles (energy outside the table's bin centres) fly
+    # ballistically for the whole step
     idle = np.flatnonzero(R <= 0.0)
     X[idle] += t_left[idle, None] * group_velocity(V[idle])
     t_left[idle] = 0.0
@@ -268,13 +268,11 @@ def snapshots(
     cfg: ShellSamplerConfig,
     rng: np.random.Generator,
     table: DosTable,
-    collisions: bool = True,
 ):
     """Ensemble states at an increasing sequence of times (shared trajectories).
 
     `initial_sampler(n, rng)` returns initial (X, V) arrays; each particle
-    carries weight 1/n, which no step changes.  `collisions=False` gives
-    free flight.
+    carries weight 1/n, which no step changes.
     """
     times = list(times)
     if any(b < a for a, b in zip(times, times[1:])) or (times and times[0] < 0):
@@ -287,7 +285,7 @@ def snapshots(
     out = []
     for t in times:
         if t > prev:
-            X, V = _advance_batch(X, V, t - prev, table, cfg, rng, collisions)
+            X, V = _advance_batch(X, V, t - prev, table, cfg, rng)
             prev = t
         out.append(ParticleEnsemble(X.copy(), V.copy(), weight.copy()))
     return out

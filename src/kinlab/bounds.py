@@ -150,14 +150,19 @@ class Schedule:
     kappa: int
 
 
-def schedule_parameters(T: float, lam: float, a: float = 2.0 / 85.0, b: float = 100.0) -> Schedule:
+# The schedule's a and b.
+SCHEDULE_A = 2.0 / 85.0
+SCHEDULE_B = 100.0
+
+
+def schedule_parameters(T: float, lam: float) -> Schedule:
     """eps = 1/(3+t), N = floor(a |log eps| / |log |log eps||), kappa = ceil(|log eps|^b)."""
     t = T / lam**2
     eps = 1.0 / (3.0 + t)
     abs_log = abs(math.log(eps))
     abs_log_log = abs(math.log(abs_log))
-    N = int(math.floor(a * abs_log / abs_log_log)) if abs_log_log > 0 else 0
-    kappa = int(math.ceil(abs_log**b))
+    N = int(math.floor(SCHEDULE_A * abs_log / abs_log_log)) if abs_log_log > 0 else 0
+    kappa = int(math.ceil(abs_log**SCHEDULE_B))
     return Schedule(eps, N, kappa)
 
 
@@ -170,7 +175,7 @@ class VarianceBound:
     envelope: float  # lam^(1/90)
 
 
-def variance_bound(T: float, lam: float, a: float = 2.0 / 85.0, b: float = 100.0) -> VarianceBound:
+def variance_bound(T: float, lam: float) -> VarianceBound:
     """Assembled fluctuation bound at macroscopic time T and coupling lam <= 1/2.
 
     variance part: (N+1)^2 sum_{n1,n2<=N} 2^nbar nbar! * improved amplitude
@@ -182,7 +187,7 @@ def variance_bound(T: float, lam: float, a: float = 2.0 / 85.0, b: float = 100.0
     """
     if lam > 0.5:
         raise HypothesisViolated("the bound assumes lam <= 1/2")
-    sched = schedule_parameters(T, lam, a, b)
+    sched = schedule_parameters(T, lam)
     t = T / lam**2
 
     var_part = 0.0

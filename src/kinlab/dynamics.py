@@ -3,20 +3,14 @@
 The full Hamiltonian is H = H0 + lam*V with H0 the nearest-neighbor kinetic
 term (multiplication by e(k) in momentum space) and V a diagonal on-site
 potential.  States are position-space fields throughout; momentum
-amplitudes exist only inside the propagators.  Three propagators are
-provided:
+amplitudes exist only inside the propagator and the expansion.  The
+propagator `evolve_full` takes Strang-split free/potential/free steps,
+unitary by construction.  Its phase grids are built once per call, so a
+step is two in-place transforms and two in-place multiplies on one work
+array.
 
-* evolve_full  -- Strang-split free/potential/free steps, unitary by
-  construction; the one path the experiments use.  Its phase grids are
-  built once per call, so a step is two in-place transforms and two
-  in-place multiplies on one work array;
-* evolve_free  -- exact free evolution, diagonal in momentum space;
-* evolve_dense -- exact matrix exponential via eigendecomposition, usable as
-  an oracle on small boxes only.
-
-The last two are reference oracles for the first.  The iterated-integral
-expansion of the full evolution in powers of lam is computed by the
-time-domain recursion
+The iterated-integral expansion of the full evolution in powers of lam is
+computed by the time-domain recursion
 
     phi_n(t) = -i lam * Int_0^t exp(-i (t-s) H0) V phi_{n-1}(s) ds
 
@@ -34,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from kinlab.lattice import (
-    BoxSpec,
     DisorderField,
     WaveFunction,
     momentum_energies,
@@ -47,10 +40,6 @@ from kinlab.lattice import (
 MAX_ORDER = 12
 
 
-class DimensionTooLarge(ValueError):
-    """Dense-oracle request above the configured matrix dimension limit."""
-
-
 @dataclass(frozen=True)
 class PropagatorConfig:
     dt: float = 1e-2
@@ -58,17 +47,6 @@ class PropagatorConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-
-
-def evolve_free(psi: WaveFunction, t: float) -> WaveFunction:
-    """Multiply momentum amplitudes by exp(-i t e(k)); exact up to rounding."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0:
-        return psi.copy()
-    out = to_momentum(psi)
-    out *= np.exp(-1j * t * momentum_energies(psi.box))
-    return to_position(out)
 
 
 def _step_counts(t: float, dt: float) -> tuple:
@@ -87,7 +65,7 @@ def evolve_full(
 
     Strang splitting (free half step, potential phase, free half step) with
     adjacent half steps merged, so each step costs two transforms.  Norm is
-    preserved to rounding; the global error against the dense oracle is
+    preserved to rounding; the global error against the exact evolution is
     O(dt^2).  The free half phase, the merged full phase and the potential
     kick of a step of dt are built once per call; only a shortened last
     step builds its own.
@@ -133,33 +111,6 @@ def evolve_full(
         work *= rem_half
     np.fft.ifftn(work, out=work)
     return WaveFunction(psi.box, work.ravel())
-
-
-def dense_hamiltonian(box: BoxSpec, V: DisorderField, lam: float) -> np.ndarray:
-    """H = 3 I - (1/2) A + lam diag(V) with A the periodic nearest-neighbor adjacency."""
-    n = box.volume
-    L = box.side
-    H = np.zeros((n, n))
-    idx = np.arange(n).reshape(L, L, L)
-    for axis in range(3):
-        for shift in (1, -1):
-            nb = np.roll(idx, shift, axis=axis)
-            H[idx.ravel(), nb.ravel()] += -0.5
-    H[np.diag_indices(n)] += 3.0 + lam * V.values
-    return H
-
-
-def evolve_dense(
-    psi: WaveFunction, V: DisorderField, lam: float, t: float, max_dim: int = 1024
-) -> WaveFunction:
-    """Exact exp(-i t H) via eigendecomposition; refuses boxes above max_dim."""
-    if psi.box.volume > max_dim:
-        raise DimensionTooLarge(
-            f"dense oracle limited to dimension {max_dim}, box has {psi.box.volume}"
-        )
-    H = dense_hamiltonian(psi.box, V, lam)
-    w, Q = np.linalg.eigh(H)
-    return WaveFunction(psi.box, Q @ (np.exp(-1j * t * w) * (Q.conj().T @ psi.values)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ def _add_common(p):
     p.add_argument("--out", default=None, help="override output directory")
     p.add_argument("--threads", type=int, default=1, help="worker processes")
     p.add_argument("--reproducible", action="store_true",
-                   help="fixed reduction order and pinned manifest timestamps")
+                   help="pin the manifest's created timestamp; reductions always "
+                        "run in realization order")
 
 
 def build_parser():

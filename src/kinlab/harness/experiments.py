@@ -177,7 +177,7 @@ class KineticComparison:
     nonincreasing_within_errors: bool
 
 
-def transport_snapshots(cfg: ExperimentConfig, taus, collisions=True) -> list:
+def transport_snapshots(cfg: ExperimentConfig, taus) -> list:
     """Transport ensembles at the increasing times `taus`, from the WKB limit law.
 
     The DOS table and the particles draw from their own keyed generators.
@@ -191,12 +191,12 @@ def transport_snapshots(cfg: ExperimentConfig, taus, collisions=True) -> list:
     def init(n, r):
         return wkb_limit_sampler(cfg.wkb, n, r)
 
-    return bz.snapshots(init, taus, cfg.n_particles, shell, rng, table, collisions=collisions)
+    return bz.snapshots(init, taus, cfg.n_particles, shell, rng, table)
 
 
-def boltzmann_observable(cfg: ExperimentConfig, T: float, collisions=True):
+def boltzmann_observable(cfg: ExperimentConfig, T: float):
     """(value, stderr) of the observable under the transport solution at time T."""
-    ens = transport_snapshots(cfg, [T], collisions)[-1]
+    ens = transport_snapshots(cfg, [T])[-1]
     return bz.observable(ens, cfg.observable)
 
 
@@ -333,7 +333,7 @@ class ResolventReport:
 
 
 def run_resolvent_suite() -> ResolventReport:
-    """The three scaling sweeps; spans are pinned, so fits opt out of the span guard."""
+    """The three scaling sweeps at pinned spans, with their fitted exponents."""
     rows = []
 
     band_vals = []
@@ -349,7 +349,7 @@ def run_resolvent_suite() -> ResolventReport:
         v = integral_2res(TWORES_P, GAMMA, GAMMA, eps, N)
         eps2.append(eps)
         vals2.append(v)
-    fit2 = fit_scaling(eps2, vals2, 2, enforce_span=False)
+    fit2 = fit_scaling(eps2, vals2, 2)
     for (eps, N), v in zip(TWORES_SWEEP, vals2):
         rows.append(
             ["two_res", eps, v, v / math.log(eps) ** 2, N, GAMMA, GAMMA, "",
@@ -361,7 +361,7 @@ def run_resolvent_suite() -> ResolventReport:
         v = integral_3res(THREERES_K, GAMMA, GAMMA, eps, N, gamma3=GAMMA)
         eps3.append(eps)
         vals3.append(v)
-    fit3 = fit_scaling(eps3, vals3, 4, enforce_span=False)
+    fit3 = fit_scaling(eps3, vals3, 4)
     for (eps, N), v in zip(THREERES_SWEEP, vals3):
         rows.append(
             ["three_res", eps, v, v / abs(math.log(eps)) ** 4, N, GAMMA, GAMMA, GAMMA,

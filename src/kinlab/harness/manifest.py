@@ -52,13 +52,3 @@ class RunManifest:
         with open(path, "w") as f:
             json.dump(data, f, indent=2, sort_keys=True)
             f.write("\n")
-
-    @staticmethod
-    def load(path) -> "RunManifest":
-        with open(path) as f:
-            data = json.load(f)
-        stored = data.pop("digest")
-        m = RunManifest(**data)
-        if m.digest() != stored:
-            raise ValueError(f"manifest digest mismatch in {path}")
-        return m

@@ -1,4 +1,4 @@
-"""Streaming ensemble statistics and bootstrap fits."""
+"""Ensemble statistics and bootstrap fits."""
 
 from __future__ import annotations
 
@@ -6,34 +6,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-@dataclass
-class StreamingMoments:
-    """Numerically stable running mean/variance."""
-
-    n: int = 0
-    mean: float = 0.0
-    m2: float = 0.0  # sum of squared deviations from the running mean
-
-    def push(self, x: float):
-        self.n += 1
-        delta = x - self.mean
-        self.mean += delta / self.n
-        self.m2 += delta * (x - self.mean)
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance; NaN when undefined (n < 2)."""
-        if self.n < 2:
-            return float("nan")
-        return self.m2 / (self.n - 1)
-
-    @property
-    def stderr_mean(self) -> float:
-        if self.n < 2:
-            return float("nan")
-        return math.sqrt(self.variance / self.n)
 
 
 @dataclass
@@ -56,23 +28,20 @@ class EnsembleStats:
     def real_parts(self) -> np.ndarray:
         return np.array([v.real for v in self.values])
 
-    def moments(self) -> StreamingMoments:
-        acc = StreamingMoments()
-        for v in self.values:
-            acc.push(v.real)
-        return acc
-
     @property
     def mean(self) -> complex:
         return complex(np.mean(np.asarray(self.values))) if self.values else complex("nan")
 
     @property
     def variance(self) -> float:
-        return self.moments().variance
+        """Unbiased sample variance of the real parts; NaN when undefined (n < 2)."""
+        if self.n < 2:
+            return float("nan")
+        return float(np.var(self.real_parts(), ddof=1))
 
     @property
     def stderr_mean(self) -> float:
-        return self.moments().stderr_mean
+        return math.sqrt(self.variance / self.n) if self.n >= 2 else float("nan")
 
     def central_moment(self, r: int) -> float:
         x = self.real_parts()

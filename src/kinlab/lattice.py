@@ -243,12 +243,12 @@ def envelope_tail_mass(spec: WkbSpec, eta: float, box: BoxSpec) -> float:
 TAIL_TOL = 1e-8
 
 
-def wkb_state(spec: WkbSpec, eta: float, box: BoxSpec, normalize: bool = True) -> WaveFunction:
+def wkb_state(spec: WkbSpec, eta: float, box: BoxSpec) -> WaveFunction:
     """Sample eta^(3/2) h(eta x) exp(i S(eta x)/eta) on the centered box.
 
     Raises BoxTooSmall when the envelope carries more than `TAIL_TOL` of its
-    mass outside the box.  With `normalize` the result is capped at unit
-    norm (norm = min(1, raw norm)); the raw Riemann-sum norm approaches
+    mass outside the box.  The result is capped at unit norm
+    (norm = min(1, raw norm)); the raw Riemann-sum norm approaches
     ||h||_L2 = 1 as eta -> 0.
     """
     if not 0.0 < eta <= 1.0:
@@ -264,8 +264,7 @@ def wkb_state(spec: WkbSpec, eta: float, box: BoxSpec, normalize: bool = True) -
     amp = eta**1.5 * spec.envelope(X)
     values = (amp * np.exp(1j * spec.phase(X) / eta)).ravel()
     psi = WaveFunction(box, values)
-    if normalize:
-        n = psi.norm()
-        if n > 1.0:
-            psi.values /= n
+    n = psi.norm()
+    if n > 1.0:
+        psi.values /= n
     return psi

@@ -25,10 +25,6 @@ import numpy as np
 from scipy import fft as sfft
 
 
-class DegenerateFit(ValueError):
-    """Scaling fit attempted on too narrow an epsilon span."""
-
-
 @dataclass(frozen=True)
 class ResolventProbe:
     """Grid resolution contract for a resolvent sweep point."""
@@ -174,21 +170,12 @@ class ScalingFit:
     residual: float
 
 
-def fit_scaling(eps_values, values, polylog_degree: int, enforce_span: bool = True) -> ScalingFit:
-    """Least-squares slope of log(value / |log eps|^degree) against log(1/eps).
-
-    With `enforce_span`, requires >= 4 points spanning >= 1.5 decades;
-    acceptance sweeps that are pinned to narrower spans opt out explicitly.
-    """
+def fit_scaling(eps_values, values, polylog_degree: int) -> ScalingFit:
+    """Least-squares slope of log(value / |log eps|^degree) against log(1/eps)."""
     eps_values = tuple(float(e) for e in eps_values)
     values = tuple(float(v) for v in values)
     if len(eps_values) != len(values) or len(eps_values) < 2:
         raise ValueError("need matching eps/value lists with >= 2 points")
-    span = math.log10(max(eps_values) / min(eps_values))
-    if enforce_span and (len(eps_values) < 4 or span < 1.5):
-        raise DegenerateFit(
-            f"{len(eps_values)} points spanning {span:.2f} decades; need >= 4 points over >= 1.5 decades"
-        )
     x = np.array([math.log(1.0 / e) for e in eps_values])
     y = np.array(
         [math.log(v / abs(math.log(e)) ** polylog_degree) for v, e in zip(values, eps_values)]

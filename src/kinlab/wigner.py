@@ -52,17 +52,6 @@ class TestObservable:
         if not all(s > 0 for s in self.sigma):
             raise ValueError(f"observable sigma must be positive, got {self.sigma}")
 
-    @staticmethod
-    def make(center=(0.0, 0.0, 0.0), sigma=(1.0, 1.0, 1.0), amplitude=1.0, coeffs=None):
-        if coeffs is None:
-            coeffs = {(0, 0, 0): 1.0}
-        if np.isscalar(sigma):
-            sigma = (float(sigma),) * 3
-        items = tuple(
-            (tuple(int(c) for c in m), complex(v)) for m, v in sorted(coeffs.items())
-        )
-        return TestObservable(tuple(center), tuple(sigma), float(amplitude), items)
-
     def spatial(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         z = (X - np.asarray(self.center)) / np.asarray(self.sigma)

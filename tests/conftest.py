@@ -1,8 +1,20 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
+
+from kinlab.harness.manifest import RunManifest
+from kinlab.lattice import (
+    BoxSpec,
+    DisorderField,
+    WaveFunction,
+    momentum_energies,
+    to_momentum,
+    to_position,
+)
+from kinlab.wigner import TestObservable
 
 
 @pytest.fixture
@@ -12,8 +24,6 @@ def rng():
 
 def random_state(box, rng):
     """Normalized random complex position-space state on the box."""
-    from kinlab.lattice import WaveFunction
-
     v = rng.normal(size=box.volume) + 1j * rng.normal(size=box.volume)
     v /= np.linalg.norm(v)
     return WaveFunction(box, v)
@@ -56,3 +66,73 @@ def read_csv(path):
                         d[key] = cell
             out.append(d)
     return out
+
+
+def load_manifest(path) -> RunManifest:
+    """Read a run manifest back, checking its stored digest."""
+    with open(path) as f:
+        data = json.load(f)
+    stored = data.pop("digest")
+    m = RunManifest(**data)
+    if m.digest() != stored:
+        raise ValueError(f"manifest digest mismatch in {path}")
+    return m
+
+
+def make_observable(center=(0.0, 0.0, 0.0), sigma=(1.0, 1.0, 1.0), amplitude=1.0, coeffs=None):
+    """TestObservable from a {harmonic: coefficient} dict; a scalar sigma applies to every axis."""
+    if coeffs is None:
+        coeffs = {(0, 0, 0): 1.0}
+    if np.isscalar(sigma):
+        sigma = (float(sigma),) * 3
+    items = tuple(
+        (tuple(int(c) for c in m), complex(v)) for m, v in sorted(coeffs.items())
+    )
+    return TestObservable(tuple(center), tuple(sigma), float(amplitude), items)
+
+
+# ---------------------------------------------------------------------------
+# reference propagators for `evolve_full`
+# ---------------------------------------------------------------------------
+
+
+class DimensionTooLarge(ValueError):
+    """Dense-oracle request above the configured matrix dimension limit."""
+
+
+def evolve_free(psi: WaveFunction, t: float) -> WaveFunction:
+    """Multiply momentum amplitudes by exp(-i t e(k)); exact up to rounding."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    if t == 0:
+        return psi.copy()
+    out = to_momentum(psi)
+    out *= np.exp(-1j * t * momentum_energies(psi.box))
+    return to_position(out)
+
+
+def dense_hamiltonian(box: BoxSpec, V: DisorderField, lam: float) -> np.ndarray:
+    """H = 3 I - (1/2) A + lam diag(V) with A the periodic nearest-neighbor adjacency."""
+    n = box.volume
+    L = box.side
+    H = np.zeros((n, n))
+    idx = np.arange(n).reshape(L, L, L)
+    for axis in range(3):
+        for shift in (1, -1):
+            nb = np.roll(idx, shift, axis=axis)
+            H[idx.ravel(), nb.ravel()] += -0.5
+    H[np.diag_indices(n)] += 3.0 + lam * V.values
+    return H
+
+
+def evolve_dense(
+    psi: WaveFunction, V: DisorderField, lam: float, t: float, max_dim: int = 1024
+) -> WaveFunction:
+    """Exact exp(-i t H) via eigendecomposition; refuses boxes above max_dim."""
+    if psi.box.volume > max_dim:
+        raise DimensionTooLarge(
+            f"dense oracle limited to dimension {max_dim}, box has {psi.box.volume}"
+        )
+    H = dense_hamiltonian(psi.box, V, lam)
+    w, Q = np.linalg.eigh(H)
+    return WaveFunction(psi.box, Q @ (np.exp(-1j * t * w) * (Q.conj().T @ psi.values)))

@@ -15,17 +15,17 @@ import pytest
 from scipy import stats as sps
 
 from kinlab import boltzmann as bz
-from kinlab.bounds import schedule_parameters, variance_bound
-from kinlab.dynamics import PropagatorConfig, duhamel_ladder, duhamel_residuals, evolve_dense, evolve_full
+from kinlab.bounds import SCHEDULE_A, SCHEDULE_B, schedule_parameters, variance_bound
+from kinlab.dynamics import PropagatorConfig, duhamel_ladder, duhamel_residuals, evolve_full
 from kinlab.graphs import PairKind, classify, enumerate_connected
 from kinlab.harness import experiments as ex
 from kinlab.harness.config import parse_config
 from kinlab.harness.stats import bootstrap_slope
 from kinlab.lattice import BoxSpec, WaveFunction, WkbSpec, dispersion, sample_disorder, wkb_state
-from kinlab.wigner import TestObservable, pair_wigner, pair_wigner_bilinear
+from kinlab.wigner import pair_wigner, pair_wigner_bilinear
 
 import test_graphs as graph_fixtures
-from conftest import cj_constant
+from conftest import cj_constant, evolve_dense, make_observable
 
 WORKERS = min(os.cpu_count() or 1, 8)
 
@@ -96,7 +96,7 @@ def test_criterion_1_propagator_oracle(rng):
 def test_criterion_2_wigner_identities(rng):
     # (a) bilinear bound on 1000 random pairs
     box = BoxSpec(16)
-    J = TestObservable.make(
+    J = make_observable(
         center=(0.2, -0.1, 0.0), sigma=(0.6, 0.5, 0.7), amplitude=1.3,
         coeffs={(0, 0, 0): 0.8, (1, 0, 0): 0.3 - 0.2j, (-1, 0, 0): 0.3 + 0.2j},
     )
@@ -113,7 +113,7 @@ def test_criterion_2_wigner_identities(rng):
     # (b) mass identity at eta = 0.1
     eta = 0.1
     psi_w = wkb_state(WkbSpec(sigma=0.3, linear=(0.8, 0.0, 0.0)), eta, BoxSpec(128))
-    wide = TestObservable.make(sigma=(3.0, 3.0, 3.0))
+    wide = make_observable(sigma=(3.0, 3.0, 3.0))
     mass = pair_wigner(wide, psi_w, eta).value.real
     mass_err = abs(mass - psi_w.norm() ** 2) / psi_w.norm() ** 2
     mass_ok = mass_err <= 0.02
@@ -256,8 +256,6 @@ def test_criterion_8_duhamel_consistency(rng):
 
 
 def test_criterion_9_schedule_fidelity():
-    import inspect
-
     ok = True
     details = []
     for T, lam in [(0.5, 0.3), (1.0, 0.45), (2.0, 0.1)]:
@@ -268,9 +266,8 @@ def test_criterion_9_schedule_fidelity():
         ok &= s.eps == eps
         ok &= s.N == math.floor((2.0 / 85.0) * abs_log / abs(math.log(abs_log)))
         ok &= s.kappa == math.ceil(abs_log**100)
-    sig = inspect.signature(variance_bound)
-    ok &= sig.parameters["a"].default == 2.0 / 85.0
-    ok &= sig.parameters["b"].default == 100.0
+    ok &= SCHEDULE_A == 2.0 / 85.0
+    ok &= SCHEDULE_B == 100.0
     vb = variance_bound(0.5, 0.3)
     ok &= vb.envelope == 0.3 ** (1.0 / 90.0)
     report(9, ok, "eps = 1/(3+t), N, kappa reproduced exactly; defaults a = 2/85, b = 100; "

@@ -19,9 +19,8 @@ from kinlab.boltzmann import (
 )
 from kinlab.harness import experiments as ex
 from kinlab.lattice import dispersion, group_velocity
-from kinlab.wigner import TestObservable
 
-from conftest import read_csv
+from conftest import make_observable, read_csv
 
 
 @pytest.fixture(scope="module")
@@ -302,8 +301,11 @@ def one_particle(X, V):
 
 
 def test_ballistic_with_rate_override(table, cfg, rng):
-    X0, V0 = np.array([0.5, 0.5, 0.5]), np.array([0.1, 0.2, 0.3])
-    out = snapshots(one_particle(X0, V0), [2.5], 1, cfg, rng, table, collisions=False)[-1]
+    # e(V0) ~ 1.5e-3 lies below the first bin centre, where the rate reads 0
+    X0, V0 = np.array([0.5, 0.5, 0.5]), np.array([0.005, 0.005, 0.005])
+    assert dispersion(V0) < table.centers[0]
+    assert collision_rate(V0, table) == 0.0
+    out = snapshots(one_particle(X0, V0), [2.5], 1, cfg, rng, table)[-1]
     assert np.array_equal(out.X[0], X0 + 2.5 * group_velocity(V0))
     assert np.array_equal(out.V[0], V0)
     assert out.weight[0] == 1.0
@@ -372,7 +374,7 @@ def test_snapshots_shared_trajectories(table, rng):
 
 
 def test_observable_delta_ensemble():
-    J = TestObservable.make(sigma=(0.5, 0.5, 0.5), coeffs={(0, 0, 0): 1.0, (1, 0, 0): 0.5, (-1, 0, 0): 0.5})
+    J = make_observable(sigma=(0.5, 0.5, 0.5), coeffs={(0, 0, 0): 1.0, (1, 0, 0): 0.5, (-1, 0, 0): 0.5})
     V = np.array([[0.2, 0.3, 0.4]])
     ens = ParticleEnsemble(np.zeros((1, 3)), V, np.ones(1))
     val, err = observable(ens, J)
@@ -380,7 +382,7 @@ def test_observable_delta_ensemble():
 
 
 def test_observable_stderr_clt_scaling(rng):
-    J = TestObservable.make(sigma=(1.0, 1.0, 1.0))
+    J = make_observable(sigma=(1.0, 1.0, 1.0))
     errs = []
     ns = (1000, 10_000, 100_000)
     for n in ns:
@@ -393,7 +395,7 @@ def test_observable_stderr_clt_scaling(rng):
 
 
 def test_observable_against_histogram_quadrature(rng):
-    J = TestObservable.make(sigma=(1.0, 1.0, 1.0), coeffs={(0, 0, 0): 1.0})
+    J = make_observable(sigma=(1.0, 1.0, 1.0), coeffs={(0, 0, 0): 1.0})
     n = 50_000
     X = rng.normal(scale=0.5, size=(n, 3))
     V = rng.random((n, 3))

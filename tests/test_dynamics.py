@@ -7,20 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinlab.bounds import HypothesisViolated, RemainderBoundParams, remainder_bound
-from kinlab.dynamics import (
+from kinlab.dynamics import PropagatorConfig, duhamel_ladder, duhamel_residuals, evolve_full
+from kinlab.lattice import BoxSpec, DisorderField, WaveFunction, sample_disorder
+from kinlab.wigner import pair_wigner
+
+from conftest import (
     DimensionTooLarge,
-    PropagatorConfig,
     dense_hamiltonian,
-    duhamel_ladder,
-    duhamel_residuals,
     evolve_dense,
     evolve_free,
-    evolve_full,
+    make_observable,
+    random_state,
 )
-from kinlab.lattice import BoxSpec, DisorderField, WaveFunction, sample_disorder
-from kinlab.wigner import TestObservable, pair_wigner
-
-from conftest import random_state
 
 
 @pytest.fixture
@@ -274,7 +272,7 @@ def test_first_order_wigner_scales_as_lambda_squared(rng):
     # disorder average of <J, W[phi_1]> over 32 realizations: log-log slope 2
     box = BoxSpec(16)
     psi = random_state(box, rng)
-    J = TestObservable.make(sigma=(1.0, 1.0, 1.0))
+    J = make_observable(sigma=(1.0, 1.0, 1.0))
     lams = (0.1, 0.2, 0.4)
     eta = 0.3
     means = []

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinlab.bounds import (
+    SCHEDULE_A,
+    SCHEDULE_B,
     BoundParams,
     HypothesisViolated,
     amplitude_bound,
@@ -274,11 +276,8 @@ def test_schedule_defaults_and_envelope():
     assert vb.schedule.eps == pytest.approx(1.0 / (3.0 + t), rel=1e-14)
     assert vb.envelope == pytest.approx(0.3 ** (1.0 / 90.0), rel=1e-12)
     assert vb.total >= math.sqrt(vb.variance_part)
-    import inspect
-
-    sig = inspect.signature(variance_bound)
-    assert sig.parameters["a"].default == 2.0 / 85.0
-    assert sig.parameters["b"].default == 100.0
+    assert SCHEDULE_A == 2.0 / 85.0
+    assert SCHEDULE_B == 100.0
 
 
 def test_variance_bound_lambda_guard():

@@ -1,23 +1,25 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kinlab
-from kinlab.dynamics import evolve_free
+from kinlab import boltzmann as bz
 from kinlab.harness import experiments as ex
 from kinlab.harness.cli import main as cli_main
 from kinlab.harness.config import ConfigError, DuhamelStudySpec, ExperimentConfig, parse_config
-from kinlab.lattice import TrigPolynomial, WkbSpec, wkb_state
+from kinlab.lattice import TrigPolynomial, WkbSpec, group_velocity, wkb_state
 from kinlab.harness.manifest import RunManifest
-from kinlab.harness.stats import EnsembleStats, StreamingMoments, bootstrap_slope
-from kinlab.wigner import TestObservable, pair_wigner
+from kinlab.harness.stats import EnsembleStats, bootstrap_slope
+from kinlab.wigner import TestObservable, pair_wigner, wkb_limit_sampler
 
-from conftest import read_csv
+from conftest import evolve_free, load_manifest, read_csv
 from test_graphs import connected_count
 
 SMALL_CFG = """
@@ -217,18 +219,12 @@ def test_config_rejects_nondescending():
 # ---------------------------------------------------------------------------
 
 
-def test_streaming_moments_match_numpy(rng):
-    x = rng.normal(size=257)
-    acc = StreamingMoments()
-    for v in x:
-        acc.push(float(v))
-    assert acc.mean == pytest.approx(x.mean(), rel=1e-12)
-    assert acc.variance == pytest.approx(x.var(ddof=1), rel=1e-12)
-
-
 def test_single_realization_variance_undefined():
     s = EnsembleStats(lam=0.3, eta=0.09, values=[1.0 + 0j])
-    assert np.isnan(s.variance)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(s.variance)
+        assert np.isnan(s.stderr_mean)
 
 
 def test_bootstrap_slope_recovers_trend(rng):
@@ -265,6 +261,8 @@ def test_ensemble_moments_exposed(cfg):
     assert s.central_moment(2) >= 0
     assert s.central_moment(4) >= 0
     assert s.n == cfg.n_realizations
+    assert s.variance == np.var(s.real_parts(), ddof=1)
+    assert s.stderr_mean == math.sqrt(s.variance / s.n)
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +284,15 @@ def test_csv_roundtrip(tmp_path):
 def test_manifest_digest_roundtrip(tmp_path):
     m = RunManifest(config_digest="abc", master_seed=7, task_seeds={"x": 1})
     p = tmp_path / "manifest.json"
-    m.add_output_bytes = None  # no outputs
     m.write(p, reproducible=True)
-    back = RunManifest.load(p)
+    back = load_manifest(p)
     assert back.config_digest == "abc"
     assert back.created == "1970-01-01T00:00:00Z"
     # tampering breaks the digest check
     text = p.read_text().replace('"master_seed": 7', '"master_seed": 8')
     p.write_text(text)
     with pytest.raises(ValueError):
-        RunManifest.load(p)
+        load_manifest(p)
 
 
 def test_timegrid_report_max_dominates(cfg):
@@ -327,7 +324,7 @@ def test_cli_graphs_and_duhamel(tmp_path):
     assert cli_main(["graphs", "--config", str(cfg_path), "--out", str(out), "--reproducible"]) == 0
     assert (out / "graphs.csv").exists()
     assert (out / "schedule.csv").exists()
-    m = RunManifest.load(out / "manifest.json")
+    m = load_manifest(out / "manifest.json")
     assert m.master_seed == 12345
 
     out2 = tmp_path / "o2"
@@ -394,7 +391,7 @@ def test_cli_seed_override(tmp_path):
     cfg_path.write_text(SMALL_CFG)
     out = tmp_path / "o3"
     cli_main(["graphs", "--config", str(cfg_path), "--out", str(out), "--seed", "777"])
-    m = RunManifest.load(out / "manifest.json")
+    m = load_manifest(out / "manifest.json")
     assert m.master_seed == 777
 
 
@@ -442,7 +439,11 @@ def test_transport_only_agreement():
     psi0 = wkb_state(cfg.wkb, eta, cfg.box())
     psi_t = evolve_free(psi0, cfg.T / eta)  # lam = 0: the exact free evolution
     quantum = pair_wigner(cfg.observable, psi_t, eta).value.real
-    val, err = ex.boltzmann_observable(cfg, cfg.T, collisions=False)
+    # free flight from the harness's transport initial law and generator key
+    n = cfg.n_particles
+    X, V = wkb_limit_sampler(cfg.wkb, n, np.random.default_rng([cfg.master_seed, ex.SEED_BOLTZMANN]))
+    ens = bz.ParticleEnsemble(X + cfg.T * group_velocity(V), V, np.full(n, 1.0 / n))
+    val, err = bz.observable(ens, cfg.observable)
     rel = abs(quantum - val.real) / abs(val.real)
     assert rel <= 0.03
 

@@ -145,11 +145,14 @@ def test_wkb_zero_phase_real_nonnegative():
 
 
 def test_wkb_norm_converges_to_envelope_mass():
-    # fixed box-to-envelope ratio: eta L = 6.4, sigma = 0.5
+    # raw Riemann-sum norm of eta^(3/2) h(eta x) on the box wkb_state samples,
+    # at a fixed box-to-envelope ratio: eta L = 6.4, sigma = 0.5
+    spec = WkbSpec(sigma=0.5)
     norms = []
     for eta, L in [(0.16, 40), (0.08, 80), (0.04, 160)]:
-        psi = wkb_state(WkbSpec(sigma=0.5), eta, BoxSpec(L), normalize=False)
-        norms.append(psi.norm())
+        coord = BoxSpec(L).site_coordinates() * eta
+        X = np.stack(np.meshgrid(coord, coord, coord, indexing="ij"), axis=-1)
+        norms.append(float(np.linalg.norm(eta**1.5 * spec.envelope(X))))
     assert abs(norms[-1] - 1.0) < 0.01
     assert abs(norms[-1] - 1.0) <= abs(norms[0] - 1.0) + 1e-12
 

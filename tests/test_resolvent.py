@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from kinlab.resolvent import (
-    DegenerateFit,
     ResolventProbe,
     _folded_grid,
     fit_scaling,
@@ -259,12 +258,3 @@ def test_fit_inverse_eps():
     eps = [0.3, 0.1, 0.03, 0.005]
     fit = fit_scaling(eps, [1.0 / e for e in eps], 0)
     assert fit.exponent == pytest.approx(1.0, abs=0.01)
-
-
-def test_fit_span_guard():
-    with pytest.raises(DegenerateFit):
-        fit_scaling([0.1, 0.05, 0.02, 0.01], [1, 2, 3, 4], 0)
-    with pytest.raises(DegenerateFit):
-        fit_scaling([0.3, 0.01], [1, 2], 0)
-    # acceptance sweeps opt out explicitly
-    fit_scaling([0.1, 0.05, 0.02, 0.01], [1.0, 2.0, 3.0, 4.0], 0, enforce_span=False)

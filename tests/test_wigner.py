@@ -17,7 +17,6 @@ from kinlab.lattice import (
 )
 from kinlab.wigner import (
     ResolutionTooCoarse,
-    TestObservable,
     _axis_gauss_abs,
     _axis_table,
     pair_wigner,
@@ -25,7 +24,7 @@ from kinlab.wigner import (
     wkb_limit_sampler,
 )
 
-from conftest import cj_constant, random_state, velocity_max_abs
+from conftest import cj_constant, make_observable, random_state, velocity_max_abs
 
 
 def oracle_pairing(J, phi, psi, eta):
@@ -112,7 +111,7 @@ def momentum_reference(J, phi, psi, eta):
     return value, cutoffs, trunc
 
 
-OBSERVABLE = TestObservable.make(
+OBSERVABLE = make_observable(
     center=(0.2, -0.1, 0.0),
     sigma=(0.6, 0.5, 0.7),
     amplitude=1.3,
@@ -126,7 +125,7 @@ OBSERVABLE = TestObservable.make(
 )
 
 # the observable of the benchmark and acceptance configs
-BENCH_OBSERVABLE = TestObservable.make(
+BENCH_OBSERVABLE = make_observable(
     center=(0.25, 0.0, 0.0),
     sigma=(1.0, 1.0, 1.0),
     coeffs={(0, 0, 0): 0.5, (1, 0, 0): 0.25, (-1, 0, 0): 0.25},
@@ -195,7 +194,7 @@ def test_plane_wave_regression_against_oracle():
     pw = np.exp(2j * np.pi * phase).ravel()
     pw /= np.linalg.norm(pw)
     psi = WaveFunction(box, pw)
-    J = TestObservable.make(center=(0.1, 0.0, -0.2), sigma=(0.7, 0.6, 0.8), amplitude=0.9)
+    J = make_observable(center=(0.1, 0.0, -0.2), sigma=(0.7, 0.6, 0.8), amplitude=0.9)
     eta = 0.5
     res = pair_wigner(J, psi, eta)
     want = oracle_pairing(J, psi, psi, eta)
@@ -212,7 +211,7 @@ def test_quadratic_equals_bilinear_diagonal(observable, rng):
 
 def test_swap_symmetry_real_observable(rng):
     box = BoxSpec(16)
-    J = TestObservable.make(
+    J = make_observable(
         sigma=(0.5, 0.5, 0.5),
         coeffs={(0, 0, 0): 0.6, (1, 1, 0): 0.2 - 0.1j, (-1, -1, 0): 0.2 + 0.1j},
     )
@@ -226,7 +225,7 @@ def test_swap_symmetry_real_observable(rng):
 
 def test_real_observable_real_value(rng):
     box = BoxSpec(16)
-    J = TestObservable.make(
+    J = make_observable(
         sigma=(0.6, 0.6, 0.6),
         coeffs={(0, 0, 0): 1.0, (0, 1, 0): 0.3, (0, -1, 0): 0.3},
     )
@@ -271,9 +270,9 @@ def test_conjugate_linearity_in_observable(rng):
     combined = {m: a * c for m, c in h1.items()}
     for m, c in h2.items():
         combined[m] = combined.get(m, 0) + b * c
-    J1 = TestObservable.make(coeffs=h1, **base)
-    J2 = TestObservable.make(coeffs=h2, **base)
-    Jc = TestObservable.make(coeffs=combined, **base)
+    J1 = make_observable(coeffs=h1, **base)
+    J2 = make_observable(coeffs=h2, **base)
+    Jc = make_observable(coeffs=combined, **base)
     lhs = pair_wigner(Jc, psi, 0.5).value
     rhs = np.conj(a) * pair_wigner(J1, psi, 0.5).value + np.conj(b) * pair_wigner(
         J2, psi, 0.5
@@ -317,7 +316,7 @@ def test_resolution_guard():
     vals = np.zeros(box.volume, complex)
     vals[0] = 1.0
     psi = WaveFunction(box, vals)
-    wide = TestObservable.make(sigma=(60.0, 60.0, 60.0))
+    wide = make_observable(sigma=(60.0, 60.0, 60.0))
     with pytest.raises(ResolutionTooCoarse):
         pair_wigner(wide, psi, 0.1)
 
@@ -327,7 +326,7 @@ def test_mass_identity_wkb():
     box = BoxSpec(128)
     eta = 0.1
     psi = wkb_state(WkbSpec(sigma=0.3, linear=(0.8, 0.0, 0.0)), eta, box)
-    J = TestObservable.make(sigma=(3.0, 3.0, 3.0))
+    J = make_observable(sigma=(3.0, 3.0, 3.0))
     res = pair_wigner(J, psi, eta)
     assert abs(res.value.real - psi.norm() ** 2) <= 0.02 * psi.norm() ** 2
 
@@ -354,7 +353,7 @@ def test_sampler_against_wigner_pairing(rng):
     spec = WkbSpec(sigma=0.25, linear=(1.2, 0.0, 0.0))
     eta, L = 0.02, 192
     psi = wkb_state(spec, eta, BoxSpec(L))
-    J = TestObservable.make(
+    J = make_observable(
         center=(0.0, 0.0, 0.0),
         sigma=(0.8, 0.8, 0.8),
         coeffs={(0, 0, 0): 0.5, (1, 0, 0): 0.25, (-1, 0, 0): 0.25},
