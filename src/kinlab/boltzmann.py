@@ -64,10 +64,10 @@ class DosTable:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
     def interp(self, E) -> np.ndarray:
-        """Linear interpolation on bin centers; 0 outside the band."""
-        E = np.asarray(E, dtype=float)
-        out = np.interp(E, self.centers, self.values, left=0.0, right=0.0)
-        return np.where((E < 0.0) | (E > 6.0), 0.0, out)
+        """Linear interpolation on the nodes [0, centers..., 6] with values
+        [0, Phi..., 0]: Phi vanishes at the band edges and outside the band."""
+        nodes = np.concatenate(([0.0], self.centers, [6.0]))
+        return np.interp(E, nodes, np.concatenate(([0.0], self.values, [0.0])))
 
     def integral(self) -> float:
         width = np.diff(self.edges)
@@ -243,7 +243,7 @@ def _advance_batch(X, V, dT, table, cfg, rng):
     E = dispersion(V)
     t_left = np.full(len(X), float(dT))
     active = np.flatnonzero(R > 0.0)
-    # rate-zero particles (energy outside the table's bin centres) fly
+    # rate-zero particles (energy exactly at a band edge, 0 or 6) fly
     # ballistically for the whole step
     idle = np.flatnonzero(R <= 0.0)
     X[idle] += t_left[idle, None] * group_velocity(V[idle])

@@ -5,19 +5,20 @@ term (multiplication by e(k) in momentum space) and V a diagonal on-site
 potential.  States are position-space fields throughout; momentum
 amplitudes exist only inside the propagator and the expansion.  The
 propagator `evolve_full` takes Strang-split free/potential/free steps,
-unitary by construction.  Its phase grids are built once per call, so a
-step is two in-place transforms and two in-place multiplies on one work
-array.
+unitary by construction, in one pass over its steps: a step is two
+in-place transforms and two in-place multiplies on one work array, and a
+phase grid is rebuilt only when the merged step length changes.
 
 The iterated-integral expansion of the full evolution in powers of lam is
 computed by the time-domain recursion
 
     phi_n(t) = -i lam * Int_0^t exp(-i (t-s) H0) V phi_{n-1}(s) ds
 
-with trapezoidal quadrature on a shared uniform grid; order n carries an
-exact lam^n prefactor because the coupling is factored out of the recursion
-and reapplied at the end.  `duhamel_residuals` gives the norms of the full
-evolution minus the expansion's partial sums.
+with trapezoidal quadrature on a shared uniform grid, swept once with one
+time slice per order; order n carries an exact lam^n prefactor because the
+coupling is factored out of the recursion and reapplied at the end.
+`duhamel_residuals` gives the norms of the full evolution minus the
+expansion's partial sums.
 """
 
 from __future__ import annotations
@@ -66,49 +67,43 @@ def evolve_full(
     Strang splitting (free half step, potential phase, free half step) with
     adjacent half steps merged, so each step costs two transforms.  Norm is
     preserved to rounding; the global error against the exact evolution is
-    O(dt^2).  The free half phase, the merged full phase and the potential
-    kick of a step of dt are built once per call; only a shortened last
-    step builds its own.
+    O(dt^2).  One pass over the steps [dt] * n_full + [rem]: before step h
+    the merged free phase of the previous step's second half and this
+    step's first half, after the last step that step's second half.  A free
+    phase is rebuilt only when the merged step changes, and the potential
+    kick only when h does.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if V.box != psi.box:
         raise ValueError("state and disorder live on different boxes")
     n_full, rem = _step_counts(t, cfg.dt)
-    if n_full == 0 and rem == 0.0:
+    steps = [cfg.dt] * n_full + ([rem] if rem else [])
+    if not steps:
         return psi.copy()
 
     L = psi.box.side
     e = momentum_energies(psi.box)
     vgrid = V.values.reshape(L, L, L)
 
-    def kicked(work, kick):
-        np.fft.ifftn(work, out=work)
-        work *= kick
-        np.fft.fftn(work, out=work)
-
     # momentum space; a fresh array, since psi.grid() is a view of the
     # caller's state.  Each phase keeps the operand order of a per-step exp,
     # so -0.5j * (dt + dt) reproduces the merged half steps bitwise
     work = np.fft.fftn(psi.grid())
-    if n_full:
-        dt = cfg.dt
-        half = np.exp(-0.5j * dt * e)
-        kick = np.exp(-1j * dt * lam * vgrid)
-        work *= half
-        kicked(work, kick)
-        if n_full > 1:
-            full = np.exp(-0.5j * (dt + dt) * e)
-            for _ in range(n_full - 1):
-                work *= full
-                kicked(work, kick)
-        work *= np.exp(-0.5j * (dt + rem) * e) if rem else half
-    if rem:
-        rem_half = np.exp(-0.5j * rem * e)
-        if not n_full:
-            work *= rem_half
-        kicked(work, np.exp(-1j * rem * lam * vgrid))
-        work *= rem_half
+    prev = merged = kick_step = 0.0
+    for h in steps:
+        if prev + h != merged:
+            merged = prev + h
+            phase = np.exp(-0.5j * merged * e)
+        work *= phase
+        np.fft.ifftn(work, out=work)
+        if h != kick_step:
+            kick_step = h
+            kick = np.exp(-1j * h * lam * vgrid)
+        work *= kick
+        np.fft.fftn(work, out=work)
+        prev = h
+    work *= np.exp(-0.5j * prev * e)
     np.fft.ifftn(work, out=work)
     return WaveFunction(psi.box, work.ravel())
 
@@ -128,10 +123,15 @@ def duhamel_ladder(
 ) -> list:
     """Expansion terms phi_n(t), n = 0..N, as position-space states.
 
-    The time grid is uniform with the largest step <= dt that lands on t.
-    The recursion runs with unit coupling and order n is scaled by lam^n at
-    the end, so rescaling lam rescales term n by the exact n-th power;
-    order 0 is the free evolution.
+    The time grid is uniform with the largest step h <= dt that lands on t
+    (one step of h = 0 at t = 0).  All orders advance together through one
+    sweep of the grid, holding only each order's current slice phi_n(t_j)
+    and its trapezoid accumulator B_n: at each grid time phi_0 takes one
+    free step, then for n = 1..N, with rho = V phi_{n-1}(t_j),
+    B_n <- B_n e^{-ih H0} + rho and phi_n <- -ih (B_n - rho/2).  The
+    recursion runs with unit coupling and order n is scaled by lam^n at the
+    end, so rescaling lam rescales term n by the exact n-th power; order 0
+    is the free evolution.
     """
     if N < 0:
         raise ValueError("order cap must be nonnegative")
@@ -140,48 +140,29 @@ def duhamel_ladder(
     if t < 0:
         raise ValueError("t must be nonnegative")
 
-    box = psi0.box
-    L = box.side
-    e = momentum_energies(box).ravel()
-    vflat = V.values
+    L = psi0.box.side
+    vgrid = V.values.reshape(L, L, L)
+    m = max(1, int(math.ceil(t / dt - 1e-12)))
+    h = t / m
+    step_phase = np.exp(-1j * h * momentum_energies(psi0.box))
 
-    phi0_hat = to_momentum(psi0).ravel()
+    def mult_v(phi_hat):
+        pos = np.fft.ifftn(phi_hat)
+        pos *= vgrid
+        return np.fft.fftn(pos, out=pos)
 
-    if t == 0:
-        terms = [phi0_hat.copy() if n == 0 else np.zeros(box.volume, dtype=np.complex128)
-                 for n in range(N + 1)]
-    else:
-        m = max(1, int(math.ceil(t / dt - 1e-12)))
-        h = t / m
-        step_phase = np.exp(-1j * h * e)
+    # momentum-space slices at t_0 = 0: only order 0 is nonzero there
+    phi = [to_momentum(psi0)] + [np.zeros_like(vgrid, dtype=np.complex128) for _ in range(N)]
+    B = [0.5 * mult_v(p) for p in phi[:N]]
+    for _ in range(m):
+        phi[0] *= step_phase
+        for n, acc in enumerate(B, start=1):
+            rho = mult_v(phi[n - 1])
+            acc *= step_phase
+            acc += rho
+            phi[n] = -1j * h * (acc - 0.5 * rho)
 
-        def mult_v(momentum_flat):
-            pos = np.fft.ifftn(momentum_flat.reshape(L, L, L)).ravel()
-            pos *= vflat
-            return np.fft.fftn(pos.reshape(L, L, L)).ravel()
-
-        # order 0 on the grid (momentum space)
-        grid_prev = np.empty((m + 1, box.volume), dtype=np.complex128)
-        grid_prev[0] = phi0_hat
-        for j in range(1, m + 1):
-            grid_prev[j] = grid_prev[j - 1] * step_phase
-
-        terms = [grid_prev[m].copy()]
-        for n in range(1, N + 1):
-            grid_cur = np.empty_like(grid_prev)
-            rho = mult_v(grid_prev[0])
-            B = 0.5 * rho
-            grid_cur[0] = 0.0
-            for j in range(1, m + 1):
-                rho = mult_v(grid_prev[j])
-                B = B * step_phase + rho
-                grid_cur[j] = -1j * h * (B - 0.5 * rho)
-            terms.append(grid_cur[m].copy())
-            grid_prev = grid_cur
-
-    for n in range(N + 1):
-        terms[n] *= lam**n
-    return [to_position(w.reshape(L, L, L)) for w in terms]
+    return [to_position(p * lam**n) for n, p in enumerate(phi)]
 
 
 def duhamel_residuals(

@@ -20,11 +20,19 @@ from kinlab.harness.config import load_config
 from kinlab.harness.manifest import RunManifest
 
 
+def _positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _add_common(p):
     p.add_argument("--config", required=True, help="experiment config file")
     p.add_argument("--seed", type=int, default=None, help="override master seed")
     p.add_argument("--out", default=None, help="override output directory")
-    p.add_argument("--threads", type=int, default=1, help="worker processes")
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="worker processes (at most one per realization)")
     p.add_argument("--reproducible", action="store_true",
                    help="pin the manifest's created timestamp; reductions always "
                         "run in realization order")
@@ -76,7 +84,8 @@ def main(argv=None) -> int:
         print(f"lam={lam}: n={stats.n} mean={stats.mean.real:.6g} "
               f"variance={stats.variance:.6g} max_rel_imag={stats.max_rel_imag:.2e}")
     elif args.command == "selfavg":
-        rep = ex.run_selfaveraging(cfg, workers=args.threads)
+        stats = [ex.run_ensemble(cfg, lam, workers=args.threads) for lam in cfg.lambdas]
+        rep = ex.run_selfaveraging(cfg, stats)
         emit("selfavg.csv", ex.SELFAVG_HEADER, ex.selfavg_csv_rows(rep))
         print(f"variances: {rep.variances}")
         print(f"strictly decreasing: {rep.strictly_decreasing}")
@@ -84,7 +93,8 @@ def main(argv=None) -> int:
         print("note: the asymptotic rate is not reachable at desk scale; "
               "the report asserts the decay trend only")
     elif args.command == "compare":
-        rep = ex.run_kinetic_comparison(cfg, workers=args.threads)
+        stats = [ex.run_ensemble(cfg, lam, workers=args.threads) for lam in cfg.lambdas]
+        rep = ex.run_kinetic_comparison(cfg, stats)
         emit("compare.csv", ex.COMPARE_HEADER, ex.compare_csv_rows(rep))
         for lam, d, c in zip(rep.lams, rep.differences, rep.combined_errors):
             print(f"lam={lam}: |quantum - transport| = {d:.6g} (err {c:.2g})")

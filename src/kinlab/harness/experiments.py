@@ -77,13 +77,14 @@ def run_ensemble(cfg: ExperimentConfig, lam: float, workers: int = 1) -> Ensembl
 
     Realization i draws disorder stream i; stats aggregate in stream order
     regardless of the worker pool, so growing n_realizations leaves existing
-    realizations unchanged.
+    realizations unchanged.  The pool has at most one worker per realization.
     """
     if lam not in cfg.lambdas:
         raise ValueError(f"lam={lam} not in the configured list {cfg.lambdas}")
     psi0 = wkb_state(cfg.wkb, lam**2, cfg.box())
     jobs = [(cfg, lam, psi0, i) for i in range(1, cfg.n_realizations + 1)]
     stats = EnsembleStats(lam=lam, eta=lam**2)
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_realization_value, jobs, chunksize=1))
@@ -118,8 +119,8 @@ class SelfAveragingReport:
     envelopes: tuple  # variance_bound headline per coupling (nan when lam > 1/2)
 
 
-def run_selfaveraging(cfg: ExperimentConfig, workers: int = 1) -> SelfAveragingReport:
-    stats = [run_ensemble(cfg, lam, workers) for lam in cfg.lambdas]
+def run_selfaveraging(cfg: ExperimentConfig, stats: list) -> SelfAveragingReport:
+    """Variance trend of the per-coupling ensembles `stats` (one per cfg.lambdas)."""
     variances = tuple(s.variance for s in stats)
     rng = np.random.default_rng([cfg.master_seed, SEED_BOOTSTRAP])
     slope, lo, hi = bootstrap_slope(
@@ -194,27 +195,18 @@ def transport_snapshots(cfg: ExperimentConfig, taus) -> list:
     return bz.snapshots(init, taus, cfg.n_particles, shell, rng, table)
 
 
-def boltzmann_observable(cfg: ExperimentConfig, T: float):
-    """(value, stderr) of the observable under the transport solution at time T."""
-    ens = transport_snapshots(cfg, [T])[-1]
-    return bz.observable(ens, cfg.observable)
-
-
-def run_kinetic_comparison(
-    cfg: ExperimentConfig, workers: int = 1, ensemble_stats=None
-) -> KineticComparison:
-    """E<J, W> per coupling against the transport value <J, mu_T>.
+def run_kinetic_comparison(cfg: ExperimentConfig, stats: list) -> KineticComparison:
+    """E<J, W> per coupling, from the ensembles `stats` (one per cfg.lambdas),
+    against the transport value <J, mu_T>.
 
     The transport side is coupling-independent; its sampling error and the
     quantum-side realization error combine in quadrature, plus the Wigner
     truncation bound linearly.
     """
-    if ensemble_stats is None:
-        ensemble_stats = [run_ensemble(cfg, lam, workers) for lam in cfg.lambdas]
-    b_val, b_err = boltzmann_observable(cfg, cfg.T)
+    b_val, b_err = bz.observable(transport_snapshots(cfg, [cfg.T])[-1], cfg.observable)
 
     q_means, q_errs, diffs, combined = [], [], [], []
-    for s in ensemble_stats:
+    for s in stats:
         qm = s.mean.real
         qe = s.stderr_mean
         q_means.append(qm)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -136,3 +137,58 @@ def evolve_dense(
     H = dense_hamiltonian(psi.box, V, lam)
     w, Q = np.linalg.eigh(H)
     return WaveFunction(psi.box, Q @ (np.exp(-1j * t * w) * (Q.conj().T @ psi.values)))
+
+
+# ---------------------------------------------------------------------------
+# reference expansion for `duhamel_ladder`
+# ---------------------------------------------------------------------------
+
+
+def two_grid_duhamel_ladder(N, t, psi0, V, lam, dt):
+    """Expansion terms from full (m+1) x L^3 time grids of orders n-1 and n.
+
+    The same trapezoid recursion as `duhamel_ladder`, one order at a time,
+    storing every slice of the previous order before the next is built.
+    """
+    box = psi0.box
+    L = box.side
+    e = momentum_energies(box).ravel()
+    vflat = V.values
+
+    phi0_hat = to_momentum(psi0).ravel()
+
+    if t == 0:
+        terms = [phi0_hat.copy() if n == 0 else np.zeros(box.volume, dtype=np.complex128)
+                 for n in range(N + 1)]
+    else:
+        m = max(1, int(math.ceil(t / dt - 1e-12)))
+        h = t / m
+        step_phase = np.exp(-1j * h * e)
+
+        def mult_v(momentum_flat):
+            pos = np.fft.ifftn(momentum_flat.reshape(L, L, L)).ravel()
+            pos *= vflat
+            return np.fft.fftn(pos.reshape(L, L, L)).ravel()
+
+        # order 0 on the grid (momentum space)
+        grid_prev = np.empty((m + 1, box.volume), dtype=np.complex128)
+        grid_prev[0] = phi0_hat
+        for j in range(1, m + 1):
+            grid_prev[j] = grid_prev[j - 1] * step_phase
+
+        terms = [grid_prev[m].copy()]
+        for n in range(1, N + 1):
+            grid_cur = np.empty_like(grid_prev)
+            rho = mult_v(grid_prev[0])
+            B = 0.5 * rho
+            grid_cur[0] = 0.0
+            for j in range(1, m + 1):
+                rho = mult_v(grid_prev[j])
+                B = B * step_phase + rho
+                grid_cur[j] = -1j * h * (B - 0.5 * rho)
+            terms.append(grid_cur[m].copy())
+            grid_prev = grid_cur
+
+    for n in range(N + 1):
+        terms[n] *= lam**n
+    return [to_position(w.reshape(L, L, L)) for w in terms]

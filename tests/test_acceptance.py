@@ -214,7 +214,7 @@ def test_criterion_6_selfaveraging_trend(cfg, ensembles):
 
 def test_criterion_7_kinetic_limit_mean(cfg, ensembles):
     t0 = time.time()
-    rep = ex.run_kinetic_comparison(cfg, ensemble_stats=ensembles)
+    rep = ex.run_kinetic_comparison(cfg, ensembles)
     rel_gap = rep.differences[-1] / abs(rep.boltzmann_value[-1])
     ok = rep.nonincreasing_within_errors and rel_gap <= 0.25
     report(7, ok, f"gaps {[f'{d:.4f}' for d in rep.differences]} nonincreasing within error bars: "

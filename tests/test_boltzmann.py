@@ -125,6 +125,14 @@ def test_collision_rate_vanishes_at_band_bottom(table):
     assert collision_rate(np.zeros(3), table) < 0.3
 
 
+def test_collision_rate_positive_below_first_bin_centre(table):
+    # e(V) ~ 1.5e-3 lies below the first bin centre, but inside the band
+    V = np.array([0.005, 0.005, 0.005])
+    assert 0.0 < dispersion(V) < table.centers[0]
+    rate = collision_rate(V, table)
+    assert 0.0 < rate < 2 * math.pi * table.values[0]
+
+
 # ---------------------------------------------------------------------------
 # shell sampling
 # ---------------------------------------------------------------------------
@@ -301,9 +309,9 @@ def one_particle(X, V):
 
 
 def test_ballistic_with_rate_override(table, cfg, rng):
-    # e(V0) ~ 1.5e-3 lies below the first bin centre, where the rate reads 0
-    X0, V0 = np.array([0.5, 0.5, 0.5]), np.array([0.005, 0.005, 0.005])
-    assert dispersion(V0) < table.centers[0]
+    # e(V0) = 6 exactly, the top band edge, where the rate is exactly 0
+    X0, V0 = np.array([0.5, 0.5, 0.5]), np.array([0.5, 0.5, 0.5])
+    assert dispersion(V0) == 6.0
     assert collision_rate(V0, table) == 0.0
     out = snapshots(one_particle(X0, V0), [2.5], 1, cfg, rng, table)[-1]
     assert np.array_equal(out.X[0], X0 + 2.5 * group_velocity(V0))

@@ -1,12 +1,11 @@
 import math
+import tracemalloc
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinlab.bounds import HypothesisViolated, RemainderBoundParams, remainder_bound
 from kinlab.dynamics import PropagatorConfig, duhamel_ladder, duhamel_residuals, evolve_full
 from kinlab.lattice import BoxSpec, DisorderField, WaveFunction, sample_disorder
 from kinlab.wigner import pair_wigner
@@ -18,6 +17,7 @@ from conftest import (
     evolve_free,
     make_observable,
     random_state,
+    two_grid_duhamel_ladder,
 )
 
 
@@ -228,6 +228,31 @@ def test_duhamel_order_zero_is_free(small_system):
     assert np.max(np.abs(t0.values - free.values)) < 1e-12
 
 
+@pytest.mark.parametrize("t", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize("N", [0, 3])
+def test_duhamel_matches_two_grid_reference(N, t, small_system):
+    box, V, psi = small_system
+    got = duhamel_ladder(N, t, psi, V, 0.3, 0.01)
+    want = two_grid_duhamel_ladder(N, t, psi, V, 0.3, 0.01)
+    assert len(got) == len(want) == N + 1
+    for a, b in zip(got, want):
+        assert np.array_equal(a.values, b.values)
+
+
+def test_duhamel_memory_independent_of_time_grid(rng):
+    # 2000 grid times at L = 16: a (m+1) x L^3 complex grid alone is 131 MB
+    box = BoxSpec(16)
+    V = sample_disorder(box, 5, 1)
+    psi = random_state(box, rng)
+    tracemalloc.start()
+    try:
+        duhamel_ladder(4, 2.0, psi, V, 0.3, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 def test_duhamel_lambda_homogeneity(small_system):
     box, V, psi = small_system
     for n in (1, 2, 3):
@@ -285,61 +310,3 @@ def test_first_order_wigner_scales_as_lambda_squared(rng):
         means.append(np.mean(vals))
     slope = np.polyfit(np.log(lams), np.log(means), 1)[0]
     assert abs(slope - 2.0) <= 0.2
-
-
-# ---------------------------------------------------------------------------
-# remainder bound formula
-# ---------------------------------------------------------------------------
-
-
-def _mpmath_remainder_bound(N, kap, eps, lam, C=1.0, phin=1.0):
-    mp.mp.dps = 60
-    Nf, kf, ef, lf, Cf = (mp.mpf(x) for x in (N, kap, eps, lam, C))
-    ale = abs(mp.log(ef))
-    b1 = Cf * lf**2 / ef
-    b2 = b1 * ale
-    f4N = mp.factorial(4 * N)
-    p4N = (4 * Nf) ** (20 * N)
-    t1 = Nf**2 * kf**2 * b1 ** (4 * N) / mp.sqrt(mp.factorial(N))
-    t2 = Nf**2 * kf**2 * b2 ** (4 * N) * ale**3 * (ef ** mp.mpf("0.2") * f4N + ef**2 * p4N)
-    t3 = ef**-2 * b2 ** (4 * N) * ale**3 * (
-        kf**-N * f4N
-        + kf ** (-N + 5) * ef * f4N * (4 * Nf) ** 4
-        + kf ** (-N + 9) * ef**2 * f4N * (4 * Nf) ** 8
-        + ef**3 * p4N
-    )
-    return float(mp.mpf(phin) ** 2 * (t1 + t2 + t3))
-
-
-def test_remainder_bound_regression_fixture():
-    got = remainder_bound(RemainderBoundParams(N=1, kappa=1, eps=0.1, lam=0.1, t=10.0))
-    want = _mpmath_remainder_bound(1, 1, 0.1, 0.1)
-    assert got == pytest.approx(want, rel=1e-10)
-
-
-@pytest.mark.parametrize("N,kap,eps,lam,t", [(2, 3, 0.05, 0.2, 20.0), (3, 7, 0.01, 0.3, 100.0)])
-def test_remainder_bound_matches_high_precision(N, kap, eps, lam, t):
-    got = remainder_bound(RemainderBoundParams(N=N, kappa=kap, eps=eps, lam=lam, t=t))
-    want = _mpmath_remainder_bound(N, kap, eps, lam)
-    assert got == pytest.approx(want, rel=1e-10)
-
-
-def test_remainder_bound_monotone_in_lambda():
-    a = remainder_bound(RemainderBoundParams(N=2, kappa=2, eps=0.05, lam=0.1, t=10.0))
-    b = remainder_bound(RemainderBoundParams(N=2, kappa=2, eps=0.05, lam=0.2, t=10.0))
-    assert b > a
-
-
-def test_remainder_bound_diverges_as_eps_vanishes():
-    vals = [
-        remainder_bound(RemainderBoundParams(N=1, kappa=1, eps=e, lam=0.1, t=10.0))
-        for e in (0.1, 0.01, 0.001)
-    ]
-    assert vals[0] < vals[1] < vals[2]
-
-
-def test_remainder_bound_hypothesis_guard():
-    with pytest.raises(HypothesisViolated):
-        remainder_bound(RemainderBoundParams(N=1, kappa=1, eps=0.2, lam=0.1, t=10.0))
-    with pytest.raises(ValueError):
-        RemainderBoundParams(N=0, kappa=1, eps=0.05, lam=0.1, t=10.0)

@@ -1,20 +1,7 @@
 import math
 
-import mpmath as mp
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from kinlab.bounds import (
-    SCHEDULE_A,
-    SCHEDULE_B,
-    BoundParams,
-    HypothesisViolated,
-    amplitude_bound,
-    amplitude_bound_basic,
-    schedule_parameters,
-    variance_bound,
-)
 from kinlab.graphs import (
     NotConnected,
     Pairing,
@@ -25,8 +12,6 @@ from kinlab.graphs import (
     enumerate_connected,
     generalized_crossing_lines,
 )
-
-from test_dynamics import _mpmath_remainder_bound
 
 # caption-anchored example pairings (nbar = 5 with split 3+2, nbar = 3 all-transfer)
 FIG_CROSSING_FIRST_LINE = Pairing.make(
@@ -224,97 +209,3 @@ def test_minimal_crossing_postcondition_replay():
 def test_minimal_crossing_requires_crossing():
     with pytest.raises(NoCrossing):
         minimal_generalized_crossing(FIG_PARALLEL, 1)
-
-
-# ---------------------------------------------------------------------------
-# bound formulas
-# ---------------------------------------------------------------------------
-
-
-def test_amplitude_improved_over_basic_ratio():
-    p = BoundParams(lam=0.2, eps=0.05, t=3.0, nbar=3)
-    ratio = amplitude_bound(p) / amplitude_bound_basic(p)
-    assert ratio == pytest.approx(0.05**0.2 * abs(math.log(0.05)), rel=1e-12)
-
-
-def test_amplitude_monotone_in_time():
-    a = amplitude_bound(BoundParams(lam=0.2, eps=0.05, t=1.0, nbar=2))
-    b = amplitude_bound(BoundParams(lam=0.2, eps=0.05, t=5.0, nbar=2))
-    assert b > a
-
-
-def test_amplitude_fixture_high_precision():
-    mp.mp.dps = 40
-    e, lam, t, nbar = mp.mpf("0.1"), mp.mpf("0.1"), mp.mpf(9), 2
-    want = float(
-        mp.e ** (4 * e * t) * lam ** (2 * nbar) * e ** (mp.mpf(1) / 5 - nbar)
-        * abs(mp.log(e)) ** (nbar + 5)
-    )
-    got = amplitude_bound(BoundParams(lam=0.1, eps=0.1, t=9.0, nbar=2))
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_bound_params_eps_guard():
-    with pytest.raises(ValueError):
-        BoundParams(lam=0.1, eps=0.4, t=1.0, nbar=1)
-
-
-@given(st.floats(0.01, 0.5), st.floats(0.05, 5.0))
-@settings(max_examples=50, deadline=None)
-def test_schedule_formulas(lam, T):
-    s = schedule_parameters(T, lam)
-    t = T / lam**2
-    assert s.eps == pytest.approx(1.0 / (3.0 + t), rel=1e-14)
-    abs_log = abs(math.log(s.eps))
-    assert s.N == math.floor((2.0 / 85.0) * abs_log / abs(math.log(abs_log)))
-    assert s.kappa == math.ceil(abs_log**100)
-
-
-def test_schedule_defaults_and_envelope():
-    vb = variance_bound(0.5, 0.3)
-    t = 0.5 / 0.09
-    assert vb.schedule.eps == pytest.approx(1.0 / (3.0 + t), rel=1e-14)
-    assert vb.envelope == pytest.approx(0.3 ** (1.0 / 90.0), rel=1e-12)
-    assert vb.total >= math.sqrt(vb.variance_part)
-    assert SCHEDULE_A == 2.0 / 85.0
-    assert SCHEDULE_B == 100.0
-
-
-def test_variance_bound_lambda_guard():
-    with pytest.raises(HypothesisViolated):
-        variance_bound(0.5, 0.6)
-
-
-def _mpmath_variance_part(N, eps, lam, t):
-    """(N+1)^2 sum_{n1,n2<=N} 2^nbar nbar! eps^(1/5) |log eps| * basic amplitude bound."""
-    mp.mp.dps = 60
-    e, l, tt = mp.mpf(eps), mp.mpf(lam), mp.mpf(t)
-    ale = abs(mp.log(e))
-    total = mp.mpf(0)
-    for m1 in range(N + 1):
-        for m2 in range(N + 1):
-            nbar = m1 + m2
-            amp = mp.e ** (4 * e * tt) * l ** (2 * nbar) * e ** (mp.mpf(1) / 5 - nbar) * ale ** (nbar + 5)
-            total += 2**nbar * mp.factorial(nbar) * amp
-    return float((N + 1) ** 2 * total)
-
-
-def test_variance_bound_matches_high_precision():
-    # N = 0: every part is finite; the remainder is evaluated at N = 1
-    T, lam = 0.5, 0.3
-    vb = variance_bound(T, lam)
-    s, t = vb.schedule, T / lam**2
-    assert s.N == 0
-    var = _mpmath_variance_part(0, s.eps, lam, t)
-    rem = _mpmath_remainder_bound(1, s.kappa, s.eps, lam)
-    total = 2 * rem + 4 * (math.sqrt(rem) + rem) + math.sqrt(var)
-    assert vb.variance_part == pytest.approx(var, rel=1e-10)
-    assert vb.remainder_part == pytest.approx(rem, rel=1e-10)
-    assert vb.total == pytest.approx(total, rel=1e-10)
-
-    # N = 1: the remainder overflows to inf, the variance part stays finite
-    T, lam = 2.0, 1e-60
-    vb = variance_bound(T, lam)
-    s = vb.schedule
-    assert s.N == 1
-    assert vb.variance_part == pytest.approx(_mpmath_variance_part(1, s.eps, lam, T / lam**2), rel=1e-10)

@@ -256,6 +256,54 @@ def test_ensemble_workers_equivalent(cfg):
     assert a.values == b.values
 
 
+class InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    monkeypatch.setattr(InlineExecutor, "sizes", [])
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", InlineExecutor)
+    return InlineExecutor.sizes
+
+
+def test_worker_pool_bounded_by_realizations(cfg, inline_pool):
+    serial = ex.run_ensemble(cfg, 0.6)
+    assert inline_pool == []
+    pooled = ex.run_ensemble(cfg, 0.6, workers=64)
+    assert inline_pool == [cfg.n_realizations]
+    assert pooled.values == serial.values
+    ex.run_ensemble(dataclasses.replace(cfg, n_realizations=1), 0.6, workers=64)
+    assert inline_pool == [cfg.n_realizations]  # one realization runs serially
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_cli_rejects_threads_below_one(threads, tmp_path, inline_pool, capsys):
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(SMALL_CFG)
+    with pytest.raises(SystemExit) as err:
+        cli_main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o"),
+                  "--threads", threads])
+    assert err.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert inline_pool == []
+    assert not (tmp_path / "o").exists()
+
+
 def test_ensemble_moments_exposed(cfg):
     s = ex.run_ensemble(cfg, 0.6)
     assert s.central_moment(2) >= 0
