@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from kinlab.harness import experiments as ex
-from kinlab.harness.config import load_config
+from kinlab.harness.config import ConfigError, load_config
 from kinlab.harness.manifest import RunManifest
 
 
@@ -60,10 +60,16 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, master_seed=args.seed)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg = dataclasses.replace(cfg, master_seed=args.seed)
+    except ConfigError as e:
+        parser.error(str(e))
+    if args.command == "selfavg" and len(cfg.lambdas) < 2:
+        parser.error(f"selfavg fits a trend and needs at least two couplings, got {cfg.lambdas}")
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config_digest=cfg.digest(), master_seed=cfg.master_seed,
@@ -79,14 +85,13 @@ def main(argv=None) -> int:
     if args.command == "simulate":
         lam = args.lam if args.lam is not None else cfg.lambdas[0]
         stats = ex.run_ensemble(cfg, lam, workers=args.threads)
-        emit(f"ensemble_lam{lam}.csv", ["realization", "value_re", "value_im", "truncation"],
-             ex.ensemble_csv_rows(stats))
+        emit(f"ensemble_lam{lam}.csv", ex.ENSEMBLE_HEADER, ex.ensemble_rows(stats))
         print(f"lam={lam}: n={stats.n} mean={stats.mean.real:.6g} "
               f"variance={stats.variance:.6g} max_rel_imag={stats.max_rel_imag:.2e}")
     elif args.command == "selfavg":
         stats = [ex.run_ensemble(cfg, lam, workers=args.threads) for lam in cfg.lambdas]
         rep = ex.run_selfaveraging(cfg, stats)
-        emit("selfavg.csv", ex.SELFAVG_HEADER, ex.selfavg_csv_rows(rep))
+        emit("selfavg.csv", ex.SELFAVG_HEADER, rep.rows)
         print(f"variances: {rep.variances}")
         print(f"strictly decreasing: {rep.strictly_decreasing}")
         print(f"log-log slope {rep.slope:.3f}  95% CI [{rep.slope_ci[0]:.3f}, {rep.slope_ci[1]:.3f}]")
@@ -95,15 +100,15 @@ def main(argv=None) -> int:
     elif args.command == "compare":
         stats = [ex.run_ensemble(cfg, lam, workers=args.threads) for lam in cfg.lambdas]
         rep = ex.run_kinetic_comparison(cfg, stats)
-        emit("compare.csv", ex.COMPARE_HEADER, ex.compare_csv_rows(rep))
-        for lam, d, c in zip(rep.lams, rep.differences, rep.combined_errors):
+        emit("compare.csv", ex.COMPARE_HEADER, rep.rows)
+        for lam, *_, d, c in rep.rows:
             print(f"lam={lam}: |quantum - transport| = {d:.6g} (err {c:.2g})")
         print(f"nonincreasing within error bars: {rep.nonincreasing_within_errors}")
     elif args.command == "supnorm":
         rep = ex.run_timegrid_sup(cfg)
-        emit("supnorm.csv", ex.SUPNORM_HEADER, ex.supnorm_csv_rows(rep))
-        for lam in rep.lams:
-            print(f"lam={lam}: sup deviation {rep.sup_deviation[lam]:.6g}")
+        emit("supnorm.csv", ex.SUPNORM_HEADER, rep.rows)
+        for lam, sup in rep.sup_deviation.items():
+            print(f"lam={lam}: sup deviation {sup:.6g}")
         print(f"decreasing across couplings: {rep.decreasing_across_lams}")
     elif args.command == "resolvent":
         rep = ex.run_resolvent_suite()

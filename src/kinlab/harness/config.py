@@ -3,7 +3,7 @@
 Grammar (INI, parsed with configparser; `#` comments allowed):
 
     [run]
-    lambdas = 0.6 0.45 0.3        # descending couplings
+    lambdas = 0.6 0.45 0.3        # descending couplings in (0, 1]
     T = 0.5                       # macroscopic final time
     tau_grid = 6                  # points of the time-supremum grid
     L = 64                        # box side (even, >= 4)
@@ -52,6 +52,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import get_type_hints
@@ -67,11 +68,14 @@ class ConfigError(ValueError):
 
 
 def _number(kind, s: str, what: str):
-    """`kind(s)` for kind int or float; ConfigError if s does not parse."""
+    """`kind(s)` for kind int or float; ConfigError if s does not parse or is not finite."""
     try:
-        return kind(s)
+        x = kind(s)
     except ValueError:
         raise ConfigError(f"{what} needs {kind.__name__} values, got {s!r}") from None
+    if kind is float and not math.isfinite(x):
+        raise ConfigError(f"{what} needs finite values, got {s!r}")
+    return x
 
 
 def _floats(s: str, what: str) -> tuple:
@@ -164,6 +168,8 @@ class ExperimentConfig:
             raise ConfigError("need at least one coupling")
         if any(b >= a for a, b in zip(self.lambdas, self.lambdas[1:])):
             raise ConfigError("lambdas must be strictly descending")
+        if not all(0 < lam <= 1 for lam in self.lambdas):
+            raise ConfigError(f"couplings must lie in (0, 1], got {self.lambdas}")
         BoxSpec(self.L)  # side validity
         for lam in self.lambdas:
             eta = lam**2

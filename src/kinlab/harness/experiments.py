@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from kinlab.dynamics import PropagatorConfig, duhamel_residuals, evolve_full
 from kinlab.graphs import classify, enumerate_connected
 from kinlab.harness.config import ExperimentConfig
 from kinlab.harness.stats import EnsembleStats, bootstrap_slope
-from kinlab.lattice import WaveFunction, sample_disorder, wkb_state
+from kinlab.lattice import BoxSpec, WaveFunction, sample_disorder, wkb_state
 from kinlab.resolvent import fit_scaling, integral_1res, integral_2res, integral_3res
 from kinlab.wigner import pair_wigner, wkb_limit_sampler
 
@@ -83,7 +83,7 @@ def run_ensemble(cfg: ExperimentConfig, lam: float, workers: int = 1) -> Ensembl
         raise ValueError(f"lam={lam} not in the configured list {cfg.lambdas}")
     psi0 = wkb_state(cfg.wkb, lam**2, cfg.box())
     jobs = [(cfg, lam, psi0, i) for i in range(1, cfg.n_realizations + 1)]
-    stats = EnsembleStats(lam=lam, eta=lam**2)
+    stats = EnsembleStats()
     workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -96,63 +96,20 @@ def run_ensemble(cfg: ExperimentConfig, lam: float, workers: int = 1) -> Ensembl
     return stats
 
 
-def ensemble_csv_rows(stats: EnsembleStats):
-    rows = []
-    for i, (v, tr) in enumerate(zip(stats.values, stats.truncation_errors), start=1):
-        rows.append([i, float(v.real), float(v.imag), float(tr)])
-    return rows
+ENSEMBLE_HEADER = ["realization", "value_re", "value_im", "truncation"]
+
+
+def ensemble_rows(stats: EnsembleStats) -> list:
+    """One row per realization, in stream order."""
+    return [
+        [i, v.real, v.imag, tr]
+        for i, (v, tr) in enumerate(zip(stats.values, stats.truncation_errors), start=1)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Self-averaging experiment
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class SelfAveragingReport:
-    lams: tuple
-    stats: list
-    variances: tuple
-    slope: float
-    slope_ci: tuple
-    strictly_decreasing: bool
-    envelopes: tuple  # variance_bound headline per coupling (nan when lam > 1/2)
-
-
-def run_selfaveraging(cfg: ExperimentConfig, stats: list) -> SelfAveragingReport:
-    """Variance trend of the per-coupling ensembles `stats` (one per cfg.lambdas)."""
-    variances = tuple(s.variance for s in stats)
-    rng = np.random.default_rng([cfg.master_seed, SEED_BOOTSTRAP])
-    slope, lo, hi = bootstrap_slope(
-        cfg.lambdas, [s.real_parts() for s in stats], n_boot=2000, rng=rng
-    )
-    dec = all(b < a for a, b in zip(variances, variances[1:]))
-    envelopes = tuple(
-        variance_bound(cfg.T, lam).envelope if lam <= 0.5 else float("nan")
-        for lam in cfg.lambdas
-    )
-    return SelfAveragingReport(cfg.lambdas, stats, variances, slope, (lo, hi), dec, envelopes)
-
-
-def selfavg_csv_rows(rep: SelfAveragingReport):
-    rows = []
-    for lam, s, env in zip(rep.lams, rep.stats, rep.envelopes):
-        m = s.mean
-        rows.append(
-            [
-                float(lam),
-                float(lam**2),
-                s.n,
-                float(m.real),
-                float(m.imag),
-                float(s.variance),
-                float(s.stderr_mean),
-                float(s.central_moment(2)),
-                float(s.central_moment(4)),
-                float(env),
-            ]
-        )
-    return rows
 
 
 SELFAVG_HEADER = [
@@ -161,20 +118,52 @@ SELFAVG_HEADER = [
 ]
 
 
+@dataclass
+class SelfAveragingReport:
+    rows: list
+    variances: tuple
+    slope: float
+    slope_ci: tuple
+    strictly_decreasing: bool
+
+
+def run_selfaveraging(cfg: ExperimentConfig, stats: list) -> SelfAveragingReport:
+    """Variance trend of the per-coupling ensembles `stats` (one per cfg.lambdas).
+
+    The envelope column is the variance_bound headline, NaN where lam > 1/2.
+    """
+    variances = tuple(s.variance for s in stats)
+    rng = np.random.default_rng([cfg.master_seed, SEED_BOOTSTRAP])
+    slope, lo, hi = bootstrap_slope(
+        cfg.lambdas, [s.real_parts() for s in stats], n_boot=2000, rng=rng
+    )
+    dec = all(b < a for a, b in zip(variances, variances[1:]))
+    rows = []
+    for lam, s in zip(cfg.lambdas, stats):
+        env = variance_bound(cfg.T, lam).envelope if lam <= 0.5 else float("nan")
+        m = s.mean
+        rows.append([lam, lam**2, s.n, m.real, m.imag, s.variance, s.stderr_mean,
+                     s.central_moment(2), s.central_moment(4), env])
+    return SelfAveragingReport(rows, variances, slope, (lo, hi), dec)
+
+
 # ---------------------------------------------------------------------------
 # Kinetic comparison
 # ---------------------------------------------------------------------------
 
 
+COMPARE_HEADER = [
+    "lam", "quantum_mean", "quantum_stderr", "boltzmann", "boltzmann_stderr",
+    "difference", "combined_error",
+]
+
+
 @dataclass
 class KineticComparison:
-    lams: tuple
-    quantum_mean: tuple
-    quantum_stderr: tuple
-    boltzmann_value: tuple
-    boltzmann_stderr: tuple
+    rows: list
+    boltzmann: float  # the coupling-independent transport value and its stderr
+    boltzmann_stderr: float
     differences: tuple
-    combined_errors: tuple
     nonincreasing_within_errors: bool
 
 
@@ -204,45 +193,20 @@ def run_kinetic_comparison(cfg: ExperimentConfig, stats: list) -> KineticCompari
     truncation bound linearly.
     """
     b_val, b_err = bz.observable(transport_snapshots(cfg, [cfg.T])[-1], cfg.observable)
+    b, be = float(b_val.real), float(b_err)
 
-    q_means, q_errs, diffs, combined = [], [], [], []
-    for s in stats:
+    rows, diffs, combined = [], [], []
+    for lam, s in zip(cfg.lambdas, stats):
         qm = s.mean.real
         qe = s.stderr_mean
-        q_means.append(qm)
-        q_errs.append(qe)
-        diffs.append(abs(qm - b_val.real))
-        combined.append(math.sqrt(qe**2 + b_err**2) + s.max_truncation)
+        diffs.append(abs(qm - b))
+        combined.append(math.sqrt(qe**2 + be**2) + s.max_truncation)
+        rows.append([lam, qm, qe, b, be, diffs[-1], combined[-1]])
     ok = all(
         diffs[i + 1] <= diffs[i] + combined[i] + combined[i + 1]
         for i in range(len(diffs) - 1)
     )
-    return KineticComparison(
-        cfg.lambdas,
-        tuple(q_means),
-        tuple(q_errs),
-        (float(b_val.real),) * len(cfg.lambdas),
-        (float(b_err),) * len(cfg.lambdas),
-        tuple(diffs),
-        tuple(combined),
-        ok,
-    )
-
-
-COMPARE_HEADER = [
-    "lam", "quantum_mean", "quantum_stderr", "boltzmann", "boltzmann_stderr",
-    "difference", "combined_error",
-]
-
-
-def compare_csv_rows(rep: KineticComparison):
-    return [
-        [float(l), float(q), float(qe), float(b), float(be), float(d), float(c)]
-        for l, q, qe, b, be, d, c in zip(
-            rep.lams, rep.quantum_mean, rep.quantum_stderr, rep.boltzmann_value,
-            rep.boltzmann_stderr, rep.differences, rep.combined_errors,
-        )
-    ]
+    return KineticComparison(rows, b, be, tuple(diffs), ok)
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +214,13 @@ def compare_csv_rows(rep: KineticComparison):
 # ---------------------------------------------------------------------------
 
 
+SUPNORM_HEADER = ["lam", "tau", "deviation", "sup_deviation"]
+
+
 @dataclass
 class TimeGridReport:
-    lams: tuple
-    taus: tuple
-    deviations: dict  # lam -> tuple of |<J,W> - <J,mu_tau>| on the grid
-    sup_deviation: dict
+    rows: list
+    sup_deviation: dict  # lam -> max over the grid of |<J,W> - <J,mu_tau>|
     decreasing_across_lams: bool
 
 
@@ -267,7 +232,7 @@ def run_timegrid_sup(cfg: ExperimentConfig) -> TimeGridReport:
 
     box = cfg.box()
     V = sample_disorder(box, cfg.master_seed, 1)
-    deviations = {}
+    rows = []
     sup = {}
     for lam in cfg.lambdas:
         eta = lam**2
@@ -281,22 +246,11 @@ def run_timegrid_sup(cfg: ExperimentConfig) -> TimeGridReport:
                 prev_tau = tau
             w = pair_wigner(cfg.observable, psi, eta).value.real
             devs.append(abs(w - mu))
-        deviations[lam] = tuple(devs)
         sup[lam] = max(devs)
+        rows += [[lam, tau, dev, sup[lam]] for tau, dev in zip(taus, devs)]
     sups = [sup[lam] for lam in cfg.lambdas]
     dec = all(b < a for a, b in zip(sups, sups[1:]))
-    return TimeGridReport(cfg.lambdas, taus, deviations, sup, dec)
-
-
-SUPNORM_HEADER = ["lam", "tau", "deviation", "sup_deviation"]
-
-
-def supnorm_csv_rows(rep: TimeGridReport):
-    rows = []
-    for lam in rep.lams:
-        for tau, dev in zip(rep.taus, rep.deviations[lam]):
-            rows.append([float(lam), float(tau), float(dev), float(rep.sup_deviation[lam])])
-    return rows
+    return TimeGridReport(rows, sup, dec)
 
 
 # ---------------------------------------------------------------------------
@@ -321,39 +275,29 @@ class ResolventReport:
     band_ratio: float
     two_res_exponent: float
     three_res_exponent: float
-    rows: list = field(default_factory=list)
+    rows: list
 
 
 def run_resolvent_suite() -> ResolventReport:
     """The three scaling sweeps at pinned spans, with their fitted exponents."""
-    rows = []
-
-    band_vals = []
+    rows, ratios = [], []
     for eps, N in BAND_SWEEP:
         v = integral_1res(GAMMA, eps, N)
-        band_vals.append((eps, v))
-        rows.append(["one_res", eps, v, v / abs(math.log(eps)), N, GAMMA, "", "", "", ""])
-    ratios = [v / abs(math.log(e)) for e, v in band_vals]
+        ratios.append(v / abs(math.log(eps)))
+        rows.append(["one_res", eps, v, ratios[-1], N, GAMMA, "", "", "", ""])
     band_ratio = max(ratios) / min(ratios)
 
-    eps2, vals2 = [], []
-    for eps, N in TWORES_SWEEP:
-        v = integral_2res(TWORES_P, GAMMA, GAMMA, eps, N)
-        eps2.append(eps)
-        vals2.append(v)
-    fit2 = fit_scaling(eps2, vals2, 2)
+    vals2 = [integral_2res(TWORES_P, GAMMA, GAMMA, eps, N) for eps, N in TWORES_SWEEP]
+    fit2 = fit_scaling([eps for eps, _ in TWORES_SWEEP], vals2, 2)
     for (eps, N), v in zip(TWORES_SWEEP, vals2):
         rows.append(
             ["two_res", eps, v, v / math.log(eps) ** 2, N, GAMMA, GAMMA, "",
              " ".join(map(str, TWORES_P)), fit2.exponent]
         )
 
-    eps3, vals3 = [], []
-    for eps, N in THREERES_SWEEP:
-        v = integral_3res(THREERES_K, GAMMA, GAMMA, eps, N, gamma3=GAMMA)
-        eps3.append(eps)
-        vals3.append(v)
-    fit3 = fit_scaling(eps3, vals3, 4)
+    vals3 = [integral_3res(THREERES_K, GAMMA, GAMMA, eps, N, gamma3=GAMMA)
+             for eps, N in THREERES_SWEEP]
+    fit3 = fit_scaling([eps for eps, _ in THREERES_SWEEP], vals3, 4)
     for (eps, N), v in zip(THREERES_SWEEP, vals3):
         rows.append(
             ["three_res", eps, v, v / abs(math.log(eps)) ** 4, N, GAMMA, GAMMA, GAMMA,
@@ -404,8 +348,6 @@ DUHAMEL_HEADER = ["order_cap", "residual_norm"]
 
 def run_duhamel_study(cfg: ExperimentConfig):
     """Residual norm of full evolution minus expansion partial sums."""
-    from kinlab.lattice import BoxSpec
-
     d = cfg.duhamel
     box = BoxSpec(d.L)
     rng = np.random.default_rng([cfg.master_seed, SEED_STUDY])

@@ -16,8 +16,6 @@ class EnsembleStats:
     sanity channel.  Raw per-realization values are retained.
     """
 
-    lam: float
-    eta: float
     values: list = field(default_factory=list)  # complex, realization order
     truncation_errors: list = field(default_factory=list)
 

@@ -163,9 +163,6 @@ def integral_3res(k, gamma1: float, gamma2: float, eps: float, N: int, gamma3: f
 
 @dataclass
 class ScalingFit:
-    eps_values: tuple
-    raw_values: tuple
-    polylog_degree: int
     exponent: float
     residual: float
 
@@ -182,4 +179,4 @@ def fit_scaling(eps_values, values, polylog_degree: int) -> ScalingFit:
     )
     slope, intercept = np.polyfit(x, y, 1)
     resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return ScalingFit(eps_values, values, polylog_degree, float(slope), resid)
+    return ScalingFit(float(slope), resid)

@@ -71,7 +71,6 @@ class TestObservable:
 @dataclass
 class WignerPairing:
     value: complex
-    eta: float
     xi_cutoff: tuple
     truncation_error: float
 
@@ -200,7 +199,7 @@ def pair_wigner_bilinear(
         raise ValueError("states live on different boxes")
     _check_resolution(J, eta, psi.box.side)
     value, cutoffs, trunc = _pair_position_arrays(J, phi.grid(), psi.grid(), eta, psi.box)
-    return WignerPairing(complex(value), eta, cutoffs, trunc)
+    return WignerPairing(complex(value), cutoffs, trunc)
 
 
 def pair_wigner(J: TestObservable, psi: WaveFunction, eta: float) -> WignerPairing:

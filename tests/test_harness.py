@@ -11,6 +11,7 @@ import pytest
 
 import kinlab
 from kinlab import boltzmann as bz
+from kinlab.bounds import variance_bound
 from kinlab.harness import experiments as ex
 from kinlab.harness.cli import main as cli_main
 from kinlab.harness.config import ConfigError, DuhamelStudySpec, ExperimentConfig, parse_config
@@ -190,12 +191,41 @@ def test_config_rejects_bad_vector(old, new):
         pytest.param("[duhamel]", "[duhamell]", id="unknown-section"),
         pytest.param("[run]\nlambdas = 0.6 0.45", "lambdas = 0.6 0.45\n[run]", id="key-before-section"),
         pytest.param("lambdas = 0.6 0.45", "lambdas = 0.6 0.45\nlambdas = 0.6 0.3", id="duplicate-key"),
+        pytest.param("lambdas = 0.6 0.45", "lambdas = 0.6 0", id="lambda-0"),
+        pytest.param("lambdas = 0.6 0.45", "lambdas = 1.5 0.6", id="lambda-above-1"),
+        pytest.param("lambdas = 0.6 0.45", "lambdas = 0.6 -0.45", id="lambda-negative"),
+        pytest.param("T = 0.2", "T = nan", id="T-nan"),
+        pytest.param("dt = 0.05", "dt = inf", id="dt-inf"),
     ],
 )
 def test_config_rejects_bad_value(old, new):
     assert SMALL_CFG.count(old) == 1
     with pytest.raises(ConfigError):
         parse_config(SMALL_CFG.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "command, text, extra",
+    [
+        pytest.param("graphs", SMALL_CFG.replace("lambdas = 0.6 0.45", "lambdas = 0.6 0"), [],
+                     id="config-error"),
+        pytest.param("graphs", SMALL_CFG, ["--seed", "-1"], id="seed-negative"),
+        pytest.param("selfavg", SMALL_CFG.replace("lambdas = 0.6 0.45", "lambdas = 0.6"), [],
+                     id="selfavg-one-coupling"),
+    ],
+)
+def test_cli_rejects_bad_input_as_usage_error(command, text, extra, tmp_path, monkeypatch, capsys):
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("an ensemble ran before the input was rejected")
+
+    monkeypatch.setattr(ex, "run_ensemble", no_ensemble)
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(text)
+    with pytest.raises(SystemExit) as err:
+        cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), *extra])
+    assert err.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_import_skips_scipy_optimize():
@@ -220,7 +250,7 @@ def test_config_rejects_nondescending():
 
 
 def test_single_realization_variance_undefined():
-    s = EnsembleStats(lam=0.3, eta=0.09, values=[1.0 + 0j])
+    s = EnsembleStats(values=[1.0 + 0j])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.isnan(s.variance)
@@ -343,11 +373,81 @@ def test_manifest_digest_roundtrip(tmp_path):
         load_manifest(p)
 
 
-def test_timegrid_report_max_dominates(cfg):
-    rep = ex.run_timegrid_sup(cfg)
-    for lam in rep.lams:
-        assert rep.sup_deviation[lam] == max(rep.deviations[lam])
-        assert all(d <= rep.sup_deviation[lam] for d in rep.deviations[lam])
+def _cli_run(command, tmp_path, capsys):
+    """Run `command` on SMALL_CFG; its output directory and stdout lines."""
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text(SMALL_CFG)
+    out = tmp_path / command
+    assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    return out, capsys.readouterr().out.splitlines()
+
+
+def test_report_csv_stdout_contract(cfg, tmp_path, capsys):
+    # the experiments' CSVs hold the values their runs compute, and stdout
+    # prints those rows' values
+    stats = {lam: ex.run_ensemble(cfg, lam) for lam in cfg.lambdas}
+
+    out, lines = _cli_run("selfavg", tmp_path, capsys)
+    rows = read_csv(out / "selfavg.csv")
+    assert [r["lam"] for r in rows] == list(cfg.lambdas)
+    for r in rows:
+        s = stats[r["lam"]]
+        assert (r["variance"], r["stderr_mean"], r["m2"], r["m4"]) == (
+            s.variance, s.stderr_mean, s.central_moment(2), s.central_moment(4)
+        )
+    assert math.isnan(rows[0]["envelope"])  # lam = 0.6 is outside lam <= 1/2
+    assert rows[1]["envelope"] == variance_bound(cfg.T, 0.45).envelope
+    assert lines[0] == f"variances: {tuple(r['variance'] for r in rows)}"
+    assert lines[1] == f"strictly decreasing: {rows[1]['variance'] < rows[0]['variance']}"
+
+    out, lines = _cli_run("compare", tmp_path, capsys)
+    rows = read_csv(out / "compare.csv")
+    assert [r["lam"] for r in rows] == list(cfg.lambdas)
+    for r, line in zip(rows, lines):
+        assert r["quantum_mean"] == stats[r["lam"]].mean.real
+        assert r["difference"] == abs(r["quantum_mean"] - r["boltzmann"])
+        assert line.startswith(f"lam={r['lam']}: |quantum - transport| = {r['difference']:.6g} ")
+
+    out, lines = _cli_run("supnorm", tmp_path, capsys)
+    rows = read_csv(out / "supnorm.csv")
+    for lam, line in zip(cfg.lambdas, lines):
+        mine = [r for r in rows if r["lam"] == lam]
+        assert len(mine) == cfg.tau_grid
+        sup = max(r["deviation"] for r in mine)
+        assert all(r["sup_deviation"] == sup for r in mine)
+        assert line == f"lam={lam}: sup deviation {sup:.6g}"
+
+
+def test_cli_stdout_reads_its_csv(cfg, tmp_path, capsys, monkeypatch):
+    out, lines = _cli_run("simulate", tmp_path, capsys)
+    s = ex.run_ensemble(cfg, 0.6)
+    rows = read_csv(out / "ensemble_lam0.6.csv")
+    assert [(r["value_re"], r["value_im"], r["truncation"]) for r in rows] == [
+        (v.real, v.imag, tr) for v, tr in zip(s.values, s.truncation_errors)
+    ]
+    assert lines[0].startswith(f"lam=0.6: n={len(rows)} mean={s.mean.real:.6g} "
+                               f"variance={s.variance:.6g} ")
+
+    out, lines = _cli_run("graphs", tmp_path, capsys)
+    n_graph, n_sched = len(read_csv(out / "graphs.csv")), len(read_csv(out / "schedule.csv"))
+    assert lines[0] == f"wrote {n_graph} classification rows, {n_sched} schedule rows"
+
+    out, lines = _cli_run("duhamel", tmp_path, capsys)
+    rows = read_csv(out / "duhamel.csv")
+    assert lines[:-1] == [f"order cap {r['order_cap']}: residual {r['residual_norm']:.6g}" for r in rows]
+
+    monkeypatch.setattr(ex, "BAND_SWEEP", ((1.0 / 3.0, 24), (0.2, 40)))
+    monkeypatch.setattr(ex, "TWORES_SWEEP", ((1.0 / 3.0, 24), (0.2, 40)))
+    monkeypatch.setattr(ex, "THREERES_SWEEP", ((1.0 / 3.0, 24), (0.2, 40)))
+    out, lines = _cli_run("resolvent", tmp_path, capsys)
+    rows = read_csv(out / "resolvent.csv")
+    ratios = [r["normalized"] for r in rows if r["sweep"] == "one_res"]
+    fits = {r["sweep"]: r["fit_exponent"] for r in rows}
+    assert lines[:3] == [
+        f"one-resolvent band ratio: {max(ratios) / min(ratios):.3f} (gate 3)",
+        f"two-resolvent exponent: {fits['two_res']:.3f} (gate 0.85)",
+        f"three-resolvent exponent: {fits['three_res']:.3f} (gate 0.82)",
+    ]
 
 
 def test_timegrid_needs_four_points(cfg):
