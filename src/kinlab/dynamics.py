@@ -7,7 +7,11 @@ amplitudes exist only inside the propagator and the expansion.  The
 propagator `evolve_full` takes Strang-split free/potential/free steps,
 unitary by construction, in one pass over its steps: a step is two
 in-place transforms and two in-place multiplies on one work array, and a
-phase grid is rebuilt only when the merged step length changes.
+phase grid is rebuilt only when the merged step length changes.  Neither
+kind of phase grid takes a complex exponential over the grid:
+`free_phase` is an outer product of three length-L exponentials, because
+e(k) is a sum over axes, and `kick_phase` writes cos and sin of the real
+argument into one complex array.
 
 The iterated-integral expansion of the full evolution in powers of lam is
 computed by the time-domain recursion
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kinlab.lattice import (
+    BoxSpec,
     DisorderField,
     WaveFunction,
     momentum_energies,
@@ -59,6 +64,28 @@ def _step_counts(t: float, dt: float) -> tuple:
     return n_full, rem
 
 
+def free_phase(box: BoxSpec, s: float) -> np.ndarray:
+    """exp(-i s e(k)) on the momentum grid of `box`, shape (L, L, L).
+
+    e(k) = 3 - sum_j cos(2 pi k_j), so the grid is exp(-3is) a (x) a (x) a
+    with a = exp(i s cos(2 pi k)) on one axis: three length-L exponentials
+    and one broadcast product.
+    """
+    L = box.side
+    a = np.exp(1j * s * np.cos(2.0 * np.pi * (np.arange(L) / L)))
+    return (np.exp(-3j * s) * a)[:, None, None] * (a[:, None] * a)
+
+
+def kick_phase(values: np.ndarray, x: float) -> np.ndarray:
+    """exp(-i x values) for real `values`, written as cos and sin of -x values
+    into the real and imaginary parts of one complex array."""
+    arg = -x * values
+    out = np.empty(values.shape, dtype=np.complex128)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
+
+
 def evolve_full(
     psi: WaveFunction, V: DisorderField, lam: float, t: float, cfg: PropagatorConfig
 ) -> WaveFunction:
@@ -71,7 +98,9 @@ def evolve_full(
     the merged free phase of the previous step's second half and this
     step's first half, after the last step that step's second half.  A free
     phase is rebuilt only when the merged step changes, and the potential
-    kick only when h does.
+    kick only when h does.  A free phase is `free_phase` at half the merged
+    step, built per axis; a kick is `kick_phase` at h * lam, built from cos
+    and sin.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -83,27 +112,26 @@ def evolve_full(
         return psi.copy()
 
     L = psi.box.side
-    e = momentum_energies(psi.box)
     vgrid = V.values.reshape(L, L, L)
 
     # momentum space; a fresh array, since psi.grid() is a view of the
-    # caller's state.  Each phase keeps the operand order of a per-step exp,
-    # so -0.5j * (dt + dt) reproduces the merged half steps bitwise
+    # caller's state.  A merged phase takes 0.5 * (prev + h), the operand
+    # order a per-step reference uses, so it reproduces that bitwise
     work = np.fft.fftn(psi.grid())
     prev = merged = kick_step = 0.0
     for h in steps:
         if prev + h != merged:
             merged = prev + h
-            phase = np.exp(-0.5j * merged * e)
+            phase = free_phase(psi.box, 0.5 * merged)
         work *= phase
         np.fft.ifftn(work, out=work)
         if h != kick_step:
             kick_step = h
-            kick = np.exp(-1j * h * lam * vgrid)
+            kick = kick_phase(vgrid, h * lam)
         work *= kick
         np.fft.fftn(work, out=work)
         prev = h
-    work *= np.exp(-0.5j * prev * e)
+    work *= free_phase(psi.box, 0.5 * prev)
     np.fft.ifftn(work, out=work)
     return WaveFunction(psi.box, work.ravel())
 

@@ -70,6 +70,8 @@ def main(argv=None) -> int:
         parser.error(str(e))
     if args.command == "selfavg" and len(cfg.lambdas) < 2:
         parser.error(f"selfavg fits a trend and needs at least two couplings, got {cfg.lambdas}")
+    if args.command == "simulate" and args.lam is not None and args.lam not in cfg.lambdas:
+        parser.error(f"--lam {args.lam} is not among the configured couplings {cfg.lambdas}")
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config_digest=cfg.digest(), master_seed=cfg.master_seed,

@@ -39,7 +39,8 @@ The sections are the dataclasses `ExperimentConfig` ([run]), `WkbSpec`,
 `TestObservable` and `DuhamelStudySpec`, one key per field (the observable's
 `coeffs` are written as `harmonics`).  A missing key takes its field's
 default; a field without a default is a required key.  Unknown keys and
-sections, and values the classes reject, raise ConfigError.
+sections, values the classes reject, and a file that cannot be read raise
+ConfigError.
 
 All physical numbers are in lattice units (spacing 1, hbar 1); eta = lam^2
 throughout.  Loading validates the per-coupling box budget
@@ -245,5 +246,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path) as f:
-        return parse_config(f.read())
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read config: {e}") from None
+    return parse_config(text)

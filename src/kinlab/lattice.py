@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erf
 
 
 class BoxTooSmall(ValueError):
@@ -235,7 +234,7 @@ def envelope_tail_mass(spec: WkbSpec, eta: float, box: BoxSpec) -> float:
     for c in spec.center:
         lo = (-half - c) / (spec.sigma * math.sqrt(2.0))
         hi = (half - c) / (spec.sigma * math.sqrt(2.0))
-        inside *= 0.5 * (erf(hi) - erf(lo))
+        inside *= 0.5 * (math.erf(hi) - math.erf(lo))
     return 1.0 - inside
 
 

@@ -23,11 +23,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from kinlab.lattice import WaveFunction, WkbSpec
 
 GAUSS_TAIL_THRESHOLD = 1e-10  # relative cutoff of the Fourier factor per axis
+# Fourier mass of one axis's Gaussian beyond that cutoff: the erfc argument
+# sqrt(2) pi sigma cutoff / eta is sqrt(ln(1/threshold)) for every eta and sigma
+AXIS_TAIL_FRACTION = math.erfc(math.sqrt(math.log(1 / GAUSS_TAIL_THRESHOLD)))
 ALIAS_LIMIT = 1e-2  # box-periodization budget triggering ResolutionTooCoarse
 
 
@@ -85,7 +87,8 @@ def _alias_fractions(J: TestObservable, eta: float, side: int) -> np.ndarray:
 def _axis_table(J: TestObservable, eta: float, side: int, axis: int, mu: int):
     """Per-axis xi table: sum over images of conj(g^_eta) e^(-pi i mu xi).
 
-    Returns (table[j], cutoff, tail_fraction) for j = 0..L-1.
+    Returns (table[j], cutoff) for j = 0..L-1; the Fourier mass beyond the
+    cutoff is AXIS_TAIL_FRACTION on every axis.
     """
     sigma = J.sigma[axis]
     c = J.center[axis]
@@ -104,8 +107,7 @@ def _axis_table(J: TestObservable, eta: float, side: int, axis: int, mu: int):
         x = xi[keep]
         ghat = peak * np.exp(-2.0 * (math.pi * sigma * x / eta) ** 2) * np.exp(-2j * math.pi * x * c / eta)
         table[keep] += np.conj(amp_axis * ghat) * np.exp(-1j * math.pi * mu * x)
-    tail = float(erfc(math.sqrt(2.0) * math.pi * sigma * cutoff / eta))
-    return table, cutoff, tail
+    return table, cutoff
 
 
 def _axis_gauss_abs(J, eta, coords, axis, half_shift, image):
@@ -134,7 +136,6 @@ def _pair_position_arrays(J, p, s, eta, box):
 
     value = 0.0 + 0.0j
     cutoffs = (0.0, 0.0, 0.0)
-    tails = np.zeros(3)
     coeff_l1 = 0.0
     alias_total = 0.0
     table_cache = {}
@@ -144,12 +145,11 @@ def _pair_position_arrays(J, p, s, eta, box):
         for ax in range(3):
             key = (ax, m[ax])
             if key not in table_cache:
-                table, cutoff, tail = _axis_table(J, eta, side, ax, m[ax])
+                table, cutoff = _axis_table(J, eta, side, ax, m[ax])
                 # the xi sum of the table becomes a per-site factor f_mj
-                table_cache[key] = (np.fft.fft(table), cutoff, tail)
+                table_cache[key] = (np.fft.fft(table), cutoff)
             tabs.append(table_cache[key])
         cutoffs = tuple(t[1] for t in tabs)
-        tails = np.maximum(tails, [t[2] for t in tabs])
 
         shift = tuple(-c for c in m)
         q = np.conj(np.roll(p, shift, axis=(0, 1, 2))) * s
@@ -170,7 +170,7 @@ def _pair_position_arrays(J, p, s, eta, box):
     norm_phi = math.sqrt(np.einsum("ijk,ijk->", abs_p, abs_p))
     norm_psi = math.sqrt(np.einsum("ijk,ijk->", abs_s, abs_s))
     trunc = (
-        norm_phi * norm_psi * coeff_l1 * abs(J.amplitude) * float(np.sum(tails))
+        norm_phi * norm_psi * coeff_l1 * abs(J.amplitude) * (3.0 * AXIS_TAIL_FRACTION)
         + 2.0 * alias_total
     )
     return value, cutoffs, trunc

@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinlab.dynamics import PropagatorConfig, duhamel_ladder, duhamel_residuals, evolve_full
-from kinlab.lattice import BoxSpec, DisorderField, WaveFunction, sample_disorder
+from kinlab.dynamics import (
+    PropagatorConfig,
+    duhamel_ladder,
+    duhamel_residuals,
+    evolve_full,
+    free_phase,
+    kick_phase,
+)
+from kinlab.lattice import BoxSpec, DisorderField, WaveFunction, momentum_energies, sample_disorder
 from kinlab.wigner import pair_wigner
 
 from conftest import (
@@ -114,7 +121,14 @@ def test_full_gauge_shift_constant(rng):
 
 
 def per_step_exp_reference(psi, V, lam, t, dt):
-    """The split step with both phases recomputed by np.exp on every step."""
+    """The split step with both phases rebuilt on every step.
+
+    The free phase exp(-i s e) is exp(-3is) times the outer product of
+    a = exp(i s cos 2 pi k) over the three axes, and the kick exp(-i x V) is
+    cos(-x V) + i sin(-x V): the same formulas as the propagator's builders,
+    written out here so that the bitwise gate checks only how `evolve_full`
+    merges and reuses them.
+    """
     n_full = int(math.floor(t / dt + 1e-12))
     rem = t - n_full * dt
     steps = [dt] * n_full
@@ -123,21 +137,40 @@ def per_step_exp_reference(psi, V, lam, t, dt):
     if not steps:
         return psi.values.copy()
     L = psi.box.side
-    freqs = np.arange(L) / L
-    c = np.cos(2.0 * np.pi * freqs)
-    e = 3.0 - (c[:, None, None] + c[None, :, None] + c[None, None, :])
+    c = np.cos(2.0 * np.pi * (np.arange(L) / L))
     vgrid = V.values.reshape(L, L, L)
+
+    def free(s):
+        a = np.exp(1j * s * c)
+        return (np.exp(-3j * s) * a)[:, None, None] * (a[:, None] * a)
+
+    def kick(x):
+        arg = -x * vgrid
+        return np.cos(arg) + 1j * np.sin(arg)
+
     work = np.fft.fftn(psi.grid())
-    work *= np.exp(-0.5j * steps[0] * e)
+    work *= free(0.5 * steps[0])
     for j, h in enumerate(steps):
         work = np.fft.ifftn(work)
-        work *= np.exp(-1j * h * lam * vgrid)
+        work *= kick(h * lam)
         work = np.fft.fftn(work)
         if j + 1 < len(steps):
-            work *= np.exp(-0.5j * (h + steps[j + 1]) * e)
+            work *= free(0.5 * (h + steps[j + 1]))
         else:
-            work *= np.exp(-0.5j * h * e)
+            work *= free(0.5 * h)
     return np.fft.ifftn(work).ravel()
+
+
+@pytest.mark.parametrize("side", [4, 12, 16, 64])
+def test_phase_builders_match_exp(side):
+    box = BoxSpec(side)
+    e = momentum_energies(box)
+    for s in np.linspace(-3.0, 3.0, 25).tolist() + [0.025, 0.05]:
+        assert np.max(np.abs(free_phase(box, s) - np.exp(-1j * s * e))) <= 1e-14
+    vgrid = sample_disorder(box, 11, 3).values.reshape(side, side, side)
+    for h, lam in [(0.05, 0.6), (0.05, 0.45), (0.03, 0.3), (0.1, 1.0), (0.1, 0.0)]:
+        want = np.exp(-1j * h * lam * vgrid)
+        assert np.max(np.abs(kick_phase(vgrid, h * lam) - want)) <= 2.3e-16
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.6])

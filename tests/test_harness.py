@@ -14,7 +14,13 @@ from kinlab import boltzmann as bz
 from kinlab.bounds import variance_bound
 from kinlab.harness import experiments as ex
 from kinlab.harness.cli import main as cli_main
-from kinlab.harness.config import ConfigError, DuhamelStudySpec, ExperimentConfig, parse_config
+from kinlab.harness.config import (
+    ConfigError,
+    DuhamelStudySpec,
+    ExperimentConfig,
+    load_config,
+    parse_config,
+)
 from kinlab.lattice import TrigPolynomial, WkbSpec, group_velocity, wkb_state
 from kinlab.harness.manifest import RunManifest
 from kinlab.harness.stats import EnsembleStats, bootstrap_slope
@@ -212,6 +218,8 @@ def test_config_rejects_bad_value(old, new):
         pytest.param("graphs", SMALL_CFG, ["--seed", "-1"], id="seed-negative"),
         pytest.param("selfavg", SMALL_CFG.replace("lambdas = 0.6 0.45", "lambdas = 0.6"), [],
                      id="selfavg-one-coupling"),
+        pytest.param("simulate", SMALL_CFG, ["--lam", "0.5"], id="simulate-lam-not-configured"),
+        pytest.param("graphs", None, [], id="config-missing"),
     ],
 )
 def test_cli_rejects_bad_input_as_usage_error(command, text, extra, tmp_path, monkeypatch, capsys):
@@ -220,7 +228,8 @@ def test_cli_rejects_bad_input_as_usage_error(command, text, extra, tmp_path, mo
 
     monkeypatch.setattr(ex, "run_ensemble", no_ensemble)
     cfg_path = tmp_path / "cfg.ini"
-    cfg_path.write_text(text)
+    if text is not None:
+        cfg_path.write_text(text)
     with pytest.raises(SystemExit) as err:
         cli_main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o"), *extra])
     assert err.value.code == 2
@@ -236,6 +245,29 @@ def test_cli_import_skips_scipy_optimize():
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_load_config_unreadable_is_config_error(kind, tmp_path):
+    # a missing file is a case of test_cli_rejects_bad_input_as_usage_error
+    path = tmp_path / "cfg.ini"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"[run]\nlambdas = 0.6\xff\n")
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(path)
+
+
+def test_quantum_modules_import_without_scipy():
+    # a fresh interpreter; kinlab.resolvent, which needs scipy.fft, is not imported
+    code = ("import sys, kinlab.harness.config, kinlab.dynamics, kinlab.wigner; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(kinlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_config_rejects_nondescending():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
+from scipy.special import erfc
 
 from kinlab.dynamics import PropagatorConfig, evolve_full
 from kinlab.lattice import (
@@ -16,6 +17,8 @@ from kinlab.lattice import (
     wkb_state,
 )
 from kinlab.wigner import (
+    AXIS_TAIL_FRACTION,
+    GAUSS_TAIL_THRESHOLD,
     ResolutionTooCoarse,
     _axis_gauss_abs,
     _axis_table,
@@ -77,14 +80,12 @@ def momentum_reference(J, phi, psi, eta):
     abs_psi = np.abs(np.fft.ifftn(Fpsi)) * math.sqrt(volume)
 
     value = 0.0 + 0.0j
-    tails = np.zeros(3)
     coeff_l1 = 0.0
     alias_total = 0.0
     for m, cm in J.coeffs:
         coeff_l1 += abs(cm)
         tabs = [_axis_table(J, eta, side, ax, m[ax]) for ax in range(3)]
         cutoffs = tuple(t[1] for t in tabs)
-        tails = np.maximum(tails, [t[2] for t in tabs])
 
         phases = [np.exp(2j * np.pi * m[ax] * np.arange(side) / side) for ax in range(3)]
         G = Fphi * phases[0][:, None, None] * phases[1][None, :, None] * phases[2][None, None, :]
@@ -105,10 +106,19 @@ def momentum_reference(J, phi, psi, eta):
         * float(np.linalg.norm(Fpsi))
         * coeff_l1
         * abs(J.amplitude)
-        * float(np.sum(tails))
+        * (3.0 * AXIS_TAIL_FRACTION)
         + 2.0 * alias_total
     )
     return value, cutoffs, trunc
+
+
+@pytest.mark.parametrize("eta", [0.09, 0.2025, 0.36])
+@pytest.mark.parametrize("sigma", [0.35, 0.8, 1.0])
+def test_axis_tail_fraction_independent_of_eta_and_sigma(eta, sigma):
+    # the Gaussian factor's mass beyond the per-axis cutoff, as the pairing defines it
+    cutoff = (eta / (2.0 * math.pi * sigma)) * math.sqrt(2.0 * math.log(1.0 / GAUSS_TAIL_THRESHOLD))
+    tail = erfc(math.sqrt(2.0) * math.pi * sigma * cutoff / eta)
+    assert abs(tail - AXIS_TAIL_FRACTION) <= 1e-14 * AXIS_TAIL_FRACTION
 
 
 OBSERVABLE = make_observable(
