@@ -4,16 +4,19 @@ All integrals use the rectangle rule on uniform N^3 momentum grids with the
 resolution contract N >= 8/eps (the integrands vary on scale eps near the
 level sets of the dispersion).
 
-The one- and two-resolvent rules are streamed slab by slab and folded by
-lattice symmetry: along an axis whose shift p is 0 or 1/2 mod 1, the pair
-(cos 2pi(i/N + p), cos 2pi i/N) is unchanged under i -> N - i, so only the
-indices 0..N//2 are visited, with multiplicities as weights.  The
-six-dimensional three-resolvent integral needs even N and works on the same
-folded (N/2 + 1)^3 grid: the unshifted moduli are even in every axis, so
-their convolution is one DCT-I product, and the shifted third modulus is
-streamed slab by slab, each slab folded onto the mirror classes before its
-reduction.  Its transforms run on one thread.  Scaling fits divide out a
-stated power of |log eps| first and regress the remainder against log(1/eps).
+The one- and two-resolvent rules are folded by lattice symmetry: along an
+axis whose shift p is 0 or 1/2 mod 1, the pair (cos 2pi(i/N + p), cos 2pi i/N)
+is unchanged under i -> N - i, so only the indices 0..N//2 are visited, with
+multiplicities as weights.  Two axes with the same shift are interchangeable,
+so that pair is visited at i <= j only, and the third axis is streamed over
+it.  The six-dimensional three-resolvent integral needs even N and works on
+the same folded (N/2 + 1)^3 grid: the unshifted moduli are even in every
+axis, so their convolution is one DCT-I product, and the shifted third
+modulus is streamed slab by slab, each slab folded onto the mirror classes
+before its reduction.  The DCT-I is numpy's real FFT of the even extension,
+one slab at a time.  Reductions use einsum, whose sum order does not depend
+on a BLAS thread count.  Scaling fits divide out a stated power of |log eps|
+first and regress the remainder against log(1/eps).
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 
 
 @dataclass(frozen=True)
@@ -65,36 +67,58 @@ def _axis_weights(N: int, shift: float) -> np.ndarray:
     return w
 
 
-def _modulus_slab(c1: np.ndarray, c2: np.ndarray, c3_val: float, gamma: float, eps: float) -> np.ndarray:
-    """1/|e(k) - gamma - i eps| on one slab of fixed c3; e = 3 - c1 - c2 - c3."""
-    re = (3.0 - c3_val - gamma) - c1[:, None] - c2[None, :]
+def _reciprocal_modulus(re: np.ndarray, eps: float) -> np.ndarray:
+    """1/|re - i eps|, in place."""
     np.square(re, out=re)
     re += eps**2
     np.sqrt(re, out=re)
     return np.reciprocal(re, out=re)
 
 
+def _modulus_slab(c1: np.ndarray, c2: np.ndarray, c3_val: float, gamma: float, eps: float) -> np.ndarray:
+    """1/|e(k) - gamma - i eps| on one slab of fixed c3; e = 3 - c1 - c2 - c3."""
+    return _reciprocal_modulus((3.0 - c3_val - gamma) - c1[:, None] - c2[None, :], eps)
+
+
 def _folded_rule(p, eps: float, N: int, gamma1: float, gamma2: float = None) -> float:
     """N^-3 sum over the grid u of |R_gamma1(u + p)|, times |R_gamma2(u)| if gamma2 is given.
 
-    Each axis visits the indices its `_axis_weights` cover; a slab of fixed
-    third index is reduced as w1 @ slab @ w2 and scaled by its own weight.
+    Each axis visits the indices its `_axis_weights` cover.  The integrand
+    depends on the axes only through the sum of their cosines, so two axes
+    a, b with the same shift are interchangeable: their index pairs are
+    visited at i <= j only, with the off-diagonal weights doubled.  With no
+    such pair, axes 0 and 1 are paired whole.  The pair's cosine sums and
+    weights are flattened once; each index of the third axis is then one
+    1-D buffer, reduced against the pair weights.
     """
     p = np.asarray(p, dtype=float) % 1.0
-    w1, w2, w3 = weights = [_axis_weights(N, float(s)) for s in p]
+    a, b = next(((a, b) for a, b in ((0, 1), (0, 2), (1, 2)) if p[a] == p[b]), (0, 1))
+    t = 3 - a - b
+    weights = [_axis_weights(N, float(s)) for s in p]
     shifted = [_axis_cos(N, shift=float(s))[: len(w)] for s, w in zip(p, weights)]
     plain = [_axis_cos(N)[: len(w)] for w in weights]
+    if p[a] == p[b]:
+        i, j = np.triu_indices(len(weights[a]))
+        mult = np.where(i == j, 1.0, 2.0)
+    else:
+        i, j = np.indices((len(weights[a]), len(weights[b]))).reshape(2, -1)
+        mult = 1.0
+    pair_w = weights[a][i] * weights[b][j] * mult
+    pair_shifted = shifted[a][i] + shifted[b][j]
+    pair_plain = plain[a][i] + plain[b][j]
+    line, line2 = np.empty_like(pair_w), np.empty_like(pair_w)
     total = 0.0
-    for j, wj in enumerate(w3.tolist()):
-        slab = _modulus_slab(shifted[0], shifted[1], shifted[2][j], gamma1, eps)
+    for wt, cs, cp in zip(weights[t].tolist(), shifted[t].tolist(), plain[t].tolist()):
+        f = _reciprocal_modulus(np.subtract(3.0 - cs - gamma1, pair_shifted, out=line), eps)
         if gamma2 is not None:
-            slab *= _modulus_slab(plain[0], plain[1], plain[2][j], gamma2, eps)
-        total += wj * float(w1 @ slab @ w2)
+            f *= _reciprocal_modulus(np.subtract(3.0 - cp - gamma2, pair_plain, out=line2), eps)
+        # einsum, not BLAS: a threaded dot would change the sum order with the thread count
+        total += wt * float(np.einsum("i,i->", pair_w, f))
     return total / N**3
 
 
 def integral_1res(gamma: float, eps: float, N: int) -> float:
-    """Torus average of 1/|e - gamma - i eps| (rectangle rule, slab-streamed, folded)."""
+    """Torus average of 1/|e - gamma - i eps| (rectangle rule, folded, streamed)."""
     ResolventProbe(gamma, eps, N)
     return _folded_rule((0.0, 0.0, 0.0), eps, N, gamma)
 
@@ -104,7 +128,9 @@ def integral_2res(p, gamma1: float, gamma2: float, eps: float, N: int) -> float:
 
     p enters through the shifted cosine table, on or off the grid.  Axes
     with p = 0 or 1/2 mod 1 are folded onto their N//2 + 1 distinct cosine
-    values; at p in {0, 1/2}^3 the work is (N//2 + 1)^3 instead of N^3.
+    values, and two axes with equal p are visited at i <= j only: at
+    p = (1/2, 0, 0) the work is n^2 (n + 1) / 2 points, n = N//2 + 1, instead
+    of N^3.
     """
     ResolventProbe(gamma1, eps, N)
     ResolventProbe(gamma2, eps, N)
@@ -120,6 +146,25 @@ def _folded_grid(gamma: float, eps: float, N: int) -> np.ndarray:
     return out
 
 
+def _dct1(x: np.ndarray) -> np.ndarray:
+    """Unnormalised DCT-I of a cube along axes 0, 1, 2, in place: scipy.fft.dctn(x, type=1).
+
+    The DCT-I of a line x_0..x_h is the real part of the DFT of its even
+    extension x_0..x_h, x_{h-1}..x_1 of length 2h.  Each slab of lines is
+    copied into one extension buffer, reused for the whole cube, and
+    transformed with numpy's real FFT.
+    """
+    n = x.shape[0]
+    h = n - 1
+    ext = np.empty((n, 2 * h))
+    for axis in range(3):
+        for slab in np.moveaxis(x, axis, -1):
+            ext[:, :n] = slab
+            ext[:, n:] = slab[:, h - 1 : 0 : -1]
+            slab[...] = np.fft.rfft(ext).real
+    return x
+
+
 def integral_3res(k, gamma1: float, gamma2: float, eps: float, N: int, gamma3: float = None) -> float:
     """Average over (p, q) of |R1(p)| |R2(q)| |R3(p + q + k)|, for even N.
 
@@ -128,11 +173,12 @@ def integral_3res(k, gamma1: float, gamma2: float, eps: float, N: int, gamma3: f
     every axis, so H is too, and for even N the DFT of an even sequence is
     the DCT-I of its indices 0..N/2: H = idctn(dctn(|R1|) dctn(|R2|)) on the
     folded (N/2 + 1)^3 grids (one grid and one forward transform when
-    gamma1 == gamma2), transformed in place on one thread.  |R3(x + k)| is
-    streamed in N x N slabs of fixed x1, on or off the grid; each slab is
-    summed over the mirror classes {j, N - j} of its two axes and contracted
-    with the contiguous row H[min(x1, N - x1)].  |R2| is even, so the
-    average of |R1(p)| |R2(q)| |R3(p - q + k)| is the same number.
+    gamma1 == gamma2).  The transforms are `_dct1`, in place; the inverse
+    is the same transform divided by N^3.  |R3(x + k)| is streamed in N x N
+    slabs of fixed x1, on or off the grid; each slab is summed over the
+    mirror classes {j, N - j} of its two axes and contracted with the
+    contiguous row H[min(x1, N - x1)].  |R2| is even, so the average of
+    |R1(p)| |R2(q)| |R3(p - q + k)| is the same number.
     """
     if gamma3 is None:
         gamma3 = gamma2
@@ -142,12 +188,13 @@ def integral_3res(k, gamma1: float, gamma2: float, eps: float, N: int, gamma3: f
     if N % 2:
         raise ValueError(f"integral_3res needs even N (got N={N}): DCT-I is the DFT of an even sequence only then")
     h = N // 2
-    H = sfft.dctn(_folded_grid(gamma2, eps, N), type=1, overwrite_x=True)
+    H = _dct1(_folded_grid(gamma2, eps, N))
     if gamma1 == gamma2:
         H *= H
     else:
-        H *= sfft.dctn(_folded_grid(gamma1, eps, N), type=1, overwrite_x=True)
-    H = sfft.idctn(H, type=1, overwrite_x=True)
+        H *= _dct1(_folded_grid(gamma1, eps, N))
+    H = _dct1(H)
+    H /= N**3
     c = [_axis_cos(N, shift=float(s)) for s in np.asarray(k, dtype=float) % 1.0]
     total = 0.0
     for i1 in range(N):

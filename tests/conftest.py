@@ -1,11 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+import kinlab
 from kinlab.harness.manifest import RunManifest
 from kinlab.lattice import (
     BoxSpec,
@@ -67,6 +72,15 @@ def read_csv(path):
                         d[key] = cell
             out.append(d)
     return out
+
+
+def run_fresh_python(code: str, **env) -> str:
+    """Stdout of `code` run in a fresh interpreter that imports this kinlab, with extra env vars."""
+    src = str(Path(kinlab.__file__).resolve().parents[1])
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
 
 
 def load_manifest(path) -> RunManifest:

@@ -1,15 +1,10 @@
 import dataclasses
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import kinlab
 from kinlab import boltzmann as bz
 from kinlab.bounds import variance_bound
 from kinlab.harness import experiments as ex
@@ -26,7 +21,7 @@ from kinlab.harness.manifest import RunManifest
 from kinlab.harness.stats import EnsembleStats, bootstrap_slope
 from kinlab.wigner import TestObservable, pair_wigner, wkb_limit_sampler
 
-from conftest import evolve_free, load_manifest, read_csv
+from conftest import evolve_free, load_manifest, read_csv, run_fresh_python
 from test_graphs import connected_count
 
 SMALL_CFG = """
@@ -237,14 +232,12 @@ def test_cli_rejects_bad_input_as_usage_error(command, text, extra, tmp_path, mo
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_import_skips_scipy_optimize():
+def test_cli_and_resolvent_load_no_scipy():
     # a fresh interpreter, so modules other tests imported do not count
-    code = "import sys, kinlab.harness.cli; print('scipy.optimize' in sys.modules)"
-    src = str(Path(kinlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    code = ("import sys, kinlab.harness.cli; from kinlab.resolvent import integral_3res; "
+            "integral_3res((0.25, 0.25, 0.25), 3.0, 3.0, 0.1, 96); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert run_fresh_python(code).strip() == "[]"
 
 
 @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
@@ -257,17 +250,6 @@ def test_load_config_unreadable_is_config_error(kind, tmp_path):
         path.write_bytes(b"[run]\nlambdas = 0.6\xff\n")
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config(path)
-
-
-def test_quantum_modules_import_without_scipy():
-    # a fresh interpreter; kinlab.resolvent, which needs scipy.fft, is not imported
-    code = ("import sys, kinlab.harness.config, kinlab.dynamics, kinlab.wigner; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = str(Path(kinlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
 
 
 def test_config_rejects_nondescending():

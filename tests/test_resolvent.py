@@ -3,9 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
+from conftest import run_fresh_python
 from kinlab.resolvent import (
     ResolventProbe,
+    _dct1,
     _folded_grid,
     fit_scaling,
     integral_1res,
@@ -90,6 +93,26 @@ def test_2res_exceptional_enhancement():
     v_exc = integral_2res((0.0, 0.0, 0.0), 3.0, 3.0, 0.02, 512)
     v_reg = integral_2res((0.5, 0.0, 0.0), 3.0, 3.0, 0.02, 512)
     assert v_exc >= 3.0 * v_reg
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 65])
+def test_dct1_matches_scipy_dctn(n):
+    # bitwise: both run pocketfft's real FFT on the same even extension, axes 0, 1, 2 in turn
+    x = np.random.default_rng(n).standard_normal((n, n, n))
+    ref = sfft.dctn(x, type=1)
+    out = _dct1(x)
+    assert out is x
+    np.testing.assert_array_equal(out, ref)
+
+
+def test_integrals_independent_of_blas_threads():
+    # sizes where a BLAS dot would split its sum across threads
+    code = ("from kinlab.resolvent import integral_1res, integral_2res, integral_3res; "
+            "print(repr((integral_1res(3.0, 0.01, 800), "
+            "integral_2res((0.5, 0.0, 0.0), 3.0, 3.0, 0.02, 512), "
+            "integral_3res((0.25, 0.25, 0.25), 3.0, 3.0, 0.1, 96))))")
+    one, two = (run_fresh_python(code, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+    assert one == two
 
 
 def test_3res_factorized_bounds():
@@ -190,7 +213,11 @@ def test_1res_matches_full_grid_sum(N):
 
 
 @pytest.mark.parametrize("N", [24, 33, 48])
-@pytest.mark.parametrize("p", [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.25, 0.0, 0.75), OFF_GRID_P])
+@pytest.mark.parametrize(
+    "p",
+    # (0.3, 0.3, 0.1) folds an off-grid pair of axes; (0, 1/2, 0) folds axes 0 and 2
+    [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.25, 0.0, 0.75), OFF_GRID_P, (0.3, 0.3, 0.1), (0.0, 0.5, 0.0)],
+)
 def test_2res_matches_full_grid_sum(N, p):
     eps = 1.0 / 3.0
     for gamma1, gamma2 in ((3.0, 3.0), (2.0, 4.0)):
