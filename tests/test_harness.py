@@ -240,6 +240,19 @@ def test_cli_and_resolvent_load_no_scipy():
     assert run_fresh_python(code).strip() == "[]"
 
 
+def test_cli_import_skips_scipy_optimize():
+    # a fresh interpreter, so modules other tests imported do not count
+    code = "import sys, kinlab.harness.cli; print('scipy.optimize' in sys.modules)"
+    assert run_fresh_python(code).strip() == "False"
+
+
+def test_quantum_modules_import_without_scipy():
+    # a fresh interpreter; kinlab.resolvent is covered by test_cli_and_resolvent_load_no_scipy
+    code = ("import sys, kinlab.harness.config, kinlab.dynamics, kinlab.wigner; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run_fresh_python(code).strip() == "[]"
+
+
 @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
 def test_load_config_unreadable_is_config_error(kind, tmp_path):
     # a missing file is a case of test_cli_rejects_bad_input_as_usage_error
