@@ -11,11 +11,11 @@ expansion.
 
 Modules
 -------
-lattice    dispersion, box geometry, disorder fields, position-space states
-           and their momentum amplitudes, semiclassical wave-packet
-           construction
+lattice    dispersion, box geometry, disorder fields, position-space states,
+           semiclassical wave-packet construction
 dynamics   the split-step propagator, iterated-integral expansion of the
-           full evolution, residual norms of its partial sums
+           full evolution, residual norms of its partial sums; the only
+           module with momentum arrays (numpy's unnormalised fftn)
 wigner     phase-space test observables and Wigner pairings
 boltzmann  particle Monte Carlo for the linear Boltzmann equation
 resolvent  torus integrals of resolvent products and scaling fits
@@ -33,8 +33,6 @@ from kinlab.lattice import (
     dispersion,
     group_velocity,
     sample_disorder,
-    to_momentum,
-    to_position,
     wkb_state,
 )
 
@@ -49,8 +47,6 @@ __all__ = [
     "dispersion",
     "group_velocity",
     "sample_disorder",
-    "to_momentum",
-    "to_position",
     "wkb_state",
     "__version__",
 ]

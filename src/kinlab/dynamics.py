@@ -2,8 +2,10 @@
 
 The full Hamiltonian is H = H0 + lam*V with H0 the nearest-neighbor kinetic
 term (multiplication by e(k) in momentum space) and V a diagonal on-site
-potential.  States are position-space fields throughout; momentum
-amplitudes exist only inside the propagator and the expansion.  The
+potential.  States are position-space fields throughout.  Momentum arrays
+exist only inside this module, in numpy's unnormalised convention: the
+propagator and the expansion enter momentum space with `fftn` of the
+position grid, multiply by `free_phase`, and leave with `ifftn`.  The
 propagator `evolve_full` takes Strang-split free/potential/free steps,
 unitary by construction, in one pass over its steps: a step is two
 in-place transforms and two in-place multiplies on one work array, and a
@@ -32,14 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kinlab.lattice import (
-    BoxSpec,
-    DisorderField,
-    WaveFunction,
-    momentum_energies,
-    to_momentum,
-    to_position,
-)
+from kinlab.lattice import BoxSpec, DisorderField, WaveFunction
 
 
 # Highest expansion order `duhamel_ladder` computes.
@@ -159,7 +154,8 @@ def duhamel_ladder(
     B_n <- B_n e^{-ih H0} + rho and phi_n <- -ih (B_n - rho/2).  The
     recursion runs with unit coupling and order n is scaled by lam^n at the
     end, so rescaling lam rescales term n by the exact n-th power; order 0
-    is the free evolution.
+    is the free evolution.  The free step is `free_phase` at h, and each
+    multiplication by V runs through one reused position-space array.
     """
     if N < 0:
         raise ValueError("order cap must be nonnegative")
@@ -167,20 +163,28 @@ def duhamel_ladder(
         raise ValueError(f"order cap {N} above MAX_ORDER {MAX_ORDER}")
     if t < 0:
         raise ValueError("t must be nonnegative")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if V.box != psi0.box:
+        raise ValueError("state and disorder live on different boxes")
 
-    L = psi0.box.side
+    box = psi0.box
+    L = box.side
     vgrid = V.values.reshape(L, L, L)
     m = max(1, int(math.ceil(t / dt - 1e-12)))
     h = t / m
-    step_phase = np.exp(-1j * h * momentum_energies(psi0.box))
+    step_phase = free_phase(box, h)
+    work = np.empty((L, L, L), dtype=np.complex128)
 
     def mult_v(phi_hat):
-        pos = np.fft.ifftn(phi_hat)
-        pos *= vgrid
-        return np.fft.fftn(pos, out=pos)
+        # V phi in momentum space, returned in `work`: each result is used
+        # up before the next call overwrites it
+        np.fft.ifftn(phi_hat, out=work)
+        np.multiply(work, vgrid, out=work)
+        return np.fft.fftn(work, out=work)
 
     # momentum-space slices at t_0 = 0: only order 0 is nonzero there
-    phi = [to_momentum(psi0)] + [np.zeros_like(vgrid, dtype=np.complex128) for _ in range(N)]
+    phi = [np.fft.fftn(psi0.grid())] + [np.zeros_like(work) for _ in range(N)]
     B = [0.5 * mult_v(p) for p in phi[:N]]
     for _ in range(m):
         phi[0] *= step_phase
@@ -190,7 +194,7 @@ def duhamel_ladder(
             acc += rho
             phi[n] = -1j * h * (acc - 0.5 * rho)
 
-    return [to_position(p * lam**n) for n, p in enumerate(phi)]
+    return [WaveFunction(box, np.fft.ifftn(p * lam**n).ravel()) for n, p in enumerate(phi)]
 
 
 def duhamel_residuals(
@@ -207,7 +211,7 @@ def duhamel_residuals(
     from `duhamel_ladder` on a grid of step at most cfg.dt.
     """
     terms = duhamel_ladder(N, t, psi0, V, lam, cfg.dt)
-    acc = evolve_full(psi0, V, lam, t, cfg).values.copy()
+    acc = evolve_full(psi0, V, lam, t, cfg).values
     residuals = []
     for term in terms:
         acc -= term.values

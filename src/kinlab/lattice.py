@@ -7,11 +7,12 @@ Conventions used throughout the package:
   with centered coordinate ``x = ((idx + L/2) mod L) - L/2``, so the box
   covers {-L/2, ..., L/2-1}^3 and the periodic seam sits at the faces.
 * A ``WaveFunction`` is always a position-space field.  Momentum space is
-  the unit torus sampled on {0, 1/L, ..., (L-1)/L}^3, and momentum
-  amplitudes exist only as (L, L, L) arrays: ``to_momentum`` returns the
-  unitary scaling of the lattice Fourier sum ``sum_x psi(x) exp(-2*pi*i k.x)``
-  and ``to_position`` inverts it.  On-grid momenta do not distinguish the
-  centered representative from the raw index, so a plain FFT applies.
+  the unit torus sampled on {0, 1/L, ..., (L-1)/L}^3.  Momentum arrays are
+  numpy's unnormalised ``fftn`` of the (L, L, L) position grid, the lattice
+  Fourier sum ``sum_x psi(x) exp(-2*pi*i k.x)``, and exist only inside
+  ``dynamics``, which leaves momentum space with ``ifftn``.  On-grid momenta
+  do not distinguish the centered representative from the raw index, so a
+  plain FFT applies.
 * Kinetic energy of the nearest-neighbor Hamiltonian (hopping -1/2, on-site
   +3) acts in momentum space as ``e(k) = 3 - sum_j cos(2 pi k_j)``, with
   band [0, 6] and group velocity ``sin(2 pi k_j)`` per axis.
@@ -68,15 +69,8 @@ def group_velocity(k) -> np.ndarray:
     return np.sin(2.0 * np.pi * k)
 
 
-def momentum_energies(box: BoxSpec) -> np.ndarray:
-    """e(k) on the full momentum grid of `box`, shape (L, L, L)."""
-    freqs = np.arange(box.side) / box.side
-    c = np.cos(2.0 * np.pi * freqs)
-    return 3.0 - (c[:, None, None] + c[None, :, None] + c[None, None, :])
-
-
 # ---------------------------------------------------------------------------
-# Wave functions and transforms
+# Wave functions
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -105,22 +99,6 @@ class WaveFunction:
         return WaveFunction(self.box, self.values.copy())
 
 
-def fourier_sum_factor(box: BoxSpec) -> float:
-    """Scale from the stored unitary transform to the plain lattice Fourier sum."""
-    return math.sqrt(box.volume)
-
-
-def to_momentum(psi: WaveFunction) -> np.ndarray:
-    """Unitary momentum amplitudes of psi, shape (L, L, L); preserves the l2 norm."""
-    return np.fft.fftn(psi.grid()) / fourier_sum_factor(psi.box)
-
-
-def to_position(psi_hat: np.ndarray) -> WaveFunction:
-    """Unitary inverse of `to_momentum`; the box is read from the array's shape."""
-    box = BoxSpec(psi_hat.shape[0])
-    return WaveFunction(box, (np.fft.ifftn(psi_hat) * fourier_sum_factor(box)).ravel())
-
-
 # ---------------------------------------------------------------------------
 # Disorder
 # ---------------------------------------------------------------------------
@@ -132,8 +110,6 @@ class DisorderField:
 
     box: BoxSpec
     values: np.ndarray
-    seed: int
-    stream: int
 
 
 def sample_disorder(box: BoxSpec, seed: int, stream: int) -> DisorderField:
@@ -148,7 +124,7 @@ def sample_disorder(box: BoxSpec, seed: int, stream: int) -> DisorderField:
     u1 = 1.0 - u[0::2]  # (0, 1]: keeps log() finite
     u2 = u[1::2]
     values = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-    return DisorderField(box, values, seed, stream)
+    return DisorderField(box, values)
 
 
 # ---------------------------------------------------------------------------

@@ -75,9 +75,12 @@ def _reciprocal_modulus(re: np.ndarray, eps: float) -> np.ndarray:
     return np.reciprocal(re, out=re)
 
 
-def _modulus_slab(c1: np.ndarray, c2: np.ndarray, c3_val: float, gamma: float, eps: float) -> np.ndarray:
-    """1/|e(k) - gamma - i eps| on one slab of fixed c3; e = 3 - c1 - c2 - c3."""
-    return _reciprocal_modulus((3.0 - c3_val - gamma) - c1[:, None] - c2[None, :], eps)
+def _modulus_slab(
+    c1: np.ndarray, c2: np.ndarray, c3_val: float, gamma: float, eps: float, out: np.ndarray
+) -> np.ndarray:
+    """1/|e(k) - gamma - i eps| on one slab of fixed c3, written into `out`; e = 3 - c1 - c2 - c3."""
+    np.subtract((3.0 - c3_val - gamma) - c1[:, None], c2[None, :], out=out)
+    return _reciprocal_modulus(out, eps)
 
 
 def _folded_rule(p, eps: float, N: int, gamma1: float, gamma2: float = None) -> float:
@@ -142,7 +145,7 @@ def _folded_grid(gamma: float, eps: float, N: int) -> np.ndarray:
     c = _axis_cos(N)[: N // 2 + 1]
     out = np.empty((len(c),) * 3)
     for i, ci in enumerate(c.tolist()):
-        out[i] = _modulus_slab(c, c, ci, gamma, eps)
+        _modulus_slab(c, c, ci, gamma, eps, out[i])
     return out
 
 
@@ -175,10 +178,10 @@ def integral_3res(k, gamma1: float, gamma2: float, eps: float, N: int, gamma3: f
     folded (N/2 + 1)^3 grids (one grid and one forward transform when
     gamma1 == gamma2).  The transforms are `_dct1`, in place; the inverse
     is the same transform divided by N^3.  |R3(x + k)| is streamed in N x N
-    slabs of fixed x1, on or off the grid; each slab is summed over the
-    mirror classes {j, N - j} of its two axes and contracted with the
-    contiguous row H[min(x1, N - x1)].  |R2| is even, so the average of
-    |R1(p)| |R2(q)| |R3(p - q + k)| is the same number.
+    slabs of fixed x1, on or off the grid, through one reused buffer; each
+    slab is summed over the mirror classes {j, N - j} of its two axes and
+    contracted with the contiguous row H[min(x1, N - x1)].  |R2| is even, so
+    the average of |R1(p)| |R2(q)| |R3(p - q + k)| is the same number.
     """
     if gamma3 is None:
         gamma3 = gamma2
@@ -196,9 +199,10 @@ def integral_3res(k, gamma1: float, gamma2: float, eps: float, N: int, gamma3: f
     H = _dct1(H)
     H /= N**3
     c = [_axis_cos(N, shift=float(s)) for s in np.asarray(k, dtype=float) % 1.0]
+    slab = np.empty((N, N))
     total = 0.0
     for i1 in range(N):
-        slab = _modulus_slab(c[1], c[2], c[0][i1], gamma3, eps)
+        _modulus_slab(c[1], c[2], c[0][i1], gamma3, eps, slab)
         # rows, then columns, j and N - j fold onto j <= h
         slab[1:h] += slab[:h:-1]
         fold = slab[: h + 1]

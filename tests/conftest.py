@@ -12,14 +12,7 @@ from scipy.optimize import minimize
 
 import kinlab
 from kinlab.harness.manifest import RunManifest
-from kinlab.lattice import (
-    BoxSpec,
-    DisorderField,
-    WaveFunction,
-    momentum_energies,
-    to_momentum,
-    to_position,
-)
+from kinlab.lattice import BoxSpec, DisorderField, WaveFunction
 from kinlab.wigner import TestObservable
 
 
@@ -116,14 +109,16 @@ class DimensionTooLarge(ValueError):
 
 
 def evolve_free(psi: WaveFunction, t: float) -> WaveFunction:
-    """Multiply momentum amplitudes by exp(-i t e(k)); exact up to rounding."""
+    """Multiply the FFT of psi by exp(-i t e(k)) on the full grid; exact up to rounding."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if t == 0:
         return psi.copy()
-    out = to_momentum(psi)
-    out *= np.exp(-1j * t * momentum_energies(psi.box))
-    return to_position(out)
+    c = np.cos(2.0 * np.pi * np.arange(psi.box.side) / psi.box.side)
+    e = 3.0 - (c[:, None, None] + c[None, :, None] + c[None, None, :])
+    out = np.fft.fftn(psi.grid())
+    out *= np.exp(-1j * t * e)
+    return WaveFunction(psi.box, np.fft.ifftn(out).ravel())
 
 
 def dense_hamiltonian(box: BoxSpec, V: DisorderField, lam: float) -> np.ndarray:
@@ -162,14 +157,17 @@ def two_grid_duhamel_ladder(N, t, psi0, V, lam, dt):
     """Expansion terms from full (m+1) x L^3 time grids of orders n-1 and n.
 
     The same trapezoid recursion as `duhamel_ladder`, one order at a time,
-    storing every slice of the previous order before the next is built.
+    storing every slice of the previous order before the next is built.  The
+    free step exp(-i h e) is exp(-3ih) times the outer product of
+    a = exp(i h cos 2 pi k) over the three axes, the formula of
+    `free_phase` written out here, so that the bitwise gate checks only the
+    ladder's sweep.
     """
     box = psi0.box
     L = box.side
-    e = momentum_energies(box).ravel()
     vflat = V.values
 
-    phi0_hat = to_momentum(psi0).ravel()
+    phi0_hat = np.fft.fftn(psi0.grid()).ravel()
 
     if t == 0:
         terms = [phi0_hat.copy() if n == 0 else np.zeros(box.volume, dtype=np.complex128)
@@ -177,7 +175,8 @@ def two_grid_duhamel_ladder(N, t, psi0, V, lam, dt):
     else:
         m = max(1, int(math.ceil(t / dt - 1e-12)))
         h = t / m
-        step_phase = np.exp(-1j * h * e)
+        a = np.exp(1j * h * np.cos(2.0 * np.pi * (np.arange(L) / L)))
+        step_phase = ((np.exp(-3j * h) * a)[:, None, None] * (a[:, None] * a)).ravel()
 
         def mult_v(momentum_flat):
             pos = np.fft.ifftn(momentum_flat.reshape(L, L, L)).ravel()
@@ -205,4 +204,4 @@ def two_grid_duhamel_ladder(N, t, psi0, V, lam, dt):
 
     for n in range(N + 1):
         terms[n] *= lam**n
-    return [to_position(w.reshape(L, L, L)) for w in terms]
+    return [WaveFunction(box, np.fft.ifftn(w.reshape(L, L, L)).ravel()) for w in terms]

@@ -14,7 +14,7 @@ from kinlab.dynamics import (
     free_phase,
     kick_phase,
 )
-from kinlab.lattice import BoxSpec, DisorderField, WaveFunction, momentum_energies, sample_disorder
+from kinlab.lattice import BoxSpec, DisorderField, WaveFunction, sample_disorder
 from kinlab.wigner import pair_wigner
 
 from conftest import (
@@ -112,7 +112,7 @@ def test_full_gauge_shift_constant(rng):
     V = sample_disorder(box, 5, 2)
     psi = random_state(box, rng)
     c, lam, t = 0.41, 0.5, 0.9
-    shifted = DisorderField(box, V.values + c, V.seed, V.stream)
+    shifted = DisorderField(box, V.values + c)
     a = evolve_full(psi, V, lam, t, PropagatorConfig(dt=0.01))
     b = evolve_full(psi, shifted, lam, t, PropagatorConfig(dt=0.01))
     overlap = np.vdot(a.values, b.values)
@@ -164,8 +164,10 @@ def per_step_exp_reference(psi, V, lam, t, dt):
 @pytest.mark.parametrize("side", [4, 12, 16, 64])
 def test_phase_builders_match_exp(side):
     box = BoxSpec(side)
-    e = momentum_energies(box)
-    for s in np.linspace(-3.0, 3.0, 25).tolist() + [0.025, 0.05]:
+    c = np.cos(2.0 * np.pi * np.arange(side) / side)
+    e = 3.0 - (c[:, None, None] + c[None, :, None] + c[None, None, :])
+    # 1e-3 and 0.01 are the ladder's steps: the [duhamel] default dt and the tests' dt
+    for s in np.linspace(-3.0, 3.0, 25).tolist() + [0.025, 0.05, 1e-3, 0.01]:
         assert np.max(np.abs(free_phase(box, s) - np.exp(-1j * s * e))) <= 1e-14
     vgrid = sample_disorder(box, 11, 3).values.reshape(side, side, side)
     for h, lam in [(0.05, 0.6), (0.05, 0.45), (0.03, 0.3), (0.1, 1.0), (0.1, 0.0)]:
@@ -270,6 +272,19 @@ def test_duhamel_matches_two_grid_reference(N, t, small_system):
     assert len(got) == len(want) == N + 1
     for a, b in zip(got, want):
         assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize(
+    "dt, side, message",
+    [(-0.5, 8, "dt must be positive"), (0.0, 8, "dt must be positive"), (0.01, 4, "different boxes")],
+    ids=["negative_dt", "zero_dt", "other_box"],
+)
+def test_duhamel_rejects_bad_input(dt, side, message, small_system):
+    box, V, psi = small_system
+    if side != box.side:
+        V = sample_disorder(BoxSpec(side), 99, 0)
+    with pytest.raises(ValueError, match=message):
+        duhamel_ladder(2, 1.0, psi, V, 0.3, dt)
 
 
 def test_duhamel_memory_independent_of_time_grid(rng):

@@ -7,20 +7,14 @@ from kinlab.lattice import (
     BoxSpec,
     BoxTooSmall,
     TrigPolynomial,
-    WaveFunction,
     WkbSpec,
     dispersion,
     envelope_tail_mass,
-    fourier_sum_factor,
     group_velocity,
     reduce_torus,
     sample_disorder,
-    to_momentum,
-    to_position,
     wkb_state,
 )
-
-from conftest import random_state
 
 
 # ---------------------------------------------------------------------------
@@ -78,28 +72,6 @@ def test_torus_reduce_idempotent(k):
 def test_box_rejects_odd_or_small(side):
     with pytest.raises(ValueError):
         BoxSpec(side)
-
-
-def test_delta_state_transforms_to_constant():
-    box = BoxSpec(8)
-    vals = np.zeros(box.volume, dtype=complex)
-    vals[0] = 1.0
-    psi_hat = to_momentum(WaveFunction(box, vals))
-    assert psi_hat.shape == (8, 8, 8)
-    expected = 1.0 / fourier_sum_factor(box)
-    assert np.allclose(psi_hat, expected, atol=1e-14)
-    # the plain lattice sum convention gives constant 1
-    assert np.allclose(psi_hat * fourier_sum_factor(box), 1.0, atol=1e-13)
-
-
-def test_transform_parseval_and_roundtrip(rng):
-    box = BoxSpec(16)
-    psi = random_state(box, rng)
-    psi_hat = to_momentum(psi)
-    assert abs(psi.norm() - np.linalg.norm(psi_hat)) < 1e-12
-    back = to_position(psi_hat)
-    assert back.box == box
-    assert np.max(np.abs(back.values - psi.values)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +145,7 @@ def test_wkb_momentum_concentration():
     # linear phase p=(1/4,0,0): momentum mass near grad S / (2 pi) = (1/(8 pi), 0, 0)
     spec = WkbSpec(sigma=0.5, linear=(0.25, 0.0, 0.0))
     eta, L = 0.04, 160
-    psi_hat = to_momentum(wkb_state(spec, eta, BoxSpec(L)))
+    psi_hat = np.fft.fftn(wkb_state(spec, eta, BoxSpec(L)).grid())
     k_pred = spec.local_momentum(np.zeros(3))
     grid = np.arange(L) / L
     d = [np.minimum(np.abs(grid - k_pred[j]), 1 - np.abs(grid - k_pred[j])) for j in range(3)]

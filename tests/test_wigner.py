@@ -13,7 +13,6 @@ from kinlab.lattice import (
     WaveFunction,
     WkbSpec,
     sample_disorder,
-    to_momentum,
     wkb_state,
 )
 from kinlab.wigner import (
@@ -71,10 +70,12 @@ def momentum_reference(J, phi, psi, eta):
     correlation sum_a conj(phi^(a)) psi^(a + xi) e^(-2 pi i m.a) instead of the
     position-space product.  Returns (value, cutoffs, truncation_error).
     """
-    Fphi, Fpsi = to_momentum(phi), to_momentum(psi)
     side = psi.box.side
     coords = psi.box.site_coordinates()
     volume = side**3
+    # unitary momentum amplitudes
+    Fphi = np.fft.fftn(phi.grid()) / math.sqrt(volume)
+    Fpsi = np.fft.fftn(psi.grid()) / math.sqrt(volume)
     fft_psi = np.fft.fftn(Fpsi)
     abs_phi = np.abs(np.fft.ifftn(Fphi)) * math.sqrt(volume)
     abs_psi = np.abs(np.fft.ifftn(Fpsi)) * math.sqrt(volume)
