@@ -7,16 +7,23 @@ level sets of the dispersion).
 The one- and two-resolvent rules are folded by lattice symmetry: along an
 axis whose shift p is 0 or 1/2 mod 1, the pair (cos 2pi(i/N + p), cos 2pi i/N)
 is unchanged under i -> N - i, so only the indices 0..N//2 are visited, with
-multiplicities as weights.  Two axes with the same shift are interchangeable,
-so that pair is visited at i <= j only, and the third axis is streamed over
-it.  The six-dimensional three-resolvent integral needs even N and works on
-the same folded (N/2 + 1)^3 grid: the unshifted moduli are even in every
-axis, so their convolution is one DCT-I product, and the shifted third
-modulus is streamed slab by slab, each slab folded onto the mirror classes
-before its reduction.  The DCT-I is numpy's real FFT of the even extension,
-one slab at a time.  Reductions use einsum, whose sum order does not depend
-on a BLAS thread count.  Scaling fits divide out a stated power of |log eps|
-first and regress the remainder against log(1/eps).
+multiplicities as weights.  Axes with the same shift are interchangeable:
+when all three shifts are equal (every one-resolvent integral) only the
+orbits i <= j <= t are visited, n (n + 1) (n + 2) / 6 points for
+n = N//2 + 1; when two are, that pair is visited at i <= j only and the
+third axis is streamed over it.  The six-dimensional three-resolvent
+integral needs even N and works on the same folded (N/2 + 1)^3 grid: the
+unshifted moduli are even in every axis, so their spectra are DCT-Is of
+their folded grids.  When k lies exactly on the grid, the shift is a phase
+on the spectrum and the integral is a contraction of spectra (Parseval);
+otherwise the convolution of the first two moduli is transformed back and
+the shifted third modulus is streamed slab by slab, each slab folded onto
+the mirror classes before its reduction.  Neither path builds an N^3 array,
+and at most two folded grids are held at once.  The DCT-I is numpy's real
+FFT of the even extension, one slab at a time.  Reductions use einsum,
+whose sum order does not depend on a BLAS thread count.  Scaling fits
+divide out a stated power of |log eps| first and regress the remainder
+against log(1/eps).
 """
 
 from __future__ import annotations
@@ -87,12 +94,18 @@ def _folded_rule(p, eps: float, N: int, gamma1: float, gamma2: float = None) -> 
     """N^-3 sum over the grid u of |R_gamma1(u + p)|, times |R_gamma2(u)| if gamma2 is given.
 
     Each axis visits the indices its `_axis_weights` cover.  The integrand
-    depends on the axes only through the sum of their cosines, so two axes
-    a, b with the same shift are interchangeable: their index pairs are
-    visited at i <= j only, with the off-diagonal weights doubled.  With no
-    such pair, axes 0 and 1 are paired whole.  The pair's cosine sums and
-    weights are flattened once; each index of the third axis is then one
-    1-D buffer, reduced against the pair weights.
+    depends on the axes only through the sum of their cosines, so axes with
+    the same shift are interchangeable.  When all three shifts are equal,
+    only the orbits i <= j <= t of the axis permutations are visited,
+    n (n + 1) (n + 2) / 6 points for n indices per axis: the pairs i <= j
+    are ordered by j, so each index t of the third axis streams the prefix
+    j <= t, with weight 3 m2 where j < t (m2 = 1 at i = j, else 2) and, where
+    j = t, weight 3 at i < t and 1 at i = t.  When only two axes a, b share a
+    shift, their pairs are visited at i <= j with the off-diagonal weights
+    doubled, and the third axis streams all of them; with no such pair, axes
+    0 and 1 are paired whole.  The pair's cosine sums and weights are
+    flattened once; each index of the third axis is then one 1-D buffer,
+    reduced against the pair weights.
     """
     p = np.asarray(p, dtype=float) % 1.0
     a, b = next(((a, b) for a, b in ((0, 1), (0, 2), (1, 2)) if p[a] == p[b]), (0, 1))
@@ -100,23 +113,39 @@ def _folded_rule(p, eps: float, N: int, gamma1: float, gamma2: float = None) -> 
     weights = [_axis_weights(N, float(s)) for s in p]
     shifted = [_axis_cos(N, shift=float(s))[: len(w)] for s, w in zip(p, weights)]
     plain = [_axis_cos(N)[: len(w)] for w in weights]
-    if p[a] == p[b]:
-        i, j = np.triu_indices(len(weights[a]))
-        mult = np.where(i == j, 1.0, 2.0)
+    n = len(weights[t])
+    if p[a] == p[b] == p[t]:
+        j, i = np.tril_indices(n)
+        pair_w = weights[a][i] * weights[b][j]
+        last_w = pair_w * np.where(i == j, 1.0, 3.0)
+        pair_w *= np.where(i == j, 3.0, 6.0)
+        # index u of the third axis streams the pairs j < u, then the pairs j == u
+        starts = [u * (u + 1) // 2 for u in range(n)]
+        stops = [(u + 1) * (u + 2) // 2 for u in range(n)]
     else:
-        i, j = np.indices((len(weights[a]), len(weights[b]))).reshape(2, -1)
-        mult = 1.0
-    pair_w = weights[a][i] * weights[b][j] * mult
+        if p[a] == p[b]:
+            i, j = np.triu_indices(len(weights[a]))
+            mult = np.where(i == j, 1.0, 2.0)
+        else:
+            i, j = np.indices((len(weights[a]), len(weights[b]))).reshape(2, -1)
+            mult = 1.0
+        pair_w = last_w = weights[a][i] * weights[b][j] * mult
+        starts = stops = [len(i)] * n
     pair_shifted = shifted[a][i] + shifted[b][j]
     pair_plain = plain[a][i] + plain[b][j]
     line, line2 = np.empty_like(pair_w), np.empty_like(pair_w)
     total = 0.0
-    for wt, cs, cp in zip(weights[t].tolist(), shifted[t].tolist(), plain[t].tolist()):
-        f = _reciprocal_modulus(np.subtract(3.0 - cs - gamma1, pair_shifted, out=line), eps)
+    for wt, cs, cp, start, stop in zip(
+        weights[t].tolist(), shifted[t].tolist(), plain[t].tolist(), starts, stops
+    ):
+        f = _reciprocal_modulus(np.subtract(3.0 - cs - gamma1, pair_shifted[:stop], out=line[:stop]), eps)
         if gamma2 is not None:
-            f *= _reciprocal_modulus(np.subtract(3.0 - cp - gamma2, pair_plain, out=line2), eps)
+            f *= _reciprocal_modulus(np.subtract(3.0 - cp - gamma2, pair_plain[:stop], out=line2[:stop]), eps)
         # einsum, not BLAS: a threaded dot would change the sum order with the thread count
-        total += wt * float(np.einsum("i,i->", pair_w, f))
+        row = float(np.einsum("i,i->", pair_w[:start], f[:start]))
+        if start < stop:
+            row += float(np.einsum("i,i->", last_w[start:stop], f[start:]))
+        total += wt * row
     return total / N**3
 
 
@@ -131,9 +160,10 @@ def integral_2res(p, gamma1: float, gamma2: float, eps: float, N: int) -> float:
 
     p enters through the shifted cosine table, on or off the grid.  Axes
     with p = 0 or 1/2 mod 1 are folded onto their N//2 + 1 distinct cosine
-    values, and two axes with equal p are visited at i <= j only: at
+    values.  Two axes with equal p are visited at i <= j only: at
     p = (1/2, 0, 0) the work is n^2 (n + 1) / 2 points, n = N//2 + 1, instead
-    of N^3.
+    of N^3.  Three equal shifts, as at p = (0, 0, 0) or (1/2, 1/2, 1/2), are
+    visited at i <= j <= t only: n (n + 1) (n + 2) / 6 points.
     """
     ResolventProbe(gamma1, eps, N)
     ResolventProbe(gamma2, eps, N)
@@ -168,20 +198,78 @@ def _dct1(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _spectral_product(gamma1: float, gamma2: float, eps: float, N: int) -> np.ndarray:
+    """D1 D2, the DFT of the convolution |R1| * |R2|, on the folded grid (one transform when gamma1 == gamma2)."""
+    H = _dct1(_folded_grid(gamma2, eps, N))
+    if gamma1 == gamma2:
+        H *= H
+    else:
+        H *= _dct1(_folded_grid(gamma1, eps, N))
+    return H
+
+
+def _on_grid_3res(K, gamma1: float, gamma2: float, gamma3: float, eps: float, N: int) -> float:
+    """`integral_3res` at an integer shift K = k N, contracted in the DCT domain.
+
+    By Parseval for the three even moduli, with D_i the DCT-I of the folded
+    grid of |R_i| (its DFT at the frequencies 0..N/2), the average is
+    N^-9 sum_xi prod_j m(xi_j) cos(2 pi xi_j K_j / N) D1 D2 D3 (xi) over
+    xi in {0..N/2}^3, m = 1 at 0 and N/2 and 2 elsewhere: the shift by K
+    only multiplies the spectrum of |R3| by a phase.  With one distinct
+    gamma this is summed slab by slab over xi_0, against the outer product
+    of the axis-1 and axis-2 weights, through one (N/2 + 1)^2 buffer: one
+    grid and one transform.  Otherwise D3 is never stored: D1 D2 times the
+    phase goes back through `_dct1`, and that is summed against m |R3| on
+    the folded grid, built slab by slab.
+    """
+    m = _axis_weights(N, 0.0)
+    xi = np.arange(len(m))
+    cos = [np.cos(2.0 * np.pi * (xi * Kj % N) / N) for Kj in K]
+    total = 0.0
+    if gamma1 == gamma2 == gamma3:
+        D = _dct1(_folded_grid(gamma1, eps, N))
+        w12 = np.outer(m * cos[1], m * cos[2])
+        buf = np.empty_like(w12)
+        for w0, d in zip((m * cos[0]).tolist(), D):
+            np.multiply(d, d, out=buf)
+            buf *= d
+            # einsum, not BLAS: a threaded dot would change the sum order with the thread count
+            total += w0 * float(np.einsum("ij,ij->", w12, buf))
+    else:
+        H = _spectral_product(gamma1, gamma2, eps, N)
+        H *= cos[0][:, None, None]
+        H *= cos[1][:, None]
+        H *= cos[2]
+        H = _dct1(H)
+        c = _axis_cos(N)[: len(m)]
+        w12 = np.outer(m, m)
+        slab = np.empty_like(w12)
+        for w0, c0, row in zip(m.tolist(), c.tolist(), H):
+            _modulus_slab(c, c, c0, gamma3, eps, slab)
+            slab *= w12
+            total += w0 * float(np.einsum("ij,ij->", row, slab))
+    return total / N**9
+
+
 def integral_3res(k, gamma1: float, gamma2: float, eps: float, N: int, gamma3: float = None) -> float:
     """Average over (p, q) of |R1(p)| |R2(q)| |R3(p + q + k)|, for even N.
 
     With x = p + q this is N^-6 sum_x H(x) |R3(x + k)|, where H = |R1| * |R2|
-    is the cyclic convolution of the unshifted moduli.  Both are even in
-    every axis, so H is too, and for even N the DFT of an even sequence is
-    the DCT-I of its indices 0..N/2: H = idctn(dctn(|R1|) dctn(|R2|)) on the
-    folded (N/2 + 1)^3 grids (one grid and one forward transform when
-    gamma1 == gamma2).  The transforms are `_dct1`, in place; the inverse
-    is the same transform divided by N^3.  |R3(x + k)| is streamed in N x N
-    slabs of fixed x1, on or off the grid, through one reused buffer; each
-    slab is summed over the mirror classes {j, N - j} of its two axes and
-    contracted with the contiguous row H[min(x1, N - x1)].  |R2| is even, so
-    the average of |R1(p)| |R2(q)| |R3(p - q + k)| is the same number.
+    is the cyclic convolution of the unshifted moduli.  All three are even
+    in every axis, and for even N the DFT of an even sequence is the DCT-I
+    of its indices 0..N/2: `_dct1` of the folded (N/2 + 1)^3 grid.
+    When every K_j = (k_j mod 1) N is exactly an integer, k is on the grid
+    and `_on_grid_3res` contracts the spectra in the DCT domain, on the
+    folded grid only.  Otherwise, including a shift that only rounds to the
+    grid, H = idctn(dctn(|R1|) dctn(|R2|)) (one forward transform when
+    gamma1 == gamma2; the inverse is the same transform divided by N^3),
+    and |R3(x + k)| is streamed in N x N slabs of fixed x1 through one
+    reused buffer; each slab is summed over the mirror classes {j, N - j}
+    of its two axes and contracted with the contiguous row
+    H[min(x1, N - x1)].  Neither path builds an N^3 array, and both hold
+    one folded grid, two only while D1 D2 is formed for gamma1 != gamma2.
+    |R2| is even, so the average of |R1(p)| |R2(q)| |R3(p - q + k)| is the
+    same number.
     """
     if gamma3 is None:
         gamma3 = gamma2
@@ -190,13 +278,11 @@ def integral_3res(k, gamma1: float, gamma2: float, eps: float, N: int, gamma3: f
     ResolventProbe(gamma3, eps, N)
     if N % 2:
         raise ValueError(f"integral_3res needs even N (got N={N}): DCT-I is the DFT of an even sequence only then")
+    K = (np.asarray(k, dtype=float) % 1.0) * N
+    if np.all(K == np.rint(K)):
+        return _on_grid_3res(K.astype(np.int64), gamma1, gamma2, gamma3, eps, N)
     h = N // 2
-    H = _dct1(_folded_grid(gamma2, eps, N))
-    if gamma1 == gamma2:
-        H *= H
-    else:
-        H *= _dct1(_folded_grid(gamma1, eps, N))
-    H = _dct1(H)
+    H = _dct1(_spectral_product(gamma1, gamma2, eps, N))
     H /= N**3
     c = [_axis_cos(N, shift=float(s)) for s in np.asarray(k, dtype=float) % 1.0]
     slab = np.empty((N, N))

@@ -6,6 +6,7 @@ import pytest
 from scipy import fft as sfft
 
 from conftest import run_fresh_python
+from kinlab import resolvent
 from kinlab.resolvent import (
     ResolventProbe,
     _dct1,
@@ -110,7 +111,8 @@ def test_integrals_independent_of_blas_threads():
     code = ("from kinlab.resolvent import integral_1res, integral_2res, integral_3res; "
             "print(repr((integral_1res(3.0, 0.01, 800), "
             "integral_2res((0.5, 0.0, 0.0), 3.0, 3.0, 0.02, 512), "
-            "integral_3res((0.25, 0.25, 0.25), 3.0, 3.0, 0.1, 96))))")
+            "integral_3res((0.25, 0.25, 0.25), 3.0, 3.0, 0.1, 96), "
+            "integral_3res((0.3, 0.1, 0.7), 3.0, 2.5, 0.1, 96, gamma3=3.5))))")
     one, two = (run_fresh_python(code, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
     assert one == two
 
@@ -146,6 +148,39 @@ def test_3res_memory_is_folded():
     finally:
         tracemalloc.stop()
     assert peak < 8 * N**3 / 4
+
+
+@pytest.mark.parametrize("k", [(0.25, 0.25, 0.25), (0.31, 0.1, 0.7)], ids=["on-grid", "off-grid"])
+def test_3res_memory_is_folded_one_gamma(k):
+    # one distinct gamma: one folded grid, then (N/2 + 1)^2 slabs on the grid or N x N slabs off it
+    # ((0.3, 0.1, 0.7) above is on the N = 160 grid: 0.3 * 160 == 48.0 exactly)
+    N = 160
+    tracemalloc.start()
+    try:
+        integral_3res(k, 3.0, 3.0, 0.05, N, gamma3=3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * N**3 / 4
+
+
+def test_3res_spectral_path_matches_stream_path(monkeypatch):
+    # k on the grid is contracted in the DCT domain; nudged off it by 1e-15 it is streamed
+    calls = []
+    on_grid = resolvent._on_grid_3res
+
+    def counted(*args):
+        calls.append(args)
+        return on_grid(*args)
+
+    monkeypatch.setattr(resolvent, "_on_grid_3res", counted)
+    for gammas in ((3.0, 3.0, 3.0), (3.0, 2.5, 3.5)):
+        spectral = integral_3res((0.25, 0.25, 0.25), gammas[0], gammas[1], 0.1, 96, gamma3=gammas[2])
+        assert len(calls) == 1
+        streamed = integral_3res((0.25 + 1e-15, 0.25, 0.25), gammas[0], gammas[1], 0.1, 96, gamma3=gammas[2])
+        assert len(calls) == 1
+        assert streamed == pytest.approx(spectral, rel=1e-12, abs=0)
+        calls.clear()
 
 
 def test_3res_grid_refinement_stable():
@@ -215,8 +250,10 @@ def test_1res_matches_full_grid_sum(N):
 @pytest.mark.parametrize("N", [24, 33, 48])
 @pytest.mark.parametrize(
     "p",
-    # (0.3, 0.3, 0.1) folds an off-grid pair of axes; (0, 1/2, 0) folds axes 0 and 2
-    [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.25, 0.0, 0.75), OFF_GRID_P, (0.3, 0.3, 0.1), (0.0, 0.5, 0.0)],
+    # (0.3, 0.3, 0.1) folds an off-grid pair of axes; (0, 1/2, 0) folds axes 0 and 2;
+    # equal shifts on all three axes take the i <= j <= t fold, folded or off the grid
+    [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.25, 0.0, 0.75), OFF_GRID_P, (0.3, 0.3, 0.1), (0.0, 0.5, 0.0),
+     (0.5, 0.5, 0.5), (0.3, 0.3, 0.3)],
 )
 def test_2res_matches_full_grid_sum(N, p):
     eps = 1.0 / 3.0
