@@ -14,12 +14,13 @@ n = N//2 + 1; when two are, that pair is visited at i <= j only and the
 third axis is streamed over it.  The six-dimensional three-resolvent
 integral needs even N and works on the same folded (N/2 + 1)^3 grid: the
 unshifted moduli are even in every axis, so their spectra are DCT-Is of
-their folded grids.  When k lies exactly on the grid, the shift is a phase
-on the spectrum and the integral is a contraction of spectra (Parseval);
-otherwise the convolution of the first two moduli is transformed back and
-the shifted third modulus is streamed slab by slab, each slab folded onto
-the mirror classes before its reduction.  Neither path builds an N^3 array,
-and at most two folded grids are held at once.  The DCT-I is numpy's real
+their folded grids.  When k lies exactly on the grid and the three gammas
+are equal, the shift is a phase on the spectrum and the integral is a
+contraction of spectra (Parseval); otherwise the convolution of the first
+two moduli is transformed back and the shifted third modulus is streamed
+slab by slab, each slab folded onto the mirror classes before its
+reduction.  Neither path builds an N^3 array, and at most two folded grids
+are held at once.  The DCT-I is numpy's real
 FFT of the even extension, one slab at a time.  Reductions use einsum,
 whose sum order does not depend on a BLAS thread count.  Scaling fits
 divide out a stated power of |log eps| first and regress the remainder
@@ -198,56 +199,29 @@ def _dct1(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _spectral_product(gamma1: float, gamma2: float, eps: float, N: int) -> np.ndarray:
-    """D1 D2, the DFT of the convolution |R1| * |R2|, on the folded grid (one transform when gamma1 == gamma2)."""
-    H = _dct1(_folded_grid(gamma2, eps, N))
-    if gamma1 == gamma2:
-        H *= H
-    else:
-        H *= _dct1(_folded_grid(gamma1, eps, N))
-    return H
+def _on_grid_3res(K, gamma: float, eps: float, N: int) -> float:
+    """`integral_3res` at an integer shift K = k N and gamma1 = gamma2 = gamma3, in the DCT domain.
 
-
-def _on_grid_3res(K, gamma1: float, gamma2: float, gamma3: float, eps: float, N: int) -> float:
-    """`integral_3res` at an integer shift K = k N, contracted in the DCT domain.
-
-    By Parseval for the three even moduli, with D_i the DCT-I of the folded
-    grid of |R_i| (its DFT at the frequencies 0..N/2), the average is
-    N^-9 sum_xi prod_j m(xi_j) cos(2 pi xi_j K_j / N) D1 D2 D3 (xi) over
+    By Parseval for the even modulus, with D the DCT-I of its folded grid
+    (its DFT at the frequencies 0..N/2), the average is
+    N^-9 sum_xi prod_j m(xi_j) cos(2 pi xi_j K_j / N) D(xi)^3 over
     xi in {0..N/2}^3, m = 1 at 0 and N/2 and 2 elsewhere: the shift by K
-    only multiplies the spectrum of |R3| by a phase.  With one distinct
-    gamma this is summed slab by slab over xi_0, against the outer product
-    of the axis-1 and axis-2 weights, through one (N/2 + 1)^2 buffer: one
-    grid and one transform.  Otherwise D3 is never stored: D1 D2 times the
-    phase goes back through `_dct1`, and that is summed against m |R3| on
-    the folded grid, built slab by slab.
+    only multiplies the spectrum of |R3| by a phase.  It is summed slab by
+    slab over xi_0, against the outer product of the axis-1 and axis-2
+    weights, through one (N/2 + 1)^2 buffer.
     """
     m = _axis_weights(N, 0.0)
     xi = np.arange(len(m))
-    cos = [np.cos(2.0 * np.pi * (xi * Kj % N) / N) for Kj in K]
+    w0, w1, w2 = (m * np.cos(2.0 * np.pi * (xi * Kj % N) / N) for Kj in K)
+    D = _dct1(_folded_grid(gamma, eps, N))
+    w12 = np.outer(w1, w2)
+    buf = np.empty_like(w12)
     total = 0.0
-    if gamma1 == gamma2 == gamma3:
-        D = _dct1(_folded_grid(gamma1, eps, N))
-        w12 = np.outer(m * cos[1], m * cos[2])
-        buf = np.empty_like(w12)
-        for w0, d in zip((m * cos[0]).tolist(), D):
-            np.multiply(d, d, out=buf)
-            buf *= d
-            # einsum, not BLAS: a threaded dot would change the sum order with the thread count
-            total += w0 * float(np.einsum("ij,ij->", w12, buf))
-    else:
-        H = _spectral_product(gamma1, gamma2, eps, N)
-        H *= cos[0][:, None, None]
-        H *= cos[1][:, None]
-        H *= cos[2]
-        H = _dct1(H)
-        c = _axis_cos(N)[: len(m)]
-        w12 = np.outer(m, m)
-        slab = np.empty_like(w12)
-        for w0, c0, row in zip(m.tolist(), c.tolist(), H):
-            _modulus_slab(c, c, c0, gamma3, eps, slab)
-            slab *= w12
-            total += w0 * float(np.einsum("ij,ij->", row, slab))
+    for w, d in zip(w0.tolist(), D):
+        np.multiply(d, d, out=buf)
+        buf *= d
+        # einsum, not BLAS: a threaded dot would change the sum order with the thread count
+        total += w * float(np.einsum("ij,ij->", w12, buf))
     return total / N**9
 
 
@@ -258,18 +232,16 @@ def integral_3res(k, gamma1: float, gamma2: float, eps: float, N: int, gamma3: f
     is the cyclic convolution of the unshifted moduli.  All three are even
     in every axis, and for even N the DFT of an even sequence is the DCT-I
     of its indices 0..N/2: `_dct1` of the folded (N/2 + 1)^3 grid.
-    When every K_j = (k_j mod 1) N is exactly an integer, k is on the grid
-    and `_on_grid_3res` contracts the spectra in the DCT domain, on the
-    folded grid only.  Otherwise, including a shift that only rounds to the
-    grid, H = idctn(dctn(|R1|) dctn(|R2|)) (one forward transform when
+    When every K_j = (k_j mod 1) N is exactly an integer and
+    gamma1 == gamma2 == gamma3, `_on_grid_3res` contracts the spectra.
+    Otherwise, including a shift that only rounds to the grid,
+    H = idctn(dctn(|R1|) dctn(|R2|)) (one forward transform when
     gamma1 == gamma2; the inverse is the same transform divided by N^3),
     and |R3(x + k)| is streamed in N x N slabs of fixed x1 through one
     reused buffer; each slab is summed over the mirror classes {j, N - j}
     of its two axes and contracted with the contiguous row
-    H[min(x1, N - x1)].  Neither path builds an N^3 array, and both hold
-    one folded grid, two only while D1 D2 is formed for gamma1 != gamma2.
-    |R2| is even, so the average of |R1(p)| |R2(q)| |R3(p - q + k)| is the
-    same number.
+    H[min(x1, N - x1)].  |R2| is even, so the average of
+    |R1(p)| |R2(q)| |R3(p - q + k)| is the same number.
     """
     if gamma3 is None:
         gamma3 = gamma2
@@ -279,10 +251,15 @@ def integral_3res(k, gamma1: float, gamma2: float, eps: float, N: int, gamma3: f
     if N % 2:
         raise ValueError(f"integral_3res needs even N (got N={N}): DCT-I is the DFT of an even sequence only then")
     K = (np.asarray(k, dtype=float) % 1.0) * N
-    if np.all(K == np.rint(K)):
-        return _on_grid_3res(K.astype(np.int64), gamma1, gamma2, gamma3, eps, N)
+    if gamma1 == gamma2 == gamma3 and np.all(K == np.rint(K)):
+        return _on_grid_3res(K.astype(np.int64), gamma1, eps, N)
     h = N // 2
-    H = _dct1(_spectral_product(gamma1, gamma2, eps, N))
+    H = _dct1(_folded_grid(gamma2, eps, N))
+    if gamma1 == gamma2:
+        H *= H
+    else:
+        H *= _dct1(_folded_grid(gamma1, eps, N))
+    H = _dct1(H)
     H /= N**3
     c = [_axis_cos(N, shift=float(s)) for s in np.asarray(k, dtype=float) % 1.0]
     slab = np.empty((N, N))

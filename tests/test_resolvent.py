@@ -139,7 +139,8 @@ def test_3res_rejects_odd_N():
 
 
 def test_3res_memory_is_folded():
-    # off-grid k: the shifted third modulus is streamed, never stored as a grid
+    # k is on the N = 160 grid (0.3 * 160 == 48.0 exactly), but gamma3 != gamma1 = gamma2:
+    # the shifted third modulus is streamed, never stored as a grid
     N = 160
     tracemalloc.start()
     try:
@@ -153,7 +154,6 @@ def test_3res_memory_is_folded():
 @pytest.mark.parametrize("k", [(0.25, 0.25, 0.25), (0.31, 0.1, 0.7)], ids=["on-grid", "off-grid"])
 def test_3res_memory_is_folded_one_gamma(k):
     # one distinct gamma: one folded grid, then (N/2 + 1)^2 slabs on the grid or N x N slabs off it
-    # ((0.3, 0.1, 0.7) above is on the N = 160 grid: 0.3 * 160 == 48.0 exactly)
     N = 160
     tracemalloc.start()
     try:
@@ -165,7 +165,8 @@ def test_3res_memory_is_folded_one_gamma(k):
 
 
 def test_3res_spectral_path_matches_stream_path(monkeypatch):
-    # k on the grid is contracted in the DCT domain; nudged off it by 1e-15 it is streamed
+    # k on the grid with equal gammas is contracted in the DCT domain; nudged off it by 1e-15 it is
+    # streamed, as is k on the grid with distinct gammas
     calls = []
     on_grid = resolvent._on_grid_3res
 
@@ -174,13 +175,13 @@ def test_3res_spectral_path_matches_stream_path(monkeypatch):
         return on_grid(*args)
 
     monkeypatch.setattr(resolvent, "_on_grid_3res", counted)
-    for gammas in ((3.0, 3.0, 3.0), (3.0, 2.5, 3.5)):
-        spectral = integral_3res((0.25, 0.25, 0.25), gammas[0], gammas[1], 0.1, 96, gamma3=gammas[2])
-        assert len(calls) == 1
-        streamed = integral_3res((0.25 + 1e-15, 0.25, 0.25), gammas[0], gammas[1], 0.1, 96, gamma3=gammas[2])
-        assert len(calls) == 1
-        assert streamed == pytest.approx(spectral, rel=1e-12, abs=0)
-        calls.clear()
+    spectral = integral_3res((0.25, 0.25, 0.25), 3.0, 3.0, 0.1, 96, gamma3=3.0)
+    assert len(calls) == 1
+    streamed = integral_3res((0.25 + 1e-15, 0.25, 0.25), 3.0, 3.0, 0.1, 96, gamma3=3.0)
+    assert len(calls) == 1
+    assert streamed == pytest.approx(spectral, rel=1e-12, abs=0)
+    integral_3res((0.25, 0.25, 0.25), 3.0, 2.5, 0.1, 96, gamma3=3.5)
+    assert len(calls) == 1
 
 
 def test_3res_grid_refinement_stable():
