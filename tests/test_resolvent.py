@@ -151,13 +151,12 @@ def test_3res_memory_is_folded():
     assert peak < 8 * N**3 / 4
 
 
-@pytest.mark.parametrize("k", [(0.25, 0.25, 0.25), (0.31, 0.1, 0.7)], ids=["on-grid", "off-grid"])
-def test_3res_memory_is_folded_one_gamma(k):
-    # one distinct gamma: one folded grid, then (N/2 + 1)^2 slabs on the grid or N x N slabs off it
+def test_3res_memory_is_folded_on_grid():
+    # k on the grid and one gamma: one folded grid, transformed in place, contracted in (N/2 + 1)^2 slabs
     N = 160
     tracemalloc.start()
     try:
-        integral_3res(k, 3.0, 3.0, 0.05, N, gamma3=3.0)
+        integral_3res((0.25, 0.25, 0.25), 3.0, 3.0, 0.05, N, gamma3=3.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
