@@ -20,11 +20,10 @@ contraction of spectra (Parseval); otherwise the convolution of the first
 two moduli is transformed back and the shifted third modulus is streamed
 slab by slab, each slab folded onto the mirror classes before its
 reduction.  Neither path builds an N^3 array, and at most two folded grids
-are held at once.  The DCT-I is numpy's real
-FFT of the even extension, one slab at a time.  Reductions use einsum,
-whose sum order does not depend on a BLAS thread count.  Scaling fits
-divide out a stated power of |log eps| first and regress the remainder
-against log(1/eps).
+are held at once.  The DCT-I is numpy's real FFT of the even extension,
+one slab at a time.  Reductions use einsum, whose sum order does not
+depend on a BLAS thread count.  Scaling fits divide out a stated power of
+|log eps| first and regress the remainder against log(1/eps).
 """
 
 from __future__ import annotations
