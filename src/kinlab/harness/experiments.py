@@ -295,7 +295,7 @@ def run_resolvent_suite() -> ResolventReport:
              " ".join(map(str, TWORES_P)), fit2.exponent]
         )
 
-    vals3 = [integral_3res(THREERES_K, GAMMA, GAMMA, eps, N, gamma3=GAMMA)
+    vals3 = [integral_3res(THREERES_K, GAMMA, GAMMA, eps, N)
              for eps, N in THREERES_SWEEP]
     fit3 = fit_scaling([eps for eps, _ in THREERES_SWEEP], vals3, 4)
     for (eps, N), v in zip(THREERES_SWEEP, vals3):

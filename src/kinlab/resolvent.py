@@ -12,18 +12,16 @@ when all three shifts are equal (every one-resolvent integral) only the
 orbits i <= j <= t are visited, n (n + 1) (n + 2) / 6 points for
 n = N//2 + 1; when two are, that pair is visited at i <= j only and the
 third axis is streamed over it.  The six-dimensional three-resolvent
-integral needs even N and works on the same folded (N/2 + 1)^3 grid: the
-unshifted moduli are even in every axis, so their spectra are DCT-Is of
-their folded grids.  When k lies exactly on the grid and the three gammas
-are equal, the shift is a phase on the spectrum and the integral is a
-contraction of spectra (Parseval); otherwise the convolution of the first
-two moduli is transformed back and the shifted third modulus is streamed
-slab by slab, each slab folded onto the mirror classes before its
-reduction.  Neither path builds an N^3 array, and at most two folded grids
-are held at once.  The DCT-I is numpy's real FFT of the even extension,
-one slab at a time.  Reductions use einsum, whose sum order does not
-depend on a BLAS thread count.  Scaling fits divide out a stated power of
-|log eps| first and regress the remainder against log(1/eps).
+integral takes one gamma, even N and a shift k on the grid.  It works on
+the same folded (N/2 + 1)^3 grid: the unshifted modulus is even in every
+axis, so its spectrum is the DCT-I of its folded grid.  By Parseval the
+integral is a contraction of that spectrum, cubed, against a phase that
+is a cosine only because k N is an integer on every axis.  No N^3 array
+is built and one folded grid is held.  The DCT-I is numpy's real FFT of
+the even extension, one slab at a time.  Reductions use einsum, whose sum
+order does not depend on a BLAS thread count.  Scaling fits divide out a
+stated power of |log eps| first and regress the remainder against
+log(1/eps).
 """
 
 from __future__ import annotations
@@ -80,14 +78,6 @@ def _reciprocal_modulus(re: np.ndarray, eps: float) -> np.ndarray:
     re += eps**2
     np.sqrt(re, out=re)
     return np.reciprocal(re, out=re)
-
-
-def _modulus_slab(
-    c1: np.ndarray, c2: np.ndarray, c3_val: float, gamma: float, eps: float, out: np.ndarray
-) -> np.ndarray:
-    """1/|e(k) - gamma - i eps| on one slab of fixed c3, written into `out`; e = 3 - c1 - c2 - c3."""
-    np.subtract((3.0 - c3_val - gamma) - c1[:, None], c2[None, :], out=out)
-    return _reciprocal_modulus(out, eps)
 
 
 def _folded_rule(p, eps: float, N: int, gamma1: float, gamma2: float = None) -> float:
@@ -174,8 +164,9 @@ def _folded_grid(gamma: float, eps: float, N: int) -> np.ndarray:
     """1/|e(k) - gamma - i eps| at the grid indices 0..N//2 of every axis, slab by slab."""
     c = _axis_cos(N)[: N // 2 + 1]
     out = np.empty((len(c),) * 3)
-    for i, ci in enumerate(c.tolist()):
-        _modulus_slab(c, c, ci, gamma, eps, out[i])
+    for ci, slab in zip(c.tolist(), out):
+        np.subtract((3.0 - ci - gamma) - c[:, None], c[None, :], out=slab)
+        _reciprocal_modulus(slab, eps)
     return out
 
 
@@ -198,21 +189,38 @@ def _dct1(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _on_grid_3res(K, gamma: float, eps: float, N: int) -> float:
-    """`integral_3res` at an integer shift K = k N and gamma1 = gamma2 = gamma3, in the DCT domain.
+def integral_3res(k, gamma1: float, gamma2: float, eps: float, N: int) -> float:
+    """Average over (p, q) of |R(p)| |R(q)| |R(p + q + k)|, R = 1/(e - gamma1 - i eps).
 
-    By Parseval for the even modulus, with D the DCT-I of its folded grid
-    (its DFT at the frequencies 0..N/2), the average is
-    N^-9 sum_xi prod_j m(xi_j) cos(2 pi xi_j K_j / N) D(xi)^3 over
-    xi in {0..N/2}^3, m = 1 at 0 and N/2 and 2 elsewhere: the shift by K
-    only multiplies the spectrum of |R3| by a phase.  It is summed slab by
-    slab over xi_0, against the outer product of the axis-1 and axis-2
-    weights, through one (N/2 + 1)^2 buffer.
+    gamma2 must equal gamma1, N must be even and k must lie on the grid:
+    every K_j = (k_j mod 1) N exactly an integer.  |R| is even in every
+    axis, and for even N the DFT of an even sequence is the DCT-I of its
+    indices 0..N/2: D = `_dct1` of the folded grid.  Shifting the grid by an
+    integer K multiplies the spectrum by a phase, so by Parseval the average
+    is N^-9 sum_xi prod_j m(xi_j) cos(2 pi xi_j K_j / N) D(xi)^3 over
+    xi in {0..N/2}^3, m = 1 at 0 and N/2 and 2 elsewhere; a shift that only
+    rounds to the grid is no such phase.  The sum runs slab by slab over
+    xi_0, against the outer product of the axis-1 and axis-2 weights,
+    through one (N/2 + 1)^2 buffer.  The phase is even in K, so the average
+    at -k, and that of |R(p)| |R(q)| |R(p - q + k)|, are the same number.
     """
+    ResolventProbe(gamma1, eps, N)
+    if gamma2 != gamma1:
+        raise ValueError(
+            f"integral_3res takes one gamma (got gamma1={gamma1}, gamma2={gamma2}): "
+            "the spectra are contracted as D^3"
+        )
+    if N % 2:
+        raise ValueError(f"integral_3res needs even N (got N={N}): DCT-I is the DFT of an even sequence only then")
+    K = (np.asarray(k, dtype=float) % 1.0) * N
+    if not np.all(K == np.rint(K)):
+        raise ValueError(
+            f"integral_3res needs k on the grid (got (k mod 1) N = {K.tolist()}): Parseval needs an integer shift"
+        )
     m = _axis_weights(N, 0.0)
     xi = np.arange(len(m))
-    w0, w1, w2 = (m * np.cos(2.0 * np.pi * (xi * Kj % N) / N) for Kj in K)
-    D = _dct1(_folded_grid(gamma, eps, N))
+    w0, w1, w2 = (m * np.cos(2.0 * np.pi * (xi * Kj % N) / N) for Kj in K.astype(np.int64))
+    D = _dct1(_folded_grid(gamma1, eps, N))
     w12 = np.outer(w1, w2)
     buf = np.empty_like(w12)
     total = 0.0
@@ -222,56 +230,6 @@ def _on_grid_3res(K, gamma: float, eps: float, N: int) -> float:
         # einsum, not BLAS: a threaded dot would change the sum order with the thread count
         total += w * float(np.einsum("ij,ij->", w12, buf))
     return total / N**9
-
-
-def integral_3res(k, gamma1: float, gamma2: float, eps: float, N: int, gamma3: float = None) -> float:
-    """Average over (p, q) of |R1(p)| |R2(q)| |R3(p + q + k)|, for even N.
-
-    With x = p + q this is N^-6 sum_x H(x) |R3(x + k)|, where H = |R1| * |R2|
-    is the cyclic convolution of the unshifted moduli.  All three are even
-    in every axis, and for even N the DFT of an even sequence is the DCT-I
-    of its indices 0..N/2: `_dct1` of the folded (N/2 + 1)^3 grid.
-    When every K_j = (k_j mod 1) N is exactly an integer and
-    gamma1 == gamma2 == gamma3, `_on_grid_3res` contracts the spectra.
-    Otherwise, including a shift that only rounds to the grid,
-    H = idctn(dctn(|R1|) dctn(|R2|)) (one forward transform when
-    gamma1 == gamma2; the inverse is the same transform divided by N^3),
-    and |R3(x + k)| is streamed in N x N slabs of fixed x1 through one
-    reused buffer; each slab is summed over the mirror classes {j, N - j}
-    of its two axes and contracted with the contiguous row
-    H[min(x1, N - x1)].  |R2| is even, so the average of
-    |R1(p)| |R2(q)| |R3(p - q + k)| is the same number.
-    """
-    if gamma3 is None:
-        gamma3 = gamma2
-    ResolventProbe(gamma1, eps, N)
-    ResolventProbe(gamma2, eps, N)
-    ResolventProbe(gamma3, eps, N)
-    if N % 2:
-        raise ValueError(f"integral_3res needs even N (got N={N}): DCT-I is the DFT of an even sequence only then")
-    K = (np.asarray(k, dtype=float) % 1.0) * N
-    if gamma1 == gamma2 == gamma3 and np.all(K == np.rint(K)):
-        return _on_grid_3res(K.astype(np.int64), gamma1, eps, N)
-    h = N // 2
-    H = _dct1(_folded_grid(gamma2, eps, N))
-    if gamma1 == gamma2:
-        H *= H
-    else:
-        H *= _dct1(_folded_grid(gamma1, eps, N))
-    H = _dct1(H)
-    H /= N**3
-    c = [_axis_cos(N, shift=float(s)) for s in np.asarray(k, dtype=float) % 1.0]
-    slab = np.empty((N, N))
-    total = 0.0
-    for i1 in range(N):
-        _modulus_slab(c[1], c[2], c[0][i1], gamma3, eps, slab)
-        # rows, then columns, j and N - j fold onto j <= h
-        slab[1:h] += slab[:h:-1]
-        fold = slab[: h + 1]
-        fold[:, 1:h] += fold[:, :h:-1]
-        # einsum, not BLAS: a threaded dot would change the sum order with the thread count
-        total += float(np.einsum("ij,ij->", H[min(i1, N - i1)], fold[:, : h + 1]))
-    return total / N**6
 
 
 @dataclass

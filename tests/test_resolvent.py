@@ -6,7 +6,6 @@ import pytest
 from scipy import fft as sfft
 
 from conftest import run_fresh_python
-from kinlab import resolvent
 from kinlab.resolvent import (
     ResolventProbe,
     _dct1,
@@ -111,76 +110,51 @@ def test_integrals_independent_of_blas_threads():
     code = ("from kinlab.resolvent import integral_1res, integral_2res, integral_3res; "
             "print(repr((integral_1res(3.0, 0.01, 800), "
             "integral_2res((0.5, 0.0, 0.0), 3.0, 3.0, 0.02, 512), "
-            "integral_3res((0.25, 0.25, 0.25), 3.0, 3.0, 0.1, 96), "
-            "integral_3res((0.3, 0.1, 0.7), 3.0, 2.5, 0.1, 96, gamma3=3.5))))")
+            "integral_3res((0.25, 0.25, 0.25), 3.0, 3.0, 0.1, 96))))")
     one, two = (run_fresh_python(code, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
     assert one == two
 
 
 def test_3res_factorized_bounds():
+    # |R(p + q + k)| <= 1/eps, and the remaining double sum factorizes
     N, eps = 160, 0.05
-    k = (0.25, 0.25, 0.25)
-    v = integral_3res(k, 3.0, 2.0, eps, N, gamma3=4.0)
-    i2 = integral_1res(2.0, eps, N)
-    i3 = integral_1res(4.0, eps, N)
-    assert v <= (1.0 / eps) * i2 * i3 * (1 + 1e-12)
+    v = integral_3res((0.25, 0.25, 0.25), 3.0, 3.0, eps, N)
+    i1 = integral_1res(3.0, eps, N)
+    assert v <= (1.0 / eps) * i1 * i1 * (1 + 1e-12)
 
 
 def test_3res_sign_reflection():
-    # (p, q) -> (-p, -q) with every |R| even: the average is the same at k and -k
-    a = integral_3res((0.3, 0.1, 0.7), 3.0, 2.5, 0.1, 96, gamma3=3.5)
-    b = integral_3res((0.7, 0.9, 0.3), 3.0, 2.5, 0.1, 96, gamma3=3.5)
+    # (p, q) -> (-p, -q) with |R| even: the average is the same at k and -k
+    a = integral_3res((0.25, 0.125, 0.75), 3.0, 3.0, 0.1, 96)
+    b = integral_3res((0.75, 0.875, 0.25), 3.0, 3.0, 0.1, 96)
     assert abs(a - b) <= 1e-10 * a
 
 
-def test_3res_rejects_odd_N():
-    with pytest.raises(ValueError, match="even N"):
-        integral_3res((0.25, 0.25, 0.25), 3.0, 3.0, 0.1, 81)
-
-
-def test_3res_memory_is_folded():
-    # k is on the N = 160 grid (0.3 * 160 == 48.0 exactly), but gamma3 != gamma1 = gamma2:
-    # the shifted third modulus is streamed, never stored as a grid
-    N = 160
-    tracemalloc.start()
-    try:
-        integral_3res((0.3, 0.1, 0.7), 3.0, 3.0, 0.05, N, gamma3=3.5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * N**3 / 4
+@pytest.mark.parametrize(
+    "k, gamma2, N, match",
+    [
+        ((0.25, 0.25, 0.25), 3.0, 81, "even N"),
+        ((0.3, 0.1, 0.7), 3.0, 96, "on the grid"),
+        ((0.25 + 1e-15, 0.25, 0.25), 3.0, 96, "on the grid"),  # rounds to the grid, is not on it
+        ((0.25, 0.25, 0.25), 2.5, 96, "one gamma"),
+    ],
+    ids=["odd_N", "off_grid", "rounds_to_grid", "distinct_gamma"],
+)
+def test_3res_rejects_bad_input(k, gamma2, N, match):
+    with pytest.raises(ValueError, match=match):
+        integral_3res(k, 3.0, gamma2, 0.1, N)
 
 
 def test_3res_memory_is_folded_on_grid():
-    # k on the grid and one gamma: one folded grid, transformed in place, contracted in (N/2 + 1)^2 slabs
+    # one folded grid, transformed in place, contracted in (N/2 + 1)^2 slabs
     N = 160
     tracemalloc.start()
     try:
-        integral_3res((0.25, 0.25, 0.25), 3.0, 3.0, 0.05, N, gamma3=3.0)
+        integral_3res((0.25, 0.25, 0.25), 3.0, 3.0, 0.05, N)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8 * N**3 / 4
-
-
-def test_3res_spectral_path_matches_stream_path(monkeypatch):
-    # k on the grid with equal gammas is contracted in the DCT domain; nudged off it by 1e-15 it is
-    # streamed, as is k on the grid with distinct gammas
-    calls = []
-    on_grid = resolvent._on_grid_3res
-
-    def counted(*args):
-        calls.append(args)
-        return on_grid(*args)
-
-    monkeypatch.setattr(resolvent, "_on_grid_3res", counted)
-    spectral = integral_3res((0.25, 0.25, 0.25), 3.0, 3.0, 0.1, 96, gamma3=3.0)
-    assert len(calls) == 1
-    streamed = integral_3res((0.25 + 1e-15, 0.25, 0.25), 3.0, 3.0, 0.1, 96, gamma3=3.0)
-    assert len(calls) == 1
-    assert streamed == pytest.approx(spectral, rel=1e-12, abs=0)
-    integral_3res((0.25, 0.25, 0.25), 3.0, 2.5, 0.1, 96, gamma3=3.5)
-    assert len(calls) == 1
 
 
 def test_3res_grid_refinement_stable():
@@ -262,32 +236,24 @@ def test_2res_matches_full_grid_sum(N, p):
         assert integral_2res(p, gamma1, gamma2, eps, N) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
-# (N, k, gammas, sign of the reference double sum); integral_3res takes no sign,
+# (N, k, gamma, sign of the reference double sum); integral_3res takes no sign,
 # so matching references of both signs shows that the value does not depend on it
 THREE_RES_CASES = [
-    (24, (0.25, 0.25, 0.25), (3.0, 3.0, 3.0), +1),  # on grid, one distinct gamma
-    (24, (0.25, 0.25, 0.25), (2.0, 3.0, 3.0), +1),  # on grid, gamma3 == gamma2 only
-    (24, (0.25, 0.5, 0.0), (3.0, 2.5, 3.5), -1),  # on grid, all distinct
-    (24, (0.5, 0.0, 0.75), (3.0, 3.0, 4.0), -1),  # on grid, gamma1 == gamma2 only
-    (24, (0.3, 0.1, 0.7), (3.0, 2.5, 3.5), +1),  # off grid, all distinct
-    (24, (0.3, 0.1, 0.7), (3.0, 3.0, 3.0), -1),  # off grid, one distinct gamma
-    (26, (0.5, 3 / 26, 0.0), (3.0, 2.5, 3.5), +1),  # N/2 odd, on grid
-    (26, (0.3, 0.1, 0.7), (2.0, 3.0, 3.0), -1),  # N/2 odd, off grid
+    (24, (0.25, 0.25, 0.25), 3.0, +1),
+    (26, (0.5, 3 / 26, 0.0), 2.5, +1),  # N/2 odd
+    (24, (0.5, 0.0, 0.75), 3.0, -1),  # components 0 and 1/2
 ]
 
 
 @pytest.mark.parametrize(
-    "N, k, gammas, sign",
+    "N, k, gamma, sign",
     THREE_RES_CASES,
-    # the ids name (k, gammas, sign) only, so the N = 24 cases keep their ids
     ids=[f"k{i}-gammas{i}-{case[-1]}" for i, case in enumerate(THREE_RES_CASES)],
 )
-def test_3res_matches_double_sum(N, k, gammas, sign):
+def test_3res_matches_double_sum(N, k, gamma, sign):
     eps = 1.0 / 3.0
-    gamma1, gamma2, gamma3 = gammas
-    ref = _brute_3res(k, gamma1, gamma2, gamma3, eps, N, sign)
-    v = integral_3res(k, gamma1, gamma2, eps, N, gamma3=gamma3)
-    assert v == pytest.approx(ref, rel=1e-12, abs=0)
+    ref = _brute_3res(k, gamma, gamma, gamma, eps, N, sign)
+    assert integral_3res(k, gamma, gamma, eps, N) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_2d_variant_log_band():
