@@ -140,8 +140,10 @@ def _project_to_shell(U: np.ndarray, E: np.ndarray):
     return reduce_torus(U), ok
 
 
-# Proposals drawn in one round across all pending slots (12.6 MB of float64
-# work buffers, 2 MB per temporary).
+# Proposals drawn in one round across all pending slots.  A call's float64
+# work buffers, u_buf (the uniforms U) and f_buf (a, lo, w), hold 12.6 MB;
+# a round writes a +- h into lo and w and the scaled acceptance uniform into
+# U[2], so its only proposal-sized temporary is the boolean hit mask.
 _ROUND_PROPOSALS = 1 << 18
 
 
@@ -191,10 +193,10 @@ def sample_energy_shell_batch(
         np.subtract((3.0 - E[pending])[:, None], a, out=a)
         a -= w
         # the slice is theta in [lo, lo + w]: lo = arccos(a + h), lo + w = arccos(a - h)
-        np.arccos(np.clip(a + h, -1.0, 1.0, out=lo), out=lo)
-        np.arccos(np.clip(a - h, -1.0, 1.0, out=w), out=w)
+        np.arccos(np.clip(np.add(a, h, out=lo), -1.0, 1.0, out=lo), out=lo)
+        np.arccos(np.clip(np.subtract(a, h, out=w), -1.0, 1.0, out=w), out=w)
         w -= lo
-        hit = U[2] * w_max < w
+        hit = np.multiply(U[2], w_max, out=U[2]) < w
         rows = np.flatnonzero(hit.any(axis=1))
         first = np.argmax(hit[rows], axis=1)
         v = rng.random((2, rows.size))
@@ -272,7 +274,8 @@ def snapshots(
     """Ensemble states at an increasing sequence of times (shared trajectories).
 
     `initial_sampler(n, rng)` returns initial (X, V) arrays; each particle
-    carries weight 1/n, which no step changes.
+    carries weight 1/n, which no step changes, so every returned ensemble
+    shares one read-only weight array.
     """
     times = list(times)
     if any(b < a for a, b in zip(times, times[1:])) or (times and times[0] < 0):
@@ -281,13 +284,14 @@ def snapshots(
     X = np.array(X, dtype=float)
     V = reduce_torus(np.array(V, dtype=float))
     weight = np.full(n_particles, 1.0 / n_particles)
+    weight.flags.writeable = False
     prev = 0.0
     out = []
     for t in times:
         if t > prev:
             X, V = _advance_batch(X, V, t - prev, table, cfg, rng)
             prev = t
-        out.append(ParticleEnsemble(X.copy(), V.copy(), weight.copy()))
+        out.append(ParticleEnsemble(X.copy(), V.copy(), weight))
     return out
 
 

@@ -8,12 +8,13 @@ propagator and the expansion enter momentum space with `fftn` of the
 position grid, multiply by `free_phase`, and leave with `ifftn`.  The
 propagator `evolve_full` takes Strang-split free/potential/free steps,
 unitary by construction, in one pass over its steps: a step is two
-in-place transforms and two in-place multiplies on one work array, and a
-phase grid is rebuilt only when the merged step length changes.  Neither
-kind of phase grid takes a complex exponential over the grid:
-`free_phase` is an outer product of three length-L exponentials, because
-e(k) is a sum over axes, and `kick_phase` writes cos and sin of the real
-argument into one complex array.
+in-place transforms and two in-place multiplies on one work array.  It
+holds three grids, the work array, one free phase and one kick, allocated
+once per call; a phase grid is rebuilt in place, and only when the merged
+step length changes.  Neither kind of phase grid takes a complex
+exponential over the grid: `free_phase` is an outer product of three
+length-L exponentials, because e(k) is a sum over axes, and `kick_phase`
+writes cos and sin of the real argument into one complex array.
 
 The iterated-integral expansion of the full evolution in powers of lam is
 computed by the time-domain recursion
@@ -59,25 +60,34 @@ def _step_counts(t: float, dt: float) -> tuple:
     return n_full, rem
 
 
-def free_phase(box: BoxSpec, s: float) -> np.ndarray:
+def free_phase(box: BoxSpec, s: float, out: np.ndarray | None = None) -> np.ndarray:
     """exp(-i s e(k)) on the momentum grid of `box`, shape (L, L, L).
 
     e(k) = 3 - sum_j cos(2 pi k_j), so the grid is exp(-3is) a (x) a (x) a
     with a = exp(i s cos(2 pi k)) on one axis: three length-L exponentials
-    and one broadcast product.
+    and one broadcast product.  The product is written into `out`, a
+    complex (L, L, L) array, when one is given, and into a new array
+    otherwise; either way the array is returned.
     """
     L = box.side
     a = np.exp(1j * s * np.cos(2.0 * np.pi * (np.arange(L) / L)))
-    return (np.exp(-3j * s) * a)[:, None, None] * (a[:, None] * a)
+    return np.multiply((np.exp(-3j * s) * a)[:, None, None], a[:, None] * a, out=out)
 
 
-def kick_phase(values: np.ndarray, x: float) -> np.ndarray:
+def kick_phase(values: np.ndarray, x: float, out: np.ndarray | None = None) -> np.ndarray:
     """exp(-i x values) for real `values`, written as cos and sin of -x values
-    into the real and imaginary parts of one complex array."""
-    arg = -x * values
-    out = np.empty(values.shape, dtype=np.complex128)
-    np.cos(arg, out=out.real)
-    np.sin(arg, out=out.imag)
+    into the real and imaginary parts of one complex array.
+
+    That array is `out`, complex and of the shape of `values`, when one is
+    given, and a new array otherwise; either way it is returned.  The
+    argument -x values is staged in its imaginary part, so no real
+    temporary is made.
+    """
+    if out is None:
+        out = np.empty(values.shape, dtype=np.complex128)
+    np.multiply(values, -x, out=out.imag)
+    np.cos(out.imag, out=out.real)
+    np.sin(out.imag, out=out.imag)
     return out
 
 
@@ -95,7 +105,8 @@ def evolve_full(
     phase is rebuilt only when the merged step changes, and the potential
     kick only when h does.  A free phase is `free_phase` at half the merged
     step, built per axis; a kick is `kick_phase` at h * lam, built from cos
-    and sin.
+    and sin.  The call holds three grids, the work array, one free phase and
+    one kick, allocated once; each rebuild writes into its grid in place.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -113,20 +124,22 @@ def evolve_full(
     # caller's state.  A merged phase takes 0.5 * (prev + h), the operand
     # order a per-step reference uses, so it reproduces that bitwise
     work = np.fft.fftn(psi.grid())
+    phase = np.empty_like(work)
+    kick = np.empty_like(work)
     prev = merged = kick_step = 0.0
     for h in steps:
         if prev + h != merged:
             merged = prev + h
-            phase = free_phase(psi.box, 0.5 * merged)
+            free_phase(psi.box, 0.5 * merged, out=phase)
         work *= phase
         np.fft.ifftn(work, out=work)
         if h != kick_step:
             kick_step = h
-            kick = kick_phase(vgrid, h * lam)
+            kick_phase(vgrid, h * lam, out=kick)
         work *= kick
         np.fft.fftn(work, out=work)
         prev = h
-    work *= free_phase(psi.box, 0.5 * prev)
+    work *= free_phase(psi.box, 0.5 * prev, out=phase)
     np.fft.ifftn(work, out=work)
     return WaveFunction(psi.box, work.ravel())
 

@@ -227,8 +227,11 @@ class TimeGridReport:
 def run_timegrid_sup(cfg: ExperimentConfig) -> TimeGridReport:
     """Deviation of disorder stream 1 from the transport value on a tau grid."""
     taus = tuple(float(x) for x in np.linspace(0.0, cfg.T, cfg.tau_grid))
-    snaps = transport_snapshots(cfg, taus)
-    mu_vals = [bz.observable(s, cfg.observable)[0].real for s in snaps]
+    # only the transport values outlive this line: the ensembles are freed
+    # before the quantum loop allocates its grids
+    mu_vals = [
+        bz.observable(s, cfg.observable)[0].real for s in transport_snapshots(cfg, taus)
+    ]
 
     box = cfg.box()
     V = sample_disorder(box, cfg.master_seed, 1)

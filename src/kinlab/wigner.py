@@ -129,10 +129,16 @@ def _contract(q, vecs):
 
 
 def _pair_position_arrays(J, p, s, eta, box):
-    """Core pairing given the position grids of phi and psi, shape (L, L, L)."""
+    """Core pairing given the position grids of phi and psi, shape (L, L, L).
+
+    Each product of a shifted grid with an unshifted one is built in one
+    grid: the roll, then conjugation and multiplication in place.  When `s`
+    is `p` (the diagonal pairing) |psi| and its norm are computed once.
+    """
     side = box.side
     coords = box.site_coordinates()
-    abs_p, abs_s = np.abs(p), np.abs(s)
+    abs_p = np.abs(p)
+    abs_s = abs_p if s is p else np.abs(s)
 
     value = 0.0 + 0.0j
     cutoffs = (0.0, 0.0, 0.0)
@@ -152,12 +158,16 @@ def _pair_position_arrays(J, p, s, eta, box):
         cutoffs = tuple(t[1] for t in tabs)
 
         shift = tuple(-c for c in m)
-        q = np.conj(np.roll(p, shift, axis=(0, 1, 2))) * s
+        q = np.roll(p, shift, axis=(0, 1, 2))
+        np.conj(q, out=q)
+        q *= s
         value += np.conj(cm) * _contract(q, [t[0] for t in tabs])
+        del q  # freed before the next roll is made
 
         # periodization contribution: g evaluated one box over, weighted by the
         # actual state magnitudes (face images; corners absorbed by the x2 below)
-        q = abs_s * np.roll(abs_p, shift, axis=(0, 1, 2))
+        q = np.roll(abs_p, shift, axis=(0, 1, 2))
+        q *= abs_s
         central = [_axis_gauss_abs(J, eta, coords, ax, m[ax] / 2.0, 0) for ax in range(3)]
         for ax in range(3):
             for image in (-1, 1):
@@ -168,7 +178,7 @@ def _pair_position_arrays(J, p, s, eta, box):
 
     # not np.linalg.norm: its ddot is threaded too (see _contract)
     norm_phi = math.sqrt(np.einsum("ijk,ijk->", abs_p, abs_p))
-    norm_psi = math.sqrt(np.einsum("ijk,ijk->", abs_s, abs_s))
+    norm_psi = norm_phi if abs_s is abs_p else math.sqrt(np.einsum("ijk,ijk->", abs_s, abs_s))
     trunc = (
         norm_phi * norm_psi * coeff_l1 * abs(J.amplitude) * (3.0 * AXIS_TAIL_FRACTION)
         + 2.0 * alias_total
@@ -198,7 +208,9 @@ def pair_wigner_bilinear(
     if phi.box != psi.box:
         raise ValueError("states live on different boxes")
     _check_resolution(J, eta, psi.box.side)
-    value, cutoffs, trunc = _pair_position_arrays(J, phi.grid(), psi.grid(), eta, psi.box)
+    s = psi.grid()
+    p = s if phi is psi else phi.grid()
+    value, cutoffs, trunc = _pair_position_arrays(J, p, s, eta, psi.box)
     return WignerPairing(complex(value), cutoffs, trunc)
 
 

@@ -376,6 +376,20 @@ def test_snapshots_shared_trajectories(table, rng):
         assert np.max(np.abs(dispersion(s.V) - 3.0)) < 1e-10
 
 
+def test_snapshots_share_read_only_weights(table, cfg, rng):
+    n = 300
+
+    def init(k, r):
+        return r.normal(size=(k, 3)), r.random((k, 3))
+
+    snaps = snapshots(init, [0.0, 0.5, 1.0], n, cfg, rng, table)
+    for s in snaps:
+        assert s.weight is snaps[0].weight
+        assert np.all(s.weight == 1.0 / n)
+        with pytest.raises(ValueError):
+            s.weight[0] = 0.5
+
+
 # ---------------------------------------------------------------------------
 # observables
 # ---------------------------------------------------------------------------

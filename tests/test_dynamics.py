@@ -203,6 +203,33 @@ def test_full_leaves_input_untouched(t, rng):
     assert not np.shares_memory(out.values, psi.values)
 
 
+def test_phase_builders_write_into_out():
+    box = BoxSpec(12)
+    vgrid = sample_disorder(box, 11, 3).values.reshape(12, 12, 12)
+    buf = np.empty((12, 12, 12), dtype=np.complex128)
+    for build, args in ((free_phase, (box, 0.035)), (kick_phase, (vgrid, 0.6 * 0.07))):
+        fresh = build(*args)
+        assert build(*args, out=buf) is buf
+        assert np.array_equal(buf, fresh)
+
+
+def test_full_memory_three_grids(rng):
+    # a dt step and a remainder step: both phases are rebuilt once, in place
+    box = BoxSpec(32)
+    V = sample_disorder(box, 5, 1)
+    psi = random_state(box, rng)
+    args = (psi, V, 0.3, 0.08, PropagatorConfig(dt=0.05))
+    evolve_full(*args)  # numpy's FFT plan cache is filled outside the trace
+    tracemalloc.start()
+    try:
+        evolve_full(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid = 16 * box.volume
+    assert peak < 3.6 * grid, f"peak {peak / grid:.2f} grids"
+
+
 # ---------------------------------------------------------------------------
 # dense oracle
 # ---------------------------------------------------------------------------

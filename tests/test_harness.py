@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -475,6 +476,25 @@ def test_cli_stdout_reads_its_csv(cfg, tmp_path, capsys, monkeypatch):
         f"two-resolvent exponent: {fits['two_res']:.3f} (gate 0.85)",
         f"three-resolvent exponent: {fits['three_res']:.3f} (gate 0.82)",
     ]
+
+
+def test_timegrid_frees_transport_before_quantum_loop(cfg, monkeypatch):
+    # 4 ensembles of 20000 particles are 4.5 MB; an L = 20 state is 0.13 MB
+    entry = []
+    evolve = ex.evolve_full
+
+    def traced(*args):
+        entry.append(tracemalloc.get_traced_memory()[0])
+        return evolve(*args)
+
+    monkeypatch.setattr(ex, "evolve_full", traced)
+    tracemalloc.start()
+    try:
+        ex.run_timegrid_sup(dataclasses.replace(cfg, n_particles=20000))
+    finally:
+        tracemalloc.stop()
+    assert len(entry) == 6  # two couplings, three segments each
+    assert max(entry) < 1e6, f"{max(entry) / 1e6:.2f} MB"
 
 
 def test_timegrid_needs_four_points(cfg):

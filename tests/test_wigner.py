@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,8 +217,26 @@ def test_quadratic_equals_bilinear_diagonal(observable, rng):
     box = BoxSpec(16)
     psi = random_state(box, rng)
     a = pair_wigner(observable, psi, 0.5)
-    b = pair_wigner_bilinear(observable, psi, psi, 0.5)
-    assert a.value == b.value
+    # the diagonal computes |psi| and its norm once; a copy takes the bilinear path
+    for other in (psi, psi.copy()):
+        b = pair_wigner_bilinear(observable, psi, other, 0.5)
+        assert (a.value, a.xi_cutoff, a.truncation_error) == (
+            b.value, b.xi_cutoff, b.truncation_error
+        )
+
+
+def test_pairing_memory_under_three_grids(observable, rng):
+    box = BoxSpec(32)
+    psi = random_state(box, rng)
+    pair_wigner(observable, psi, 0.5)  # numpy's FFT plan cache is filled outside the trace
+    tracemalloc.start()
+    try:
+        pair_wigner(observable, psi, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid = 16 * box.volume
+    assert peak < 2.6 * grid, f"peak {peak / grid:.2f} grids"
 
 
 def test_swap_symmetry_real_observable(rng):
