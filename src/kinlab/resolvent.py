@@ -12,16 +12,13 @@ when all three shifts are equal (every one-resolvent integral) only the
 orbits i <= j <= t are visited, n (n + 1) (n + 2) / 6 points for
 n = N//2 + 1; when two are, that pair is visited at i <= j only and the
 third axis is streamed over it.  The six-dimensional three-resolvent
-integral takes one gamma, even N and a shift k on the grid.  It works on
-the same folded (N/2 + 1)^3 grid: the unshifted modulus is even in every
-axis, so its spectrum is the DCT-I of its folded grid.  By Parseval the
-integral is a contraction of that spectrum, cubed, against a phase that
-is a cosine only because k N is an integer on every axis.  No N^3 array
-is built and one folded grid is held.  The DCT-I is numpy's real FFT of
-the even extension, one slab at a time.  Reductions use einsum, whose sum
-order does not depend on a BLAS thread count.  Scaling fits divide out a
-stated power of |log eps| first and regress the remainder against
-log(1/eps).
+integral is a Parseval contraction in the DCT domain (`integral_3res`).
+It holds half of the folded (N/2 + 1)^3 grid, the pairs j <= t of its
+last two axes, and transforms and contracts those axes one slab at a time;
+no N^3 array is built.  The DCT-I is numpy's real FFT of the even
+extension of each row.  Reductions use einsum, whose sum order does not
+depend on a BLAS thread count.  Scaling fits divide out a stated power of
+|log eps| first and regress the remainder against log(1/eps).
 """
 
 from __future__ import annotations
@@ -72,10 +69,14 @@ def _axis_weights(N: int, shift: float) -> np.ndarray:
     return w
 
 
-def _reciprocal_modulus(re: np.ndarray, eps: float) -> np.ndarray:
-    """1/|re - i eps|, in place."""
+def _reciprocal_modulus(re: np.ndarray, eps: float, re2: np.ndarray = None) -> np.ndarray:
+    """1/|re - i eps|, times 1/|re2 - i eps| if re2 is given, in place with one sqrt."""
     np.square(re, out=re)
     re += eps**2
+    if re2 is not None:
+        np.square(re2, out=re2)
+        re2 += eps**2
+        re *= re2
     np.sqrt(re, out=re)
     return np.reciprocal(re, out=re)
 
@@ -128,9 +129,8 @@ def _folded_rule(p, eps: float, N: int, gamma1: float, gamma2: float = None) -> 
     for wt, cs, cp, start, stop in zip(
         weights[t].tolist(), shifted[t].tolist(), plain[t].tolist(), starts, stops
     ):
-        f = _reciprocal_modulus(np.subtract(3.0 - cs - gamma1, pair_shifted[:stop], out=line[:stop]), eps)
-        if gamma2 is not None:
-            f *= _reciprocal_modulus(np.subtract(3.0 - cp - gamma2, pair_plain[:stop], out=line2[:stop]), eps)
+        re2 = None if gamma2 is None else np.subtract(3.0 - cp - gamma2, pair_plain[:stop], out=line2[:stop])
+        f = _reciprocal_modulus(np.subtract(3.0 - cs - gamma1, pair_shifted[:stop], out=line[:stop]), eps, re2)
         # einsum, not BLAS: a threaded dot would change the sum order with the thread count
         row = float(np.einsum("i,i->", pair_w[:start], f[:start]))
         if start < stop:
@@ -160,49 +160,38 @@ def integral_2res(p, gamma1: float, gamma2: float, eps: float, N: int) -> float:
     return _folded_rule(p, eps, N, gamma1, gamma2)
 
 
-def _folded_grid(gamma: float, eps: float, N: int) -> np.ndarray:
-    """1/|e(k) - gamma - i eps| at the grid indices 0..N//2 of every axis, slab by slab."""
+def _pair_rows(gamma: float, eps: float, N: int):
+    """Yield 1/|e - gamma - i eps| at (i, j, t) in 0..N//2, one j at a time: rows t >= j, over i."""
     c = _axis_cos(N)[: N // 2 + 1]
-    out = np.empty((len(c),) * 3)
-    for ci, slab in zip(c.tolist(), out):
-        np.subtract((3.0 - ci - gamma) - c[:, None], c[None, :], out=slab)
-        _reciprocal_modulus(slab, eps)
-    return out
+    a = 3.0 - c - gamma
+    for j, cj in enumerate(c.tolist()):
+        yield _reciprocal_modulus(np.subtract(a, c[j:, None]) - cj, eps)
 
 
-def _dct1(x: np.ndarray) -> np.ndarray:
-    """Unnormalised DCT-I of a cube along axes 0, 1, 2, in place: scipy.fft.dctn(x, type=1).
-
-    The DCT-I of a line x_0..x_h is the real part of the DFT of its even
-    extension x_0..x_h, x_{h-1}..x_1 of length 2h.  Each slab of lines is
-    copied into one extension buffer, reused for the whole cube, and
-    transformed with numpy's real FFT.
-    """
-    n = x.shape[0]
-    h = n - 1
-    ext = np.empty((n, 2 * h))
-    for axis in range(3):
-        for slab in np.moveaxis(x, axis, -1):
-            ext[:, :n] = slab
-            ext[:, n:] = slab[:, h - 1 : 0 : -1]
-            slab[...] = np.fft.rfft(ext).real
-    return x
+def _dct1_rows(x: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    """scipy.fft.dct(x, type=1) of each row of x (m, n): the real part of numpy's
+    real FFT of the even extension x_0..x_{n-1}, x_{n-2}..x_1, built in ext[:m]."""
+    m, n = x.shape
+    e = ext[:m]
+    e[:, :n] = x
+    e[:, n:] = x[:, n - 2 : 0 : -1]
+    return np.fft.rfft(e).real
 
 
 def integral_3res(k, gamma1: float, gamma2: float, eps: float, N: int) -> float:
     """Average over (p, q) of |R(p)| |R(q)| |R(p + q + k)|, R = 1/(e - gamma1 - i eps).
 
-    gamma2 must equal gamma1, N must be even and k must lie on the grid:
-    every K_j = (k_j mod 1) N exactly an integer.  |R| is even in every
-    axis, and for even N the DFT of an even sequence is the DCT-I of its
-    indices 0..N/2: D = `_dct1` of the folded grid.  Shifting the grid by an
-    integer K multiplies the spectrum by a phase, so by Parseval the average
-    is N^-9 sum_xi prod_j m(xi_j) cos(2 pi xi_j K_j / N) D(xi)^3 over
-    xi in {0..N/2}^3, m = 1 at 0 and N/2 and 2 elsewhere; a shift that only
-    rounds to the grid is no such phase.  The sum runs slab by slab over
-    xi_0, against the outer product of the axis-1 and axis-2 weights,
-    through one (N/2 + 1)^2 buffer.  The phase is even in K, so the average
-    at -k, and that of |R(p)| |R(q)| |R(p - q + k)|, are the same number.
+    gamma2 must equal gamma1, N must be even and k on the grid: every
+    K_j = (k_j mod 1) N exactly an integer.  |R| is even in every axis, so
+    for even N its DFT is the DCT-I D of its indices 0..N/2, and the shift
+    K is a phase: by Parseval the average is N^-9 sum_xi D(xi)^3
+    prod_j m(xi_j) cos(2 pi xi_j K_j / N) over xi in {0..N/2}^3, m = 1 at 0
+    and N/2 and 2 elsewhere.  The folded grid and its DCT-I along i are
+    symmetric in (j, t), so G holds the latter for the pairs j <= t only.
+    Each xi_0 unpacks its slab of G, transforms it along j and t and
+    contracts its cube against the axis-1 and axis-2 weights.  The phase is
+    even in K: the average at -k, and that of |R(p)| |R(q)| |R(p - q + k)|,
+    are equal.
     """
     ResolventProbe(gamma1, eps, N)
     if gamma2 != gamma1:
@@ -220,11 +209,20 @@ def integral_3res(k, gamma1: float, gamma2: float, eps: float, N: int) -> float:
     m = _axis_weights(N, 0.0)
     xi = np.arange(len(m))
     w0, w1, w2 = (m * np.cos(2.0 * np.pi * (xi * Kj % N) / N) for Kj in K.astype(np.int64))
-    D = _dct1(_folded_grid(gamma1, eps, N))
+    n = len(m)
+    j, t = np.triu_indices(n)
+    pair = np.empty((n, n), dtype=np.intp)
+    pair[j, t] = pair[t, j] = np.arange(len(j))
+    G, ext = np.empty((n, len(j))), np.empty((n, 2 * n - 2))
+    stop = 0
+    for rows in _pair_rows(gamma1, eps, N):
+        stop += len(rows)
+        G[:, stop - len(rows) : stop] = _dct1_rows(rows, ext).T
     w12 = np.outer(w1, w2)
-    buf = np.empty_like(w12)
-    total = 0.0
-    for w, d in zip(w0.tolist(), D):
+    slab, buf, total = np.empty_like(w12), np.empty_like(w12), 0.0
+    for w, g in zip(w0.tolist(), G):
+        # a symmetric slab's rows are its columns: transform along j, transpose, along t
+        d = _dct1_rows(_dct1_rows(np.take(g, pair, out=slab), ext).T, ext)
         np.multiply(d, d, out=buf)
         buf *= d
         # einsum, not BLAS: a threaded dot would change the sum order with the thread count

@@ -8,8 +8,8 @@ from scipy import fft as sfft
 from conftest import run_fresh_python
 from kinlab.resolvent import (
     ResolventProbe,
-    _dct1,
-    _folded_grid,
+    _dct1_rows,
+    _pair_rows,
     fit_scaling,
     integral_1res,
     integral_2res,
@@ -62,9 +62,11 @@ def test_modulus_grid_extremes():
 def test_modulus_grid_reflection_symmetry():
     g = _grid_modulus((0.0, 0.0, 0.0), 2.0, 0.1, 80)
     assert np.allclose(g, np.roll(g[::-1, ::-1, ::-1], (1, 1, 1), axis=(0, 1, 2)))
-    # _folded_grid is the grid on the indices 0..N//2 (the sum order differs)
+    # _pair_rows is the grid at (i, j <= t) on the indices 0..N//2, rows over i (the sum order differs)
     h = 80 // 2
-    np.testing.assert_allclose(_folded_grid(2.0, 0.1, 80), g[: h + 1, : h + 1, : h + 1], rtol=1e-13, atol=0)
+    j, t = np.triu_indices(h + 1)
+    packed = np.concatenate(list(_pair_rows(2.0, 0.1, 80)))
+    np.testing.assert_allclose(packed, g[: h + 1, j, t].T, rtol=1e-13, atol=0)
 
 
 def test_1res_off_spectrum_small():
@@ -96,13 +98,11 @@ def test_2res_exceptional_enhancement():
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 65])
-def test_dct1_matches_scipy_dctn(n):
-    # bitwise: both run pocketfft's real FFT on the same even extension, axes 0, 1, 2 in turn
-    x = np.random.default_rng(n).standard_normal((n, n, n))
-    ref = sfft.dctn(x, type=1)
-    out = _dct1(x)
-    assert out is x
-    np.testing.assert_array_equal(out, ref)
+def test_dct1_rows_matches_scipy_dct(n):
+    # bitwise: both run pocketfft's real FFT on the same even extension of each row
+    x = np.random.default_rng(n).standard_normal((7, n))
+    ext = np.full((9, 2 * n - 2), np.nan)  # more rows than x: only the first 7 are used
+    np.testing.assert_array_equal(_dct1_rows(x, ext), sfft.dct(x, type=1, axis=-1))
 
 
 def test_integrals_independent_of_blas_threads():
@@ -155,6 +155,26 @@ def test_3res_memory_is_folded_on_grid():
     finally:
         tracemalloc.stop()
     assert peak < 8 * N**3 / 4
+
+
+def test_3res_memory_is_half_grid():
+    # the pairs j <= t of the folded grid, transformed along i; each slab is unpacked and contracted alone
+    N = 256
+    tracemalloc.start()
+    try:
+        integral_3res((0.25, 0.25, 0.25), 3.0, 3.0, 0.05, N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.65 * 8 * (N // 2 + 1) ** 3
+
+
+def test_3res_axis_permutation():
+    # permuting the axes of (p, q) permutes those of k; w1 != w2 here, so the (j, t) unpack must keep its order
+    ks = ((0.25, 0.125, 0.5), (0.125, 0.5, 0.25), (0.5, 0.25, 0.125))
+    a, b, c = (integral_3res(k, 3.0, 3.0, 0.1, 96) for k in ks)
+    assert b == pytest.approx(a, rel=1e-12, abs=0)
+    assert c == pytest.approx(a, rel=1e-12, abs=0)
 
 
 def test_3res_grid_refinement_stable():
