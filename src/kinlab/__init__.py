@@ -24,29 +24,4 @@ bounds     amplitude, remainder and variance bound formulas
 harness    experiment orchestration, config files, CSV/manifest output, CLI
 """
 
-from kinlab.lattice import (
-    BoxSpec,
-    DisorderField,
-    TrigPolynomial,
-    WaveFunction,
-    WkbSpec,
-    dispersion,
-    group_velocity,
-    sample_disorder,
-    wkb_state,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoxSpec",
-    "DisorderField",
-    "TrigPolynomial",
-    "WaveFunction",
-    "WkbSpec",
-    "dispersion",
-    "group_velocity",
-    "sample_disorder",
-    "wkb_state",
-    "__version__",
-]

@@ -130,7 +130,6 @@ class PairingClass:
     line: int = 0  # crossing line for GENERALIZED_CROSSING (smallest if both)
     parallel: bool = False
     antiparallel: bool = False
-    transfer_count: int = 0
 
     def label(self) -> str:
         if self.kind is PairKind.GENERALIZED_CROSSING:
@@ -168,14 +167,14 @@ def classify(p: Pairing) -> PairingClass:
     m = len(transfers)
     crossing_lines = generalized_crossing_lines(p)
     if crossing_lines:
-        return PairingClass(PairKind.GENERALIZED_CROSSING, line=crossing_lines[0], transfer_count=m)
+        return PairingClass(PairKind.GENERALIZED_CROSSING, line=crossing_lines[0])
     seconds = [two for _, two in transfers]  # transfers already sorted by line-1 index
     increasing = all(a < b for a, b in zip(seconds, seconds[1:]))
     decreasing = all(a > b for a, b in zip(seconds, seconds[1:]))
     if m == 1:
-        return PairingClass(PairKind.TRANSFER, parallel=True, antiparallel=True, transfer_count=1)
+        return PairingClass(PairKind.TRANSFER, parallel=True, antiparallel=True)
     if increasing:
-        return PairingClass(PairKind.TRANSFER, parallel=True, transfer_count=m)
+        return PairingClass(PairKind.TRANSFER, parallel=True)
     if decreasing:
-        return PairingClass(PairKind.TRANSFER, antiparallel=True, transfer_count=m)
-    return PairingClass(PairKind.CROSSING_TRANSFER, transfer_count=m)
+        return PairingClass(PairKind.TRANSFER, antiparallel=True)
+    return PairingClass(PairKind.CROSSING_TRANSFER)

@@ -56,6 +56,7 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from types import MappingProxyType
 from typing import get_type_hints
 
 from kinlab.boltzmann import ShellSamplerConfig
@@ -115,18 +116,18 @@ def _harmonics(s: str, what: str) -> tuple:
 
 
 # value parsers by field type
-_TYPE_PARSERS = {
+_TYPE_PARSERS = MappingProxyType({
     int: partial(_number, int),
     float: partial(_number, float),
     str: lambda s, what: s,
     tuple: _vector,
     TrigPolynomial: lambda s, what: TrigPolynomial.from_dict(_parse_terms(s)),
-}
+})
 # fields with their own key name or grammar: field -> (key, parser)
-_OWN_PARSERS = {
+_OWN_PARSERS = MappingProxyType({
     "lambdas": ("lambdas", _floats),
     "coeffs": ("harmonics", _harmonics),
-}
+})
 
 
 @dataclass(frozen=True)

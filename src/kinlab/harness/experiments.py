@@ -13,6 +13,7 @@ import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -32,13 +33,13 @@ SEED_DOS = 7002
 SEED_BOOTSTRAP = 7003
 SEED_STUDY = 7004
 # generator keys recorded in each run manifest (realization streams count from 1)
-TASK_SEEDS = {
+TASK_SEEDS = MappingProxyType({
     "disorder_stream_base": 1,
     "boltzmann": SEED_BOLTZMANN,
     "dos": SEED_DOS,
     "bootstrap": SEED_BOOTSTRAP,
     "study": SEED_STUDY,
-}
+})
 
 
 # ---------------------------------------------------------------------------
@@ -62,14 +63,14 @@ def write_csv(path, header, rows):
 
 
 def _realization_value(args):
-    """One disorder realization: draw, evolve psi0, pair.  Returns (stream, value, trunc)."""
+    """One disorder realization: draw, evolve psi0, pair.  Returns (value, trunc)."""
     cfg, lam, psi0, stream = args
     eta = lam**2
     V = sample_disorder(psi0.box, cfg.master_seed, stream)
     t = cfg.T / eta
     psi_t = evolve_full(psi0, V, lam, t, PropagatorConfig(dt=cfg.dt))
     pairing = pair_wigner(cfg.observable, psi_t, eta)
-    return stream, pairing.value, pairing.truncation_error
+    return pairing.value, pairing.truncation_error
 
 
 def run_ensemble(cfg: ExperimentConfig, lam: float, workers: int = 1) -> EnsembleStats:
@@ -90,13 +91,13 @@ def run_ensemble(cfg: ExperimentConfig, lam: float, workers: int = 1) -> Ensembl
             results = list(pool.map(_realization_value, jobs, chunksize=1))
     else:
         results = [_realization_value(j) for j in jobs]
-    for stream, value, trunc in results:  # already in stream order
+    for value, trunc in results:  # already in stream order
         stats.values.append(value)
         stats.truncation_errors.append(trunc)
     return stats
 
 
-ENSEMBLE_HEADER = ["realization", "value_re", "value_im", "truncation"]
+ENSEMBLE_HEADER = ("realization", "value_re", "value_im", "truncation")
 
 
 def ensemble_rows(stats: EnsembleStats) -> list:
@@ -112,10 +113,10 @@ def ensemble_rows(stats: EnsembleStats) -> list:
 # ---------------------------------------------------------------------------
 
 
-SELFAVG_HEADER = [
+SELFAVG_HEADER = (
     "lam", "eta", "n_realizations", "mean_re", "mean_im",
     "variance", "stderr_mean", "m2", "m4", "envelope",
-]
+)
 
 
 @dataclass
@@ -152,10 +153,10 @@ def run_selfaveraging(cfg: ExperimentConfig, stats: list) -> SelfAveragingReport
 # ---------------------------------------------------------------------------
 
 
-COMPARE_HEADER = [
+COMPARE_HEADER = (
     "lam", "quantum_mean", "quantum_stderr", "boltzmann", "boltzmann_stderr",
     "difference", "combined_error",
-]
+)
 
 
 @dataclass
@@ -214,7 +215,7 @@ def run_kinetic_comparison(cfg: ExperimentConfig, stats: list) -> KineticCompari
 # ---------------------------------------------------------------------------
 
 
-SUPNORM_HEADER = ["lam", "tau", "deviation", "sup_deviation"]
+SUPNORM_HEADER = ("lam", "tau", "deviation", "sup_deviation")
 
 
 @dataclass
@@ -260,10 +261,10 @@ def run_timegrid_sup(cfg: ExperimentConfig) -> TimeGridReport:
 # Resolvent and graph suites
 # ---------------------------------------------------------------------------
 
-RESOLVENT_HEADER = [
+RESOLVENT_HEADER = (
     "sweep", "epsilon", "value", "normalized", "N",
     "gamma1", "gamma2", "gamma3", "p_or_k", "fit_exponent",
-]
+)
 
 BAND_SWEEP = ((1.0 / 3.0, 48), (0.1, 96), (0.03, 288), (0.01, 800))
 TWORES_SWEEP = ((0.1, 96), (0.05, 192), (0.02, 512), (0.01, 800))
@@ -295,7 +296,7 @@ def run_resolvent_suite() -> ResolventReport:
     for (eps, N), v in zip(TWORES_SWEEP, vals2):
         rows.append(
             ["two_res", eps, v, v / math.log(eps) ** 2, N, GAMMA, GAMMA, "",
-             " ".join(map(str, TWORES_P)), fit2.exponent]
+             " ".join(map(str, TWORES_P)), fit2]
         )
 
     vals3 = [integral_3res(THREERES_K, GAMMA, GAMMA, eps, N)
@@ -304,14 +305,14 @@ def run_resolvent_suite() -> ResolventReport:
     for (eps, N), v in zip(THREERES_SWEEP, vals3):
         rows.append(
             ["three_res", eps, v, v / abs(math.log(eps)) ** 4, N, GAMMA, GAMMA, GAMMA,
-             " ".join(map(str, THREERES_K)), fit3.exponent]
+             " ".join(map(str, THREERES_K)), fit3]
         )
 
-    return ResolventReport(band_ratio, fit2.exponent, fit3.exponent, rows)
+    return ResolventReport(band_ratio, fit2, fit3, rows)
 
 
-GRAPH_HEADER = ["n1", "n2", "class", "count", "bound"]
-SCHEDULE_HEADER = ["lam", "t", "eps", "N", "kappa", "envelope_exponent"]
+GRAPH_HEADER = ("n1", "n2", "class", "count", "bound")
+SCHEDULE_HEADER = ("lam", "t", "eps", "N", "kappa", "envelope_exponent")
 
 
 def run_graph_suite(cfg: ExperimentConfig):
@@ -346,7 +347,7 @@ def run_graph_suite(cfg: ExperimentConfig):
 # Expansion-decay study
 # ---------------------------------------------------------------------------
 
-DUHAMEL_HEADER = ["order_cap", "residual_norm"]
+DUHAMEL_HEADER = ("order_cap", "residual_norm")
 
 
 def run_duhamel_study(cfg: ExperimentConfig):

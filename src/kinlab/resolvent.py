@@ -2,7 +2,7 @@
 
 All integrals use the rectangle rule on uniform N^3 momentum grids with the
 resolution contract N >= 8/eps (the integrands vary on scale eps near the
-level sets of the dispersion).
+level sets of the dispersion), which `check_probe` enforces.
 
 The one- and two-resolvent rules are folded by lattice symmetry: along an
 axis whose shift p is 0 or 1/2 mod 1, the pair (cos 2pi(i/N + p), cos 2pi i/N)
@@ -24,26 +24,18 @@ depend on a BLAS thread count.  Scaling fits divide out a stated power of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class ResolventProbe:
-    """Grid resolution contract for a resolvent sweep point."""
-
-    gamma: float
-    eps: float
-    N: int
-
-    def __post_init__(self):
-        if not -1.0 <= self.gamma <= 7.0:
-            raise ValueError("gamma restricted to the real contour edge [-1, 7]")
-        if not 0.0 < self.eps <= 1.0 / 3.0:
-            raise ValueError("eps must lie in (0, 1/3]")
-        if self.N < math.ceil(8.0 / self.eps):
-            raise ValueError(f"N={self.N} below the resolution contract ceil(8/eps)={math.ceil(8.0 / self.eps)}")
+def check_probe(gamma: float, eps: float, N: int):
+    """Raise ValueError unless (gamma, eps, N) meets the grid resolution contract."""
+    if not -1.0 <= gamma <= 7.0:
+        raise ValueError("gamma restricted to the real contour edge [-1, 7]")
+    if not 0.0 < eps <= 1.0 / 3.0:
+        raise ValueError("eps must lie in (0, 1/3]")
+    if N < math.ceil(8.0 / eps):
+        raise ValueError(f"N={N} below the resolution contract ceil(8/eps)={math.ceil(8.0 / eps)}")
 
 
 def _axis_cos(N: int, shift: float = 0.0) -> np.ndarray:
@@ -141,7 +133,7 @@ def _folded_rule(p, eps: float, N: int, gamma1: float, gamma2: float = None) -> 
 
 def integral_1res(gamma: float, eps: float, N: int) -> float:
     """Torus average of 1/|e - gamma - i eps| (rectangle rule, folded, streamed)."""
-    ResolventProbe(gamma, eps, N)
+    check_probe(gamma, eps, N)
     return _folded_rule((0.0, 0.0, 0.0), eps, N, gamma)
 
 
@@ -155,8 +147,8 @@ def integral_2res(p, gamma1: float, gamma2: float, eps: float, N: int) -> float:
     of N^3.  Three equal shifts, as at p = (0, 0, 0) or (1/2, 1/2, 1/2), are
     visited at i <= j <= t only: n (n + 1) (n + 2) / 6 points.
     """
-    ResolventProbe(gamma1, eps, N)
-    ResolventProbe(gamma2, eps, N)
+    check_probe(gamma1, eps, N)
+    check_probe(gamma2, eps, N)
     return _folded_rule(p, eps, N, gamma1, gamma2)
 
 
@@ -193,7 +185,7 @@ def integral_3res(k, gamma1: float, gamma2: float, eps: float, N: int) -> float:
     even in K: the average at -k, and that of |R(p)| |R(q)| |R(p - q + k)|,
     are equal.
     """
-    ResolventProbe(gamma1, eps, N)
+    check_probe(gamma1, eps, N)
     if gamma2 != gamma1:
         raise ValueError(
             f"integral_3res takes one gamma (got gamma1={gamma1}, gamma2={gamma2}): "
@@ -221,8 +213,9 @@ def integral_3res(k, gamma1: float, gamma2: float, eps: float, N: int) -> float:
     w12 = np.outer(w1, w2)
     slab, buf, total = np.empty_like(w12), np.empty_like(w12), 0.0
     for w, g in zip(w0.tolist(), G):
-        # a symmetric slab's rows are its columns: transform along j, transpose, along t
-        d = _dct1_rows(_dct1_rows(np.take(g, pair, out=slab), ext).T, ext)
+        # a symmetric slab's rows are its columns: transform along j, transpose, along t;
+        # pair is in range, so mode="clip" writes into slab without a buffered copy
+        d = _dct1_rows(_dct1_rows(np.take(g, pair, out=slab, mode="clip"), ext).T, ext)
         np.multiply(d, d, out=buf)
         buf *= d
         # einsum, not BLAS: a threaded dot would change the sum order with the thread count
@@ -230,13 +223,7 @@ def integral_3res(k, gamma1: float, gamma2: float, eps: float, N: int) -> float:
     return total / N**9
 
 
-@dataclass
-class ScalingFit:
-    exponent: float
-    residual: float
-
-
-def fit_scaling(eps_values, values, polylog_degree: int) -> ScalingFit:
+def fit_scaling(eps_values, values, polylog_degree: int) -> float:
     """Least-squares slope of log(value / |log eps|^degree) against log(1/eps)."""
     eps_values = tuple(float(e) for e in eps_values)
     values = tuple(float(v) for v in values)
@@ -246,6 +233,5 @@ def fit_scaling(eps_values, values, polylog_degree: int) -> ScalingFit:
     y = np.array(
         [math.log(v / abs(math.log(e)) ** polylog_degree) for v, e in zip(values, eps_values)]
     )
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
-    return ScalingFit(float(slope), resid)
+    slope, _ = np.polyfit(x, y, 1)
+    return float(slope)

@@ -73,21 +73,13 @@ class TestObservable:
 @dataclass
 class WignerPairing:
     value: complex
-    xi_cutoff: tuple
     truncation_error: float
-
-
-def _alias_fractions(J: TestObservable, eta: float, side: int) -> np.ndarray:
-    """Per-axis periodization estimate of g over the box (2 exp(-(eta L)^2 / 2 sigma^2))."""
-    span = eta * side
-    sig = np.asarray(J.sigma, dtype=float)
-    return 2.0 * np.exp(-(span**2) / (2.0 * sig**2))
 
 
 def _axis_table(J: TestObservable, eta: float, side: int, axis: int, mu: int):
     """Per-axis xi table: sum over images of conj(g^_eta) e^(-pi i mu xi).
 
-    Returns (table[j], cutoff) for j = 0..L-1; the Fourier mass beyond the
+    Returns table[j] for j = 0..L-1; the Fourier mass beyond the tail
     cutoff is AXIS_TAIL_FRACTION on every axis.
     """
     sigma = J.sigma[axis]
@@ -107,7 +99,7 @@ def _axis_table(J: TestObservable, eta: float, side: int, axis: int, mu: int):
         x = xi[keep]
         ghat = peak * np.exp(-2.0 * (math.pi * sigma * x / eta) ** 2) * np.exp(-2j * math.pi * x * c / eta)
         table[keep] += np.conj(amp_axis * ghat) * np.exp(-1j * math.pi * mu * x)
-    return table, cutoff
+    return table
 
 
 def _axis_gauss_abs(J, eta, coords, axis, half_shift, image):
@@ -141,7 +133,6 @@ def _pair_position_arrays(J, p, s, eta, box):
     abs_s = abs_p if s is p else np.abs(s)
 
     value = 0.0 + 0.0j
-    cutoffs = (0.0, 0.0, 0.0)
     coeff_l1 = 0.0
     alias_total = 0.0
     table_cache = {}
@@ -151,29 +142,29 @@ def _pair_position_arrays(J, p, s, eta, box):
         for ax in range(3):
             key = (ax, m[ax])
             if key not in table_cache:
-                table, cutoff = _axis_table(J, eta, side, ax, m[ax])
                 # the xi sum of the table becomes a per-site factor f_mj
-                table_cache[key] = (np.fft.fft(table), cutoff)
+                table_cache[key] = np.fft.fft(_axis_table(J, eta, side, ax, m[ax]))
             tabs.append(table_cache[key])
-        cutoffs = tuple(t[1] for t in tabs)
 
         shift = tuple(-c for c in m)
         q = np.roll(p, shift, axis=(0, 1, 2))
         np.conj(q, out=q)
         q *= s
-        value += np.conj(cm) * _contract(q, [t[0] for t in tabs])
+        value += np.conj(cm) * _contract(q, tabs)
         del q  # freed before the next roll is made
 
         # periodization contribution: g evaluated one box over, weighted by the
-        # actual state magnitudes (face images; corners absorbed by the x2 below)
+        # actual state magnitudes (face images; corners absorbed by the x2 below).
+        # The estimate is linear in each image vector, so an axis's two face
+        # images are summed before one contraction.
         q = np.roll(abs_p, shift, axis=(0, 1, 2))
         q *= abs_s
         central = [_axis_gauss_abs(J, eta, coords, ax, m[ax] / 2.0, 0) for ax in range(3)]
         for ax in range(3):
-            for image in (-1, 1):
-                vecs = list(central)
-                vecs[ax] = _axis_gauss_abs(J, eta, coords, ax, m[ax] / 2.0, image)
-                alias_total += abs(cm) * float(_contract(q, vecs))
+            vecs = list(central)
+            vecs[ax] = (_axis_gauss_abs(J, eta, coords, ax, m[ax] / 2.0, -1)
+                        + _axis_gauss_abs(J, eta, coords, ax, m[ax] / 2.0, 1))
+            alias_total += abs(cm) * float(_contract(q, vecs))
     value /= box.volume
 
     # not np.linalg.norm: its ddot is threaded too (see _contract)
@@ -183,11 +174,14 @@ def _pair_position_arrays(J, p, s, eta, box):
         norm_phi * norm_psi * coeff_l1 * abs(J.amplitude) * (3.0 * AXIS_TAIL_FRACTION)
         + 2.0 * alias_total
     )
-    return value, cutoffs, trunc
+    return value, trunc
 
 
 def _check_resolution(J: TestObservable, eta: float, side: int):
-    alias = _alias_fractions(J, eta, side)
+    """Raise unless every axis's periodization estimate of g over the box,
+    2 exp(-(eta L)^2 / 2 sigma^2), is within ALIAS_LIMIT."""
+    sig = np.asarray(J.sigma, dtype=float)
+    alias = 2.0 * np.exp(-((eta * side) ** 2) / (2.0 * sig**2))
     if np.max(alias) > ALIAS_LIMIT:
         raise ResolutionTooCoarse(
             f"xi lattice spacing 1/{side} cannot resolve the observable envelope at "
@@ -210,8 +204,8 @@ def pair_wigner_bilinear(
     _check_resolution(J, eta, psi.box.side)
     s = psi.grid()
     p = s if phi is psi else phi.grid()
-    value, cutoffs, trunc = _pair_position_arrays(J, p, s, eta, psi.box)
-    return WignerPairing(complex(value), cutoffs, trunc)
+    value, trunc = _pair_position_arrays(J, p, s, eta, psi.box)
+    return WignerPairing(complex(value), trunc)
 
 
 def pair_wigner(J: TestObservable, psi: WaveFunction, eta: float) -> WignerPairing:

@@ -228,7 +228,7 @@ def test_step_size_converged(cfg, ensembles):
     # stream 1 at lam = 0.3, at dt, dt/2 and dt/4: Strang's error is O(dt^2)
     lam = 0.3
     psi0 = wkb_state(cfg.wkb, lam**2, cfg.box())
-    W = [ex._realization_value((dataclasses.replace(cfg, dt=cfg.dt / m), lam, psi0, 1))[1] for m in (1, 2, 4)]
+    W = [ex._realization_value((dataclasses.replace(cfg, dt=cfg.dt / m), lam, psi0, 1))[0] for m in (1, 2, 4)]
     ratio = abs(W[0] - W[1]) / abs(W[1] - W[2])
     err = 4.0 / 3.0 * abs(W[1] - W[0])  # Richardson estimate of the error at dt
     se = ensembles[cfg.lambdas.index(lam)].stderr_mean

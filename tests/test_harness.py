@@ -1,11 +1,14 @@
 import dataclasses
+import importlib
 import math
+import pkgutil
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import kinlab
 from kinlab import boltzmann as bz
 from kinlab.bounds import variance_bound
 from kinlab.harness import experiments as ex
@@ -252,6 +255,18 @@ def test_quantum_modules_import_without_scipy():
     code = ("import sys, kinlab.harness.config, kinlab.dynamics, kinlab.wigner; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert run_fresh_python(code).strip() == "[]"
+
+
+def test_no_module_level_mutable_state():
+    # every output is a function of (config, seed) only if no module global can
+    # carry state from one call to the next
+    mutable = (list, dict, set, bytearray, np.ndarray)
+    found = []
+    for info in pkgutil.walk_packages(kinlab.__path__, "kinlab."):
+        module = importlib.import_module(info.name)
+        found += [f"{info.name}.{name}" for name, value in vars(module).items()
+                  if not (name.startswith("__") and name.endswith("__")) and isinstance(value, mutable)]
+    assert found == []
 
 
 @pytest.mark.parametrize("kind", ["directory", "not-utf8"])

@@ -69,7 +69,7 @@ def momentum_reference(J, phi, psi, eta):
     Same tail cutoff, periodization estimate and truncation bound as
     `pair_wigner_bilinear`, with the xi sum taken over the momentum-grid
     correlation sum_a conj(phi^(a)) psi^(a + xi) e^(-2 pi i m.a) instead of the
-    position-space product.  Returns (value, cutoffs, truncation_error).
+    position-space product.  Returns (value, truncation_error).
     """
     side = psi.box.side
     coords = psi.box.site_coordinates()
@@ -87,12 +87,11 @@ def momentum_reference(J, phi, psi, eta):
     for m, cm in J.coeffs:
         coeff_l1 += abs(cm)
         tabs = [_axis_table(J, eta, side, ax, m[ax]) for ax in range(3)]
-        cutoffs = tuple(t[1] for t in tabs)
 
         phases = [np.exp(2j * np.pi * m[ax] * np.arange(side) / side) for ax in range(3)]
         G = Fphi * phases[0][:, None, None] * phases[1][None, :, None] * phases[2][None, None, :]
         corr = np.fft.ifftn(np.conj(np.fft.fftn(G)) * fft_psi)
-        value += np.conj(cm) * np.einsum("i,j,k,ijk->", tabs[0][0], tabs[1][0], tabs[2][0], corr)
+        value += np.conj(cm) * np.einsum("i,j,k,ijk->", *tabs, corr)
 
         q = abs_psi * np.roll(abs_phi, tuple(-c for c in m), axis=(0, 1, 2))
         central = [_axis_gauss_abs(J, eta, coords, ax, m[ax] / 2.0, 0) for ax in range(3)]
@@ -111,7 +110,7 @@ def momentum_reference(J, phi, psi, eta):
         * (3.0 * AXIS_TAIL_FRACTION)
         + 2.0 * alias_total
     )
-    return value, cutoffs, trunc
+    return value, trunc
 
 
 @pytest.mark.parametrize("eta", [0.09, 0.2025, 0.36])
@@ -190,10 +189,9 @@ def test_matches_momentum_reference(state, J, eta):
         rng = np.random.default_rng(state)
         phi, psi = random_state(BoxSpec(state), rng), random_state(BoxSpec(state), rng)
     res = pair_wigner_bilinear(J, phi, psi, eta)
-    value, cutoffs, trunc = momentum_reference(J, phi, psi, eta)
+    value, trunc = momentum_reference(J, phi, psi, eta)
     assert abs(res.value - value) <= 1e-12 * abs(value)
     assert abs(res.truncation_error - trunc) <= 1e-12 * trunc
-    assert res.xi_cutoff == cutoffs
 
 
 def test_plane_wave_regression_against_oracle():
@@ -220,9 +218,7 @@ def test_quadratic_equals_bilinear_diagonal(observable, rng):
     # the diagonal computes |psi| and its norm once; a copy takes the bilinear path
     for other in (psi, psi.copy()):
         b = pair_wigner_bilinear(observable, psi, other, 0.5)
-        assert (a.value, a.xi_cutoff, a.truncation_error) == (
-            b.value, b.xi_cutoff, b.truncation_error
-        )
+        assert (a.value, a.truncation_error) == (b.value, b.truncation_error)
 
 
 def test_pairing_memory_under_three_grids(observable, rng):
