@@ -8,13 +8,24 @@ propagator and the expansion enter momentum space with `fftn` of the
 position grid, multiply by `free_phase`, and leave with `ifftn`.  The
 propagator `evolve_full` takes Strang-split free/potential/free steps,
 unitary by construction, in one pass over its steps: a step is two
-in-place transforms and two in-place multiplies on one work array.  It
-holds three grids, the work array, one free phase and one kick, allocated
-once per call; a phase grid is rebuilt in place, and only when the merged
-step length changes.  Neither kind of phase grid takes a complex
-exponential over the grid: `free_phase` is an outer product of three
-length-L exponentials, because e(k) is a sum over axes, and `kick_phase`
-writes cos and sin of the real argument into one complex array.
+in-place transforms and two in-place multiplies on one work array.  Neither
+kind of phase grid takes a complex exponential over the grid: `free_phase`
+is an outer product of three length-L exponentials, because e(k) is a sum
+over axes, and `kick_phase` writes cos and sin of the real argument into
+one complex array.
+
+The box only stands in for Z^3, and the lattice has a finite group
+velocity, so a WKB packet stays within a few times 1/eta sites of its
+centre.  `evolve_full` therefore runs its Strang loop on a cubic window of
+the box: side W a multiple of `WINDOW_QUANTUM` below L, or L itself, with
+one cyclic offset per axis read from the state's marginal masses, embedded
+back into the box at the end.  A certified bound B on the distance to the
+full-box Strang result, kept below `WINDOW_TOL` times the state's norm,
+decides the window and when it grows; a state that fills the box runs on
+the whole box, with the full-box operations.  The loop holds three window
+grids (the work array, one free phase and one kick), V on the window and
+one |psi|^2 buffer; a phase grid is rebuilt in place, and only when its step length or
+the window changes.
 
 The iterated-integral expansion of the full evolution in powers of lam is
 computed by the time-domain recursion
@@ -30,6 +41,7 @@ expansion's partial sums.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +52,11 @@ from kinlab.lattice import BoxSpec, DisorderField, WaveFunction
 
 # Highest expansion order `duhamel_ladder` computes.
 MAX_ORDER = 12
+# `evolve_full` keeps its distance to the full-box Strang result within
+# WINDOW_TOL times the state's norm.
+WINDOW_TOL = 1e-12
+# `evolve_full`'s window sides are multiples of this below the box side.
+WINDOW_QUANTUM = 8
 
 
 @dataclass(frozen=True)
@@ -91,6 +108,121 @@ def kick_phase(values: np.ndarray, x: float, out: np.ndarray | None = None) -> n
     return out
 
 
+def _segments(offset: int, W: int, L: int) -> tuple:
+    """(box slice, window slice) pairs covering W sites from `offset` on an L-cycle."""
+    head = min(W, L - offset)
+    if head == W:
+        return ((slice(offset, offset + W), slice(0, W)),)
+    return ((slice(offset, L), slice(0, head)), (slice(0, W - head), slice(head, W)))
+
+
+def _blocks(offsets: tuple, W: int, L: int):
+    """The at most 8 (box index, window index) block pairs of a cyclic W-cube in an L-cube."""
+    for segs in itertools.product(*(_segments(o, W, L) for o in offsets)):
+        yield tuple(b for b, _ in segs), tuple(w for _, w in segs)
+
+
+def _take_window(grid: np.ndarray, offsets: tuple, W: int) -> np.ndarray:
+    """A fresh (W, W, W) copy of the cyclic window of `grid` at `offsets`."""
+    win = np.empty((W, W, W), dtype=grid.dtype)
+    for box_idx, win_idx in _blocks(offsets, W, len(grid)):
+        win[win_idx] = grid[box_idx]
+    return win
+
+
+def _put_window(win: np.ndarray, offsets: tuple, out: np.ndarray) -> np.ndarray:
+    """Write `win` into the cyclic window of `out` at `offsets`; returns `out`."""
+    for box_idx, win_idx in _blocks(offsets, len(win), len(out)):
+        out[box_idx] = win[win_idx]
+    return out
+
+
+def _axis_masses(grid: np.ndarray, buf: np.ndarray) -> tuple:
+    """The marginals of |grid|^2 on axes 0, 1 and 2.
+
+    |grid|^2 is taken len(buf) axis-0 slabs at a time into the float buffer
+    `buf`, so a one-slab buffer scans a box with no grid-sized temporary.
+    """
+    n = len(grid)
+    m0, m1, m2 = np.empty(n), np.zeros(grid.shape[1]), np.zeros(grid.shape[2])
+    for i in range(0, n, len(buf)):
+        b = buf[: n - i]
+        np.abs(grid[i : i + len(buf)], out=b)
+        b *= b
+        m0[i : i + len(b)] = np.einsum("ijk->i", b)
+        rest = np.einsum("ijk->jk", b)
+        m1 += np.einsum("jk->j", rest)
+        m2 += np.einsum("jk->k", rest)
+    return m0, m1, m2
+
+
+def _face_weights(W: int, s: float) -> tuple:
+    """(c, C) of a free sub-step of length s on a window of side W.
+
+    c(p) = 2 (tau(p + 1) + tau(W - p)) for p < W and C = sum_p c(p), with
+    tau(d) = sum_{n >= d} (s/2)^n / n!, which bounds the Bessel tail
+    sum_{n >= d} |J_n(s)| of the per-axis free kernel.  The series is
+    summed to n_max and the rest bounded by a geometric series.
+    """
+    x = 0.5 * s
+    n_max = W + 40 + int(2 * x)
+    terms = np.cumprod(np.concatenate(([1.0], x / np.arange(1, n_max + 1))))
+    tau = np.cumsum(terms[::-1])[::-1] + terms[-1] * x / (n_max + 1 - x)
+    c = 2.0 * (tau[1 : W + 1] + tau[W:0:-1])
+    return c, float(np.einsum("i->", c))
+
+
+def _face_term(masses: tuple, weights: tuple) -> float:
+    """Sum over axes of sqrt(C sum_p c(p) m(p)) for the axis marginals `masses`."""
+    c, C = weights
+    return sum(math.sqrt(C * float(np.einsum("i,i->", c, m))) for m in masses)
+
+
+def _initial_window(masses: tuple, L: int, share: float) -> tuple:
+    """(W, offsets) of the smallest window that holds the state.
+
+    For each W (multiples of WINDOW_QUANTUM below L, in turn), each axis
+    takes the cyclic offset with the least marginal mass outside the
+    window.  W holds the state when the norm of its part outside the window,
+    at most the root of the sum of the axes' outside masses, is within
+    `share`.  Otherwise the window is the box.
+    """
+    for W in range(WINDOW_QUANTUM, L, WINDOW_QUANTUM):
+        # row o: the sites off the window that starts at offset o
+        outside_idx = (np.arange(L)[:, None] + np.arange(W, L)) % L
+        outside = [np.einsum("ij->i", m[outside_idx]) for m in masses]
+        if math.sqrt(sum(float(out.min()) for out in outside)) <= share:
+            return W, tuple(int(np.argmin(out)) for out in outside)
+    return L, (0, 0, 0)
+
+
+def _window_grids(vgrid: np.ndarray, offsets: tuple, W: int) -> tuple:
+    """(V on the window, |psi|^2 buffer, free phase, kick) of a window.
+
+    The whole box takes V as it is and needs no buffer (None).
+    """
+    shape = (W, W, W)
+    if W == len(vgrid):
+        vwin, buf = vgrid, None
+    else:
+        vwin, buf = _take_window(vgrid, offsets, W), np.empty(shape)
+    return vwin, buf, np.empty(shape, complex), np.empty(shape, complex)
+
+
+def _grow(work: np.ndarray, offsets: tuple, L: int) -> tuple:
+    """(work, W, offsets) of the window WINDOW_QUANTUM wider than `work`'s.
+
+    The old window sits centred in the new one; a window that would reach
+    L is the box itself, at offsets 0.
+    """
+    W = len(work) + WINDOW_QUANTUM
+    if W >= L:
+        return _put_window(work, offsets, np.zeros((L, L, L), complex)), L, (0, 0, 0)
+    pad = WINDOW_QUANTUM // 2
+    grown = _put_window(work, (pad, pad, pad), np.zeros((W, W, W), complex))
+    return grown, W, tuple((o - pad) % L for o in offsets)
+
+
 def evolve_full(
     psi: WaveFunction, V: DisorderField, lam: float, t: float, cfg: PropagatorConfig
 ) -> WaveFunction:
@@ -99,14 +231,40 @@ def evolve_full(
     Strang splitting (free half step, potential phase, free half step) with
     adjacent half steps merged, so each step costs two transforms.  Norm is
     preserved to rounding; the global error against the exact evolution is
-    O(dt^2).  One pass over the steps [dt] * n_full + [rem]: before step h
-    the merged free phase of the previous step's second half and this
-    step's first half, after the last step that step's second half.  A free
-    phase is rebuilt only when the merged step changes, and the potential
-    kick only when h does.  A free phase is `free_phase` at half the merged
-    step, built per axis; a kick is `kick_phase` at h * lam, built from cos
-    and sin.  The call holds three grids, the work array, one free phase and
-    one kick, allocated once; each rebuild writes into its grid in place.
+    O(dt^2).  One pass over the steps [dt] * n_full + [rem], in position
+    space between them: before step h the merged free sub-step of the
+    previous step's second half and this step's first half, s = (prev + h)/2,
+    after the last step that step's second half.  A free sub-step is a
+    transform, `free_phase` at s, the inverse transform; a step's kick is
+    `kick_phase` at h * lam.  A free phase is rebuilt only when s or the
+    window changes, and the kick only when h or the window does; each
+    rebuild writes into its grid in place.
+
+    The loop runs on a cubic window of the box, side W (a multiple of
+    WINDOW_QUANTUM below L, or L) and one cyclic offset per axis, and the
+    result is embedded back into the box with zeros outside the window.
+    Against the full-box Strang result its distance is at most
+
+        B = ||psi outside the window||
+            + sum over free sub-steps s of sum_j sqrt(C sum_x c(x_j) |psi(x)|^2),
+
+    with c, C from `_face_weights(W, s)` and psi the window state before the
+    sub-step.  Kicks are diagonal, so they commute with the embedding.  A
+    free sub-step is exp(-3is) times one unitary factor per axis, so the
+    difference between it on the window and on the box telescopes over the
+    axes with unitary factors that keep each axis's fibre masses.  On one
+    axis the kernel is i^n J_n(s) on Z in both; the two differ only in the
+    moves from window site p that leave the window, n >= W - p or n <= -p - 1,
+    whose kernel mass is at most c(p)/2.  Wrapped in the window and landed
+    in the box, each part is bounded by sum_p |psi(p)| c(p)/2, and
+    Cauchy-Schwarz gives the term.  Unitarity makes the sub-steps' errors
+    add.  B is kept within WINDOW_TOL * ||psi|| by giving the start and each
+    free sub-step an equal share: the initial window is the smallest whose
+    outside mass fits it (`_initial_window`), and whenever a sub-step's term
+    would exceed it the window grows by WINDOW_QUANTUM, centred, re-embedding
+    the state in position space.  A window that
+    reaches L has no faces and adds nothing to B, so a state that fills the
+    box runs the full-box operations.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -119,28 +277,37 @@ def evolve_full(
 
     L = psi.box.side
     vgrid = V.values.reshape(L, L, L)
+    # free sub-steps; 0.5 * (prev + h) is the operand order a per-step
+    # reference uses, so it reproduces that bitwise
+    subs = [0.5 * (prev + h) for prev, h in zip([0.0] + steps, steps + [0.0])]
+    masses = _axis_masses(psi.grid(), np.empty((1, L, L)))
+    share = WINDOW_TOL * math.sqrt(float(np.einsum("i->", masses[0]))) / (len(subs) + 1)
+    W, offsets = _initial_window(masses, L, share)
 
-    # momentum space; a fresh array, since psi.grid() is a view of the
-    # caller's state.  A merged phase takes 0.5 * (prev + h), the operand
-    # order a per-step reference uses, so it reproduces that bitwise
-    work = np.fft.fftn(psi.grid())
-    phase = np.empty_like(work)
-    kick = np.empty_like(work)
-    prev = merged = kick_step = 0.0
-    for h in steps:
-        if prev + h != merged:
-            merged = prev + h
-            free_phase(psi.box, 0.5 * merged, out=phase)
+    work = _take_window(psi.grid(), offsets, W)
+    vwin, buf, phase, kick = _window_grids(vgrid, offsets, W)
+    phase_s = kick_h = None
+    for j, s in enumerate(subs):
+        while W < L and not _face_term(_axis_masses(work, buf), _face_weights(W, s)) <= share:
+            vwin = buf = phase = kick = None  # freed before the grown window's grids
+            work, W, offsets = _grow(work, offsets, L)
+            vwin, buf, phase, kick = _window_grids(vgrid, offsets, W)
+            phase_s = kick_h = None
+        if s != phase_s:
+            phase_s = s
+            free_phase(BoxSpec(W), s, out=phase)
+        np.fft.fftn(work, out=work)
         work *= phase
         np.fft.ifftn(work, out=work)
-        if h != kick_step:
-            kick_step = h
-            kick_phase(vgrid, h * lam, out=kick)
-        work *= kick
-        np.fft.fftn(work, out=work)
-        prev = h
-    work *= free_phase(psi.box, 0.5 * prev, out=phase)
-    np.fft.ifftn(work, out=work)
+        if j < len(steps):
+            h = steps[j]
+            if h != kick_h:
+                kick_h = h
+                kick_phase(vwin, h * lam, out=kick)
+            work *= kick
+    if W < L:
+        vwin = buf = phase = kick = None  # freed before the box-sized result
+        work = _put_window(work, offsets, np.zeros((L, L, L), complex))
     return WaveFunction(psi.box, work.ravel())
 
 

@@ -252,6 +252,7 @@ def run_timegrid_sup(cfg: ExperimentConfig) -> TimeGridReport:
             devs.append(abs(w - mu))
         sup[lam] = max(devs)
         rows += [[lam, tau, dev, sup[lam]] for tau, dev in zip(taus, devs)]
+        del psi  # freed before the next coupling's state is built
     sups = [sup[lam] for lam in cfg.lambdas]
     dec = all(b < a for a, b in zip(sups, sups[1:]))
     return TimeGridReport(rows, sup, dec)

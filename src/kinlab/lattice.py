@@ -224,7 +224,8 @@ def wkb_state(spec: WkbSpec, eta: float, box: BoxSpec) -> WaveFunction:
     Raises BoxTooSmall when the envelope carries more than `TAIL_TOL` of its
     mass outside the box.  The result is capped at unit norm
     (norm = min(1, raw norm)); the raw Riemann-sum norm approaches
-    ||h||_L2 = 1 as eta -> 0.
+    ||h||_L2 = 1 as eta -> 0.  The state is built one axis-0 slab at a time,
+    through one (L, L, 3) coordinate array, with no grid of coordinates.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
@@ -234,11 +235,16 @@ def wkb_state(spec: WkbSpec, eta: float, box: BoxSpec) -> WaveFunction:
             f"envelope tail mass {tail:.3e} outside box exceeds {TAIL_TOL:.1e}; "
             f"increase side {box.side} or reduce sigma/center"
         )
+    L = box.side
     coord = box.site_coordinates() * eta
-    X = np.stack(np.meshgrid(coord, coord, coord, indexing="ij"), axis=-1)
-    amp = eta**1.5 * spec.envelope(X)
-    values = (amp * np.exp(1j * spec.phase(X) / eta)).ravel()
-    psi = WaveFunction(box, values)
+    X = np.empty((L, L, 3))
+    X[..., 1] = coord[:, None]
+    X[..., 2] = coord
+    values = np.empty((L, L, L), dtype=np.complex128)
+    for i, x0 in enumerate(coord):
+        X[..., 0] = x0
+        values[i] = eta**1.5 * spec.envelope(X) * np.exp(1j * spec.phase(X) / eta)
+    psi = WaveFunction(box, values.ravel())
     n = psi.norm()
     if n > 1.0:
         psi.values /= n

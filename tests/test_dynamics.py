@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kinlab import dynamics
 from kinlab.dynamics import (
+    WINDOW_TOL,
     PropagatorConfig,
     duhamel_ladder,
     duhamel_residuals,
@@ -14,7 +16,7 @@ from kinlab.dynamics import (
     free_phase,
     kick_phase,
 )
-from kinlab.lattice import BoxSpec, DisorderField, WaveFunction, sample_disorder
+from kinlab.lattice import BoxSpec, DisorderField, WaveFunction, WkbSpec, sample_disorder, wkb_state
 from kinlab.wigner import pair_wigner
 
 from conftest import (
@@ -228,6 +230,135 @@ def test_full_memory_three_grids(rng):
         tracemalloc.stop()
     grid = 16 * box.volume
     assert peak < 3.6 * grid, f"peak {peak / grid:.2f} grids"
+
+
+# ---------------------------------------------------------------------------
+# window propagator
+# ---------------------------------------------------------------------------
+
+# the benchmark's packet: sigma/eta = 0.97 sites at lambda = 0.6
+PACKET = WkbSpec(sigma=0.35, linear=(1.5707963, 0.0, 0.0))
+LAM = 0.6
+
+
+def window_sides(monkeypatch):
+    """The box side of every free phase `evolve_full` builds, in order."""
+    sides = []
+
+    def recorded(box, s, out=None):
+        sides.append(box.side)
+        return free_phase(box, s, out=out)
+
+    monkeypatch.setattr(dynamics, "free_phase", recorded)
+    return sides
+
+
+def check_window_run(psi, V, lam, t, dt):
+    """evolve_full against the full-box per-step reference: distance and norm drift."""
+    out = evolve_full(psi, V, lam, t, PropagatorConfig(dt=dt))
+    want = per_step_exp_reference(psi, V, lam, t, dt)
+    dist = np.linalg.norm(out.values - want)
+    assert dist <= WINDOW_TOL * psi.norm(), f"distance {dist:.2e}"
+    assert abs(out.norm() - psi.norm()) <= 1e-12
+    return out
+
+
+def cyclic_support(grid, axis):
+    """Number of indices on `axis` where `grid` has a nonzero entry."""
+    others = tuple(a for a in range(3) if a != axis)
+    return int(np.count_nonzero(np.abs(grid).max(axis=others)))
+
+
+def test_window_localized_packet_matches_full_box(monkeypatch):
+    box = BoxSpec(48)
+    psi = wkb_state(PACKET, LAM**2, box)
+    V = sample_disorder(box, 7, 1)
+    sides = window_sides(monkeypatch)
+    out = check_window_run(psi, V, LAM, 1.0, 0.05)
+    assert max(sides) < box.side
+    # the window wraps index 0 on every axis and is zero outside
+    for axis in range(3):
+        assert cyclic_support(out.grid(), axis) <= max(sides)
+    assert out.grid()[0, 0, 0] != 0 and out.grid()[-1, -1, -1] != 0
+    assert out.grid()[24, 24, 24] == 0
+
+
+@pytest.mark.parametrize("shift", [(24, 0, 0), (24, 24, 24), (5, -9, 17)])
+def test_window_follows_packet_across_the_box(shift, monkeypatch):
+    # the centred packet rolled to the box edge (24 of 48) and elsewhere: the
+    # window takes its offsets from the marginals, wherever the packet sits
+    box = BoxSpec(48)
+    grid = np.roll(wkb_state(PACKET, LAM**2, box).grid(), shift, axis=(0, 1, 2))
+    psi = WaveFunction(box, grid.ravel())
+    V = sample_disorder(box, 7, 2)
+    sides = window_sides(monkeypatch)
+    out = check_window_run(psi, V, LAM, 1.0, 0.05)
+    assert max(sides) < box.side
+    assert out.grid()[shift] != 0
+    for axis in range(3):
+        assert cyclic_support(out.grid(), axis) <= max(sides)
+
+
+def test_window_grows_during_run(monkeypatch):
+    box = BoxSpec(48)
+    psi = wkb_state(PACKET, LAM**2, box)
+    V = sample_disorder(box, 7, 3)
+    sides = window_sides(monkeypatch)
+    check_window_run(psi, V, LAM, 1.4, 0.05)
+    assert sides == sorted(sides)
+    assert sides[0] < sides[-1] < box.side
+
+
+def test_window_grows_to_the_box(monkeypatch):
+    # the packet starts on a window of 32 and outgrows it within the run
+    box = BoxSpec(40)
+    psi = wkb_state(PACKET, LAM**2, box)
+    V = sample_disorder(box, 7, 4)
+    sides = window_sides(monkeypatch)
+    out = check_window_run(psi, V, LAM, 3.0, 0.1)
+    assert sides[0] < box.side == sides[-1]
+    assert np.all(out.values != 0)
+
+
+def test_window_fills_box_for_random_state(rng, monkeypatch):
+    box = BoxSpec(16)
+    V = sample_disorder(box, 7, 5)
+    psi = random_state(box, rng)
+    sides = window_sides(monkeypatch)
+    evolve_full(psi, V, 0.6, 0.3, PropagatorConfig(dt=0.1))
+    assert set(sides) == {box.side}
+
+
+@pytest.mark.parametrize("s", [0.005, 0.05, 0.5, 3.0])
+@pytest.mark.parametrize("W", [8, 40])
+def test_face_weights_bound_bessel_tails(W, s):
+    # c(p)/2 bounds the kernel mass sum |J_n(s)| of the moves that leave the window
+    from scipy.special import jv
+
+    c, C = dynamics._face_weights(W, s)
+    n = np.arange(200)
+    absj = np.abs(jv(n, s))
+    tail = np.cumsum(absj[::-1])[::-1]  # tail[d] = sum_{n >= d} |J_n(s)|
+    p = np.arange(W)
+    assert np.all(0.5 * c >= tail[p + 1] + tail[W - p])
+    assert C == pytest.approx(c.sum(), rel=1e-15)
+
+
+def test_window_memory_below_three_grids():
+    # a localized run holds four window grids (40^3), then the box-sized result
+    box = BoxSpec(64)
+    psi = wkb_state(PACKET, LAM**2, box)
+    V = sample_disorder(box, 7, 1)
+    args = (psi, V, LAM, 1.0, PropagatorConfig(dt=0.05))
+    evolve_full(*args)  # numpy's FFT plan cache is filled outside the trace
+    tracemalloc.start()
+    try:
+        evolve_full(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid = 16 * box.volume
+    assert peak < 1.5 * grid, f"peak {peak / grid:.2f} grids"
 
 
 # ---------------------------------------------------------------------------

@@ -512,6 +512,27 @@ def test_timegrid_frees_transport_before_quantum_loop(cfg, monkeypatch):
     assert max(entry) < 1e6, f"{max(entry) / 1e6:.2f} MB"
 
 
+def test_timegrid_frees_previous_state(cfg, monkeypatch):
+    # an L = 20 state is 128 kB: the second coupling's state is built after
+    # the first coupling's evolved state is released
+    entry = []
+    build = ex.wkb_state
+
+    def traced(*args):
+        entry.append(tracemalloc.get_traced_memory()[0])
+        return build(*args)
+
+    monkeypatch.setattr(ex, "wkb_state", traced)
+    tracemalloc.start()
+    try:
+        ex.run_timegrid_sup(dataclasses.replace(cfg, n_particles=2000))
+    finally:
+        tracemalloc.stop()
+    assert len(entry) == 2
+    state = 16 * cfg.box().volume
+    assert entry[1] - entry[0] < 0.5 * state, f"{(entry[1] - entry[0]) / state:.2f} states"
+
+
 def test_timegrid_needs_four_points(cfg):
     with pytest.raises(ValueError):
         ex.run_timegrid_sup(dataclasses.replace(cfg, tau_grid=1))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,50 @@ def test_wkb_norm_capped_at_one():
     for eta in (0.04, 0.1, 0.3):
         psi = wkb_state(WkbSpec(sigma=0.5), eta, BoxSpec(64) if eta > 0.05 else BoxSpec(160))
         assert psi.norm() <= 1.0 + 1e-12
+
+
+def full_grid_wkb_values(spec, eta, box):
+    """The state sampled on the whole L^3 x 3 coordinate grid, before the norm cap."""
+    coord = box.site_coordinates() * eta
+    X = np.stack(np.meshgrid(coord, coord, coord, indexing="ij"), axis=-1)
+    return (eta**1.5 * spec.envelope(X) * np.exp(1j * spec.phase(X) / eta)).ravel()
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        WkbSpec(sigma=0.35, linear=(1.5707963, 0.0, 0.0)),
+        WkbSpec(sigma=0.35, linear=(1.5707963, 0.0, 0.0),
+                trig=TrigPolynomial.from_dict({(1, 0, 0): (0.02, 0.0)})),
+        WkbSpec(center=(0.1, -0.2, 0.05), sigma=0.5, linear=(0.3, 1.1, -0.7),
+                trig=TrigPolynomial.from_dict({(1, 2, 0): (0.1, 0.03), (0, 0, 1): (0.0, 0.2)})),
+    ],
+    ids=["bench", "bench_trig", "offcentre"],
+)
+@pytest.mark.parametrize("eta, side", [(0.36, 20), (0.2025, 64)])
+def test_wkb_slabs_match_full_grid(spec, eta, side):
+    box = BoxSpec(side)
+    psi = wkb_state(spec, eta, box)
+    want = full_grid_wkb_values(spec, eta, box)
+    n = np.linalg.norm(want)
+    if n > 1.0:
+        want /= n
+    assert np.array_equal(psi.values, want)
+
+
+def test_wkb_memory_one_grid():
+    # the L^3 x 3 coordinate array alone would be 1.5 complex grids
+    box = BoxSpec(48)
+    spec = WkbSpec(sigma=0.35, linear=(1.5707963, 0.0, 0.0))
+    wkb_state(spec, 0.2025, box)
+    tracemalloc.start()
+    try:
+        wkb_state(spec, 0.2025, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid = 16 * box.volume
+    assert peak < 1.25 * grid, f"peak {peak / grid:.2f} grids"
 
 
 def test_wkb_box_too_small():
