@@ -14,7 +14,10 @@ uniform on the shell, with its third coordinate drawn on its slice of the
 shell, is Newton-projected onto the exact level set, so post-collision
 energies match the pre-collision energy to the projection tolerance while
 the angular law converges to the level-set measure as the shell shrinks
-(bias O(shell)).  `snapshots` alone advances ensembles, through an
+(bias O(shell)).  A call draws its proposals in rounds and works through
+each round in fixed chunks of `_CHUNK` proposals, so it holds one round's
+k1 and k2 and chunk-sized work arrays, whatever the number of proposals.
+`snapshots` alone advances ensembles, through an
 increasing list of times.  The module keeps no state between calls; every
 result is a function of the arguments and the generator's state.
 """
@@ -140,11 +143,12 @@ def _project_to_shell(U: np.ndarray, E: np.ndarray):
     return reduce_torus(U), ok
 
 
-# Proposals drawn in one round across all pending slots.  A call's float64
-# work buffers, u_buf (the uniforms U) and f_buf (a, lo, w), hold 12.6 MB;
-# a round writes a +- h into lo and w and the scaled acceptance uniform into
-# U[2], so its only proposal-sized temporary is the boolean hit mask.
+# Proposals drawn in one round across all pending slots, and the flat chunk
+# of them a round is worked through.  A call holds k1 and k2 for one round,
+# 2 * max(n, _ROUND_PROPOSALS) doubles (4.2 MB), and chunk-sized a, lo, w,
+# acceptance uniforms and hit mask (0.6 MB).
 _ROUND_PROPOSALS = 1 << 18
+_CHUNK = 1 << 14
 
 
 def sample_energy_shell_batch(
@@ -165,6 +169,13 @@ def sample_energy_shell_batch(
     stalls, stays pending.  k follows the acceptance seen so far in this
     call, so the draws depend only on the arguments and the state of `rng`.
     Raises ShellEmpty once a pending slot has seen cfg.max_tries proposals.
+
+    A round draws k1 and k2 for all its proposals in one call, then works
+    through the rows' proposals, laid out flat, in chunks of `_CHUNK`: the
+    acceptance uniforms, which come last in the round's stream, are drawn
+    chunk by chunk in order, and each row keeps the slice (lo, w) of its
+    first hit across chunks.  The round ends with the two uniforms of each
+    row's slice draw.
     """
     E = np.broadcast_to(np.asarray(E, dtype=float), (n,)).copy()
     if np.any((E <= 0.0) | (E >= 6.0)):
@@ -176,39 +187,56 @@ def sample_energy_shell_batch(
     pending = np.arange(n)
     tries = proposals = hits = 0
     k = 1
-    # one set of work buffers for the whole call; a round of P rows of k
-    # proposals, P * k <= max(n, _ROUND_PROPOSALS), works in views of their heads
-    size = max(n, _ROUND_PROPOSALS)
-    u_buf = np.empty(3 * size)
-    f_buf = np.empty((3, size))
+    # one set of work buffers for the whole call: k1 and k2 of a round of P
+    # rows of k proposals, P * k <= max(n, _ROUND_PROPOSALS), in the head of
+    # k_buf, and one chunk's a, lo, w, uniforms, row indices and hit mask
+    k_buf = np.empty(2 * max(n, _ROUND_PROPOSALS))
+    a_buf, lo_buf, w_buf, u_buf = np.empty((4, _CHUNK))
+    row_buf = np.empty(_CHUNK, dtype=np.intp)
+    hit_buf = np.empty(_CHUNK, dtype=bool)
+    chunk_pos = np.arange(_CHUNK)
     while pending.size:
         k = max(1, min(k, _ROUND_PROPOSALS // pending.size))
         m = pending.size * k
-        # U[0] and U[1] are k1 and k2, U[2] the acceptance uniform
-        U = u_buf[: 3 * m].reshape(3, pending.size, k)
-        rng.random(out=U)
-        a, lo, w = (f[:m].reshape(pending.size, k) for f in f_buf)
-        np.cos(np.multiply(U[0], two_pi, out=a), out=a)
-        np.cos(np.multiply(U[1], two_pi, out=w), out=w)
-        np.subtract((3.0 - E[pending])[:, None], a, out=a)
-        a -= w
-        # the slice is theta in [lo, lo + w]: lo = arccos(a + h), lo + w = arccos(a - h)
-        np.arccos(np.clip(np.add(a, h, out=lo), -1.0, 1.0, out=lo), out=lo)
-        np.arccos(np.clip(np.subtract(a, h, out=w), -1.0, 1.0, out=w), out=w)
-        w -= lo
-        hit = np.multiply(U[2], w_max, out=U[2]) < w
-        rows = np.flatnonzero(hit.any(axis=1))
-        first = np.argmax(hit[rows], axis=1)
+        K = k_buf[: 2 * m].reshape(2, m)
+        rng.random(out=K)
+        e3 = 3.0 - E[pending]
+        # flat index, lo and w of each row's first hit (-1: none yet)
+        first = np.full(pending.size, -1)
+        first_lo, first_w = np.empty((2, pending.size))
+        for c0 in range(0, m, _CHUNK):
+            c = min(_CHUNK, m - c0)
+            a, lo, w, u, row, hit = (b[:c] for b in (a_buf, lo_buf, w_buf, u_buf, row_buf, hit_buf))
+            np.floor_divide(np.add(chunk_pos[:c], c0, out=row), k, out=row)
+            np.cos(np.multiply(K[0, c0 : c0 + c], two_pi, out=a), out=a)
+            np.cos(np.multiply(K[1, c0 : c0 + c], two_pi, out=w), out=w)
+            np.subtract(np.take(e3, row, out=lo), a, out=a)
+            a -= w
+            # the slice is theta in [lo, lo + w]: lo = arccos(a + h), lo + w = arccos(a - h)
+            np.arccos(np.clip(np.add(a, h, out=lo), -1.0, 1.0, out=lo), out=lo)
+            np.arccos(np.clip(np.subtract(a, h, out=w), -1.0, 1.0, out=w), out=w)
+            w -= lo
+            rng.random(out=u)
+            np.less(np.multiply(u, w_max, out=u), w, out=hit)
+            at = np.flatnonzero(hit)
+            hits += at.size
+            # the first hit of each row in this chunk, unless an earlier chunk had one
+            at = at[np.diff(row[at], prepend=-1) != 0]
+            at = at[first[row[at]] < 0]
+            first[row[at]] = c0 + at
+            first_lo[row[at]] = lo[at]
+            first_w[row[at]] = w[at]
+        rows = np.flatnonzero(first >= 0)
+        at = first[rows]
         v = rng.random((2, rows.size))
-        theta = lo[rows, first] + v[0] * w[rows, first]
+        theta = first_lo[rows] + v[0] * first_w[rows]
         k3 = np.copysign(theta, v[1] - 0.5) / two_pi
-        U3 = np.column_stack([U[0, rows, first], U[1, rows, first], k3])
+        U3 = np.column_stack([K[0, at], K[1, at], k3])
         proj, ok = _project_to_shell(U3, E[pending[rows]])
         out[pending[rows[ok]]] = proj[ok]
         pending = np.delete(pending, rows[ok])
         tries += k
         proposals += m
-        hits += int(np.count_nonzero(hit))
         if pending.size and tries >= cfg.max_tries:
             raise ShellEmpty(
                 f"no shell hit after {tries} proposals at E={E[pending[0]]:.4f}, "

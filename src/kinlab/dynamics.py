@@ -41,13 +41,19 @@ expansion's partial sums.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from kinlab.lattice import BoxSpec, DisorderField, WaveFunction
+from kinlab.lattice import (
+    BoxSpec,
+    DisorderField,
+    WaveFunction,
+    axis_masses,
+    put_window,
+    take_window,
+)
 
 
 # Highest expansion order `duhamel_ladder` computes.
@@ -108,54 +114,6 @@ def kick_phase(values: np.ndarray, x: float, out: np.ndarray | None = None) -> n
     return out
 
 
-def _segments(offset: int, W: int, L: int) -> tuple:
-    """(box slice, window slice) pairs covering W sites from `offset` on an L-cycle."""
-    head = min(W, L - offset)
-    if head == W:
-        return ((slice(offset, offset + W), slice(0, W)),)
-    return ((slice(offset, L), slice(0, head)), (slice(0, W - head), slice(head, W)))
-
-
-def _blocks(offsets: tuple, W: int, L: int):
-    """The at most 8 (box index, window index) block pairs of a cyclic W-cube in an L-cube."""
-    for segs in itertools.product(*(_segments(o, W, L) for o in offsets)):
-        yield tuple(b for b, _ in segs), tuple(w for _, w in segs)
-
-
-def _take_window(grid: np.ndarray, offsets: tuple, W: int) -> np.ndarray:
-    """A fresh (W, W, W) copy of the cyclic window of `grid` at `offsets`."""
-    win = np.empty((W, W, W), dtype=grid.dtype)
-    for box_idx, win_idx in _blocks(offsets, W, len(grid)):
-        win[win_idx] = grid[box_idx]
-    return win
-
-
-def _put_window(win: np.ndarray, offsets: tuple, out: np.ndarray) -> np.ndarray:
-    """Write `win` into the cyclic window of `out` at `offsets`; returns `out`."""
-    for box_idx, win_idx in _blocks(offsets, len(win), len(out)):
-        out[box_idx] = win[win_idx]
-    return out
-
-
-def _axis_masses(grid: np.ndarray, buf: np.ndarray) -> tuple:
-    """The marginals of |grid|^2 on axes 0, 1 and 2.
-
-    |grid|^2 is taken len(buf) axis-0 slabs at a time into the float buffer
-    `buf`, so a one-slab buffer scans a box with no grid-sized temporary.
-    """
-    n = len(grid)
-    m0, m1, m2 = np.empty(n), np.zeros(grid.shape[1]), np.zeros(grid.shape[2])
-    for i in range(0, n, len(buf)):
-        b = buf[: n - i]
-        np.abs(grid[i : i + len(buf)], out=b)
-        b *= b
-        m0[i : i + len(b)] = np.einsum("ijk->i", b)
-        rest = np.einsum("ijk->jk", b)
-        m1 += np.einsum("jk->j", rest)
-        m2 += np.einsum("jk->k", rest)
-    return m0, m1, m2
-
-
 def _face_weights(W: int, s: float) -> tuple:
     """(c, C) of a free sub-step of length s on a window of side W.
 
@@ -205,7 +163,7 @@ def _window_grids(vgrid: np.ndarray, offsets: tuple, W: int) -> tuple:
     if W == len(vgrid):
         vwin, buf = vgrid, None
     else:
-        vwin, buf = _take_window(vgrid, offsets, W), np.empty(shape)
+        vwin, buf = take_window(vgrid, offsets, shape), np.empty(shape)
     return vwin, buf, np.empty(shape, complex), np.empty(shape, complex)
 
 
@@ -217,9 +175,9 @@ def _grow(work: np.ndarray, offsets: tuple, L: int) -> tuple:
     """
     W = len(work) + WINDOW_QUANTUM
     if W >= L:
-        return _put_window(work, offsets, np.zeros((L, L, L), complex)), L, (0, 0, 0)
+        return put_window(work, offsets, np.zeros((L, L, L), complex)), L, (0, 0, 0)
     pad = WINDOW_QUANTUM // 2
-    grown = _put_window(work, (pad, pad, pad), np.zeros((W, W, W), complex))
+    grown = put_window(work, (pad, pad, pad), np.zeros((W, W, W), complex))
     return grown, W, tuple((o - pad) % L for o in offsets)
 
 
@@ -280,15 +238,15 @@ def evolve_full(
     # free sub-steps; 0.5 * (prev + h) is the operand order a per-step
     # reference uses, so it reproduces that bitwise
     subs = [0.5 * (prev + h) for prev, h in zip([0.0] + steps, steps + [0.0])]
-    masses = _axis_masses(psi.grid(), np.empty((1, L, L)))
+    masses = axis_masses(psi.grid(), np.empty((1, L, L)))
     share = WINDOW_TOL * math.sqrt(float(np.einsum("i->", masses[0]))) / (len(subs) + 1)
     W, offsets = _initial_window(masses, L, share)
 
-    work = _take_window(psi.grid(), offsets, W)
+    work = take_window(psi.grid(), offsets, (W, W, W))
     vwin, buf, phase, kick = _window_grids(vgrid, offsets, W)
     phase_s = kick_h = None
     for j, s in enumerate(subs):
-        while W < L and not _face_term(_axis_masses(work, buf), _face_weights(W, s)) <= share:
+        while W < L and not _face_term(axis_masses(work, buf), _face_weights(W, s)) <= share:
             vwin = buf = phase = kick = None  # freed before the grown window's grids
             work, W, offsets = _grow(work, offsets, L)
             vwin, buf, phase, kick = _window_grids(vgrid, offsets, W)
@@ -307,7 +265,7 @@ def evolve_full(
             work *= kick
     if W < L:
         vwin = buf = phase = kick = None  # freed before the box-sized result
-        work = _put_window(work, offsets, np.zeros((L, L, L), complex))
+        work = put_window(work, offsets, np.zeros((L, L, L), complex))
     return WaveFunction(psi.box, work.ravel())
 
 

@@ -13,6 +13,12 @@ Conventions used throughout the package:
   ``dynamics``, which leaves momentum space with ``ifftn``.  On-grid momenta
   do not distinguish the centered representative from the raw index, so a
   plain FFT applies.
+* A WKB state (`wkb_state`) is a sampled Gaussian wave packet whose
+  amplitudes below `AMPLITUDE_FLOOR` are exact zeros, so its far tails,
+  whose products would be subnormal, drop out of every later stage.
+* Cyclic windows of a box (`take_window`, `put_window`) are sub-boxes with
+  one offset and one size per axis that may wrap the periodic seam; the
+  propagator evolves on one and the Wigner pairing contracts on one.
 * Kinetic energy of the nearest-neighbor Hamiltonian (hopping -1/2, on-site
   +3) acts in momentum space as ``e(k) = 3 - sum_j cos(2 pi k_j)``, with
   band [0, 6] and group velocity ``sin(2 pi k_j)`` per axis.
@@ -20,6 +26,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -97,6 +104,60 @@ class WaveFunction:
 
     def copy(self) -> "WaveFunction":
         return WaveFunction(self.box, self.values.copy())
+
+
+# ---------------------------------------------------------------------------
+# Cyclic windows
+# ---------------------------------------------------------------------------
+
+
+def _segments(offset: int, n: int, L: int) -> tuple:
+    """(box slice, window slice) pairs covering n sites from `offset` on an L-cycle."""
+    head = min(n, L - offset)
+    if head == n:
+        return ((slice(offset, offset + n), slice(0, n)),)
+    return ((slice(offset, L), slice(0, head)), (slice(0, n - head), slice(head, n)))
+
+
+def window_blocks(offsets: tuple, shape: tuple, L: int):
+    """The at most 8 (box index, window index) block pairs of the cyclic window
+    of `shape` at `offsets` (each in [0, L)) in an L-cube."""
+    for segs in itertools.product(*(_segments(o, n, L) for o, n in zip(offsets, shape))):
+        yield tuple(b for b, _ in segs), tuple(w for _, w in segs)
+
+
+def take_window(grid: np.ndarray, offsets: tuple, shape: tuple) -> np.ndarray:
+    """A fresh copy of the cyclic window of `grid` of `shape` at `offsets`."""
+    win = np.empty(shape, dtype=grid.dtype)
+    for box_idx, win_idx in window_blocks(offsets, shape, len(grid)):
+        win[win_idx] = grid[box_idx]
+    return win
+
+
+def put_window(win: np.ndarray, offsets: tuple, out: np.ndarray) -> np.ndarray:
+    """Write `win` into the cyclic window of `out` at `offsets`; returns `out`."""
+    for box_idx, win_idx in window_blocks(offsets, win.shape, len(out)):
+        out[box_idx] = win[win_idx]
+    return out
+
+
+def axis_masses(grid: np.ndarray, buf: np.ndarray) -> tuple:
+    """The marginals of |grid|^2 on axes 0, 1 and 2.
+
+    |grid|^2 is taken len(buf) axis-0 slabs at a time into the float buffer
+    `buf`, so a one-slab buffer scans a box with no grid-sized temporary.
+    """
+    n = len(grid)
+    m0, m1, m2 = np.empty(n), np.zeros(grid.shape[1]), np.zeros(grid.shape[2])
+    for i in range(0, n, len(buf)):
+        b = buf[: n - i]
+        np.abs(grid[i : i + len(buf)], out=b)
+        b *= b
+        m0[i : i + len(b)] = np.einsum("ijk->i", b)
+        rest = np.einsum("ijk->jk", b)
+        m1 += np.einsum("jk->j", rest)
+        m2 += np.einsum("jk->k", rest)
+    return m0, m1, m2
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +277,9 @@ def envelope_tail_mass(spec: WkbSpec, eta: float, box: BoxSpec) -> float:
 
 # Envelope mass `wkb_state` allows outside the box.
 TAIL_TOL = 1e-8
+# `wkb_state` sets amplitudes below this to exactly 0: the products of two
+# such amplitudes are subnormal, and the dropped mass is at most L^3 * 1e-200.
+AMPLITUDE_FLOOR = 1e-100
 
 
 def wkb_state(spec: WkbSpec, eta: float, box: BoxSpec) -> WaveFunction:
@@ -224,8 +288,10 @@ def wkb_state(spec: WkbSpec, eta: float, box: BoxSpec) -> WaveFunction:
     Raises BoxTooSmall when the envelope carries more than `TAIL_TOL` of its
     mass outside the box.  The result is capped at unit norm
     (norm = min(1, raw norm)); the raw Riemann-sum norm approaches
-    ||h||_L2 = 1 as eta -> 0.  The state is built one axis-0 slab at a time,
-    through one (L, L, 3) coordinate array, with no grid of coordinates.
+    ||h||_L2 = 1 as eta -> 0.  Amplitudes below `AMPLITUDE_FLOOR` are set
+    to exactly 0, so the state's far tails are exact zeros.  The state is
+    built one axis-0 slab at a time, through one (L, L, 3) coordinate array,
+    with no grid of coordinates.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
@@ -243,7 +309,9 @@ def wkb_state(spec: WkbSpec, eta: float, box: BoxSpec) -> WaveFunction:
     values = np.empty((L, L, L), dtype=np.complex128)
     for i, x0 in enumerate(coord):
         X[..., 0] = x0
-        values[i] = eta**1.5 * spec.envelope(X) * np.exp(1j * spec.phase(X) / eta)
+        amp = eta**1.5 * spec.envelope(X)
+        amp[amp < AMPLITUDE_FLOOR] = 0.0
+        values[i] = amp * np.exp(1j * spec.phase(X) / eta)
     psi = WaveFunction(box, values.ravel())
     n = psi.norm()
     if n > 1.0:

@@ -15,6 +15,15 @@ factor drops below a tail threshold.  The half-grid velocity points enter
 exactly through the e^(-pi i m_j xi) factor, so the only approximations are
 the reported Gaussian tail truncation and the periodization of g over the
 box.
+
+The product conj(phi(x + m)) psi(x) vanishes wherever psi does, so the sum
+over x runs on the cyclic support box of psi: per axis, the smallest cyclic
+interval that holds every nonzero marginal of |psi|^2, found by one slab
+scan.  phi(x + m) is read from the box as the window shifted by m, with no
+margin and no crop copy, and the per-axis factors are read at the window's
+cyclic coordinates.  A pairing holds one complex and one real array of the
+support's size and nothing of the box's; a psi with no zeros runs the same
+code on the whole box.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kinlab.lattice import WaveFunction, WkbSpec
+from kinlab.lattice import WaveFunction, WkbSpec, axis_masses, take_window, window_blocks
 
 GAUSS_TAIL_THRESHOLD = 1e-10  # relative cutoff of the Fourier factor per axis
 # Fourier mass of one axis's Gaussian beyond that cutoff: the erfc argument
@@ -111,7 +120,7 @@ def _axis_gauss_abs(J, eta, coords, axis, half_shift, image):
 
 
 def _contract(q, vecs):
-    """sum_x q(x) v0[x0] v1[x1] v2[x2] for an (L, L, L) array q.
+    """sum_x q(x) v0[x0] v1[x1] v2[x2] for a 3-d array q.
 
     einsum, not matmul: OpenBLAS threads the complex gemv of an L = 64 grid,
     and with one worker process per core its spinning pool made each pairing
@@ -120,17 +129,54 @@ def _contract(q, vecs):
     return np.einsum("ij,i,j->", np.einsum("ijk,k->ij", q, vecs[2]), vecs[0], vecs[1])
 
 
+# axis-0 slabs of |psi|^2 per step of the support scan
+_SCAN_SLABS = 8
+
+
+def _support(grid: np.ndarray) -> tuple:
+    """(offsets, shape, squared norm) of the cyclic support box of `grid`.
+
+    One slab scan gives the marginals of |grid|^2; each axis keeps the
+    smallest cyclic interval that holds every nonzero marginal entry, the
+    complement of its longest cyclic run of zeros.  An axis with no zero
+    entry keeps the whole box at offset 0.  (A site whose |psi|^2 underflows
+    to 0 counts as a zero; it adds below 1e-161 to any product.)
+    """
+    L = len(grid)
+    masses = axis_masses(grid, np.empty((_SCAN_SLABS, L, L)))
+    offsets, shape = [], []
+    for m in masses:
+        nz = np.flatnonzero(m)
+        if nz.size in (0, L):
+            offsets.append(0)
+            shape.append(nz.size)
+            continue
+        gaps = np.diff(nz, append=nz[0] + L) - 1
+        j = int(np.argmax(gaps))
+        offsets.append(int(nz[(j + 1) % nz.size]))
+        shape.append(L - int(gaps[j]))
+    return tuple(offsets), tuple(shape), float(np.einsum("i->", masses[0]))
+
+
 def _pair_position_arrays(J, p, s, eta, box):
     """Core pairing given the position grids of phi and psi, shape (L, L, L).
 
-    Each product of a shifted grid with an unshifted one is built in one
-    grid: the roll, then conjugation and multiplication in place.  When `s`
-    is `p` (the diagonal pairing) |psi| and its norm are computed once.
+    The product conj(phi(x + m)) psi(x) vanishes off the cyclic support box
+    of psi (`_support`), so every harmonic is contracted on that box alone:
+    the window of phi shifted by m is copied, conjugated and multiplied by
+    psi block by block in place, and |product| is written into one real
+    array for the periodization estimate.  The per-axis tables and image
+    vectors are read at the window's cyclic coordinates.  A psi with no
+    zeros takes the whole box as its window.  When `s` is `p` (the diagonal
+    pairing) its norm is computed once.
     """
     side = box.side
     coords = box.site_coordinates()
-    abs_p = np.abs(p)
-    abs_s = abs_p if s is p else np.abs(s)
+    offsets, shape, sq_psi = _support(s)
+    sq_phi = sq_psi if s is p else _support(p)[2]
+    # box index of each window coordinate, per axis
+    sites = [(o + np.arange(n)) % side for o, n in zip(offsets, shape)]
+    mag = np.empty(shape)
 
     value = 0.0 + 0.0j
     coeff_l1 = 0.0
@@ -143,37 +189,34 @@ def _pair_position_arrays(J, p, s, eta, box):
             key = (ax, m[ax])
             if key not in table_cache:
                 # the xi sum of the table becomes a per-site factor f_mj
-                table_cache[key] = np.fft.fft(_axis_table(J, eta, side, ax, m[ax]))
+                table = np.fft.fft(_axis_table(J, eta, side, ax, m[ax]))
+                table_cache[key] = table[sites[ax]]
             tabs.append(table_cache[key])
 
-        shift = tuple(-c for c in m)
-        q = np.roll(p, shift, axis=(0, 1, 2))
+        q = take_window(p, tuple((o + c) % side for o, c in zip(offsets, m)), shape)
         np.conj(q, out=q)
-        q *= s
+        for box_idx, win_idx in window_blocks(offsets, shape, side):
+            q[win_idx] *= s[box_idx]
         value += np.conj(cm) * _contract(q, tabs)
-        del q  # freed before the next roll is made
 
         # periodization contribution: g evaluated one box over, weighted by the
         # actual state magnitudes (face images; corners absorbed by the x2 below).
         # The estimate is linear in each image vector, so an axis's two face
         # images are summed before one contraction.
-        q = np.roll(abs_p, shift, axis=(0, 1, 2))
-        q *= abs_s
-        central = [_axis_gauss_abs(J, eta, coords, ax, m[ax] / 2.0, 0) for ax in range(3)]
+        np.abs(q, out=mag)
+        del q  # freed before the next harmonic's window is copied
+        central = [
+            _axis_gauss_abs(J, eta, coords, ax, m[ax] / 2.0, 0)[sites[ax]] for ax in range(3)
+        ]
         for ax in range(3):
             vecs = list(central)
             vecs[ax] = (_axis_gauss_abs(J, eta, coords, ax, m[ax] / 2.0, -1)
-                        + _axis_gauss_abs(J, eta, coords, ax, m[ax] / 2.0, 1))
-            alias_total += abs(cm) * float(_contract(q, vecs))
+                        + _axis_gauss_abs(J, eta, coords, ax, m[ax] / 2.0, 1))[sites[ax]]
+            alias_total += abs(cm) * float(_contract(mag, vecs))
     value /= box.volume
 
-    # not np.linalg.norm: its ddot is threaded too (see _contract)
-    norm_phi = math.sqrt(np.einsum("ijk,ijk->", abs_p, abs_p))
-    norm_psi = norm_phi if abs_s is abs_p else math.sqrt(np.einsum("ijk,ijk->", abs_s, abs_s))
-    trunc = (
-        norm_phi * norm_psi * coeff_l1 * abs(J.amplitude) * (3.0 * AXIS_TAIL_FRACTION)
-        + 2.0 * alias_total
-    )
+    norms = math.sqrt(sq_phi) * math.sqrt(sq_psi)
+    trunc = norms * coeff_l1 * abs(J.amplitude) * (3.0 * AXIS_TAIL_FRACTION) + 2.0 * alias_total
     return value, trunc
 
 

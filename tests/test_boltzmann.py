@@ -227,15 +227,84 @@ def test_shell_draws_at_van_hove_energies(E, rng):
 
 
 def test_shell_work_buffers_bounded(rng):
-    # one set of round-sized work buffers, whatever the number of proposals
-    # (about a million for 15k slots at this acceptance)
+    # a round's k1 and k2 and chunk-sized work buffers, whatever the number
+    # of proposals (about a million for 15k slots at this acceptance)
     tracemalloc.start()
     try:
         sample_energy_shell_batch(1.0, 15_306, ShellSamplerConfig(shell_halfwidth=0.005), rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+    assert peak < 10e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def round_loop_reference(E, n, cfg, rng, ks):
+    """The shell sampler's round loop before chunked rounds: a round draws
+    k1, k2 and the acceptance uniform of all its proposals in one (3, P, k)
+    call and works on proposal-sized a, lo, w and hit mask.  Appends each
+    round's k to `ks`."""
+    E = np.broadcast_to(np.asarray(E, dtype=float), (n,)).copy()
+    out = np.empty((n, 3))
+    h = cfg.shell_halfwidth
+    w_max = math.acos(1.0 - 2.0 * h)
+    two_pi = 2.0 * math.pi
+    pending = np.arange(n)
+    proposals = hits = 0
+    k = 1
+    while pending.size:
+        k = max(1, min(k, boltzmann._ROUND_PROPOSALS // pending.size))
+        ks.append(k)
+        U = rng.random((3, pending.size, k))
+        a = np.cos(two_pi * U[0])
+        w = np.cos(two_pi * U[1])
+        a = (3.0 - E[pending])[:, None] - a
+        a -= w
+        lo = np.arccos(np.clip(a + h, -1.0, 1.0))
+        w = np.arccos(np.clip(a - h, -1.0, 1.0))
+        w -= lo
+        hit = U[2] * w_max < w
+        rows = np.flatnonzero(hit.any(axis=1))
+        first = np.argmax(hit[rows], axis=1)
+        v = rng.random((2, rows.size))
+        theta = lo[rows, first] + v[0] * w[rows, first]
+        k3 = np.copysign(theta, v[1] - 0.5) / two_pi
+        U3 = np.column_stack([U[0, rows, first], U[1, rows, first], k3])
+        proj, ok = _project_to_shell(U3, E[pending[rows]])
+        out[pending[rows[ok]]] = proj[ok]
+        pending = np.delete(pending, rows[ok])
+        proposals += U[0].size
+        hits += int(np.count_nonzero(hit))
+        k = math.ceil(proposals / hits) if hits else 4 * k
+    return out
+
+
+def assert_matches_round_loop(E, n, cfg, seed):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    ks = []
+    got = sample_energy_shell_batch(E, n, cfg, ours)
+    want = round_loop_reference(E, n, cfg, theirs, ks)
+    assert np.array_equal(got, want)
+    # the generator is left where the round loop leaves it
+    assert np.array_equal(ours.random(3), theirs.random(3))
+    return ks
+
+
+@pytest.mark.parametrize("n", [1, 7, 300, 5000, 15_306])
+@pytest.mark.parametrize("per_slot", [False, True], ids=["scalar", "per_slot"])
+def test_chunked_rounds_match_round_loop(n, per_slot):
+    E = np.random.default_rng(n).uniform(0.2, 5.8, n) if per_slot else 1.0
+    ks = assert_matches_round_loop(E, n, ShellSamplerConfig(shell_halfwidth=0.005), 100 + n)
+    if n >= 5000:
+        assert max(ks) * n > boltzmann._CHUNK  # rounds of more than one chunk
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_chunked_rounds_rows_longer_than_a_chunk(n):
+    # just above the band bottom few proposals have a shell slice, so a row
+    # holds more proposals than a chunk and its first hit may lie in any
+    # chunk of the round
+    ks = assert_matches_round_loop(2e-4, n, ShellSamplerConfig(shell_halfwidth=1e-5), 5)
+    assert max(ks) > boltzmann._CHUNK
 
 
 def test_shell_empty_near_band_edge(rng):

@@ -512,6 +512,24 @@ def test_timegrid_frees_transport_before_quantum_loop(cfg, monkeypatch):
     assert max(entry) < 1e6, f"{max(entry) / 1e6:.2f} MB"
 
 
+def test_transport_stage_memory():
+    # the benchmark's transport keys: 50000 particles on the 0.005 shell and
+    # a 4M-sample DOS table; the stage holds the particles, one round's shell
+    # draws and chunk-sized work buffers
+    cfg = ExperimentConfig(
+        lambdas=(0.6, 0.45), T=0.5, L=64, dt=0.05, n_realizations=2, master_seed=20260810,
+        n_particles=50_000, shell_halfwidth=0.005, dos_samples=4_000_000, dos_bins=512,
+        wkb=WkbSpec(sigma=0.35, linear=(1.5707963, 0.0, 0.0)),
+    )
+    tracemalloc.start()
+    try:
+        ex.transport_snapshots(cfg, [cfg.T])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_timegrid_frees_previous_state(cfg, monkeypatch):
     # an L = 20 state is 128 kB: the second coupling's state is built after
     # the first coupling's evolved state is released

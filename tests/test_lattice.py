@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinlab.lattice import (
+    AMPLITUDE_FLOOR,
     BoxSpec,
     BoxTooSmall,
     TrigPolynomial,
@@ -138,10 +139,13 @@ def test_wkb_norm_capped_at_one():
 
 
 def full_grid_wkb_values(spec, eta, box):
-    """The state sampled on the whole L^3 x 3 coordinate grid, before the norm cap."""
+    """The state sampled on the whole L^3 x 3 coordinate grid, amplitudes below
+    AMPLITUDE_FLOOR set to 0, before the norm cap."""
     coord = box.site_coordinates() * eta
     X = np.stack(np.meshgrid(coord, coord, coord, indexing="ij"), axis=-1)
-    return (eta**1.5 * spec.envelope(X) * np.exp(1j * spec.phase(X) / eta)).ravel()
+    amp = eta**1.5 * spec.envelope(X)
+    amp[amp < AMPLITUDE_FLOOR] = 0.0
+    return (amp * np.exp(1j * spec.phase(X) / eta)).ravel()
 
 
 @pytest.mark.parametrize(
@@ -164,6 +168,15 @@ def test_wkb_slabs_match_full_grid(spec, eta, side):
     if n > 1.0:
         want /= n
     assert np.array_equal(psi.values, want)
+
+
+def test_wkb_tails_are_exact_zeros():
+    # the benchmark's lambda = 0.6 state: its far tails, whose products are
+    # subnormal, are exact zeros, and every kept amplitude is above the floor
+    psi = wkb_state(WkbSpec(sigma=0.35, linear=(1.5707963, 0.0, 0.0)), 0.36, BoxSpec(64))
+    mag = np.abs(psi.values)
+    assert np.count_nonzero(mag == 0.0) > 70_000
+    assert mag[mag > 0.0].min() >= AMPLITUDE_FLOOR * (1.0 - 1e-15)
 
 
 def test_wkb_memory_one_grid():

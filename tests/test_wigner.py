@@ -16,12 +16,14 @@ from kinlab.lattice import (
     sample_disorder,
     wkb_state,
 )
+from kinlab import wigner
 from kinlab.wigner import (
     AXIS_TAIL_FRACTION,
     GAUSS_TAIL_THRESHOLD,
     ResolutionTooCoarse,
     _axis_gauss_abs,
     _axis_table,
+    _contract,
     pair_wigner,
     pair_wigner_bilinear,
     wkb_limit_sampler,
@@ -219,6 +221,130 @@ def test_quadratic_equals_bilinear_diagonal(observable, rng):
     for other in (psi, psi.copy()):
         b = pair_wigner_bilinear(observable, psi, other, 0.5)
         assert (a.value, a.truncation_error) == (b.value, b.truncation_error)
+
+
+def full_box_pairing(J, p, s, eta, box):
+    """The pairing on the whole box, as it was computed before the support
+    window: each harmonic rolls phi over all L^3 sites, and the periodization
+    estimate multiplies the rolled |phi| by |psi|.  Returns (value, truncation_error)."""
+    side = box.side
+    coords = box.site_coordinates()
+    abs_p = np.abs(p)
+    abs_s = abs_p if s is p else np.abs(s)
+    value = 0.0 + 0.0j
+    coeff_l1 = 0.0
+    alias_total = 0.0
+    for m, cm in J.coeffs:
+        coeff_l1 += abs(cm)
+        tabs = [np.fft.fft(_axis_table(J, eta, side, ax, m[ax])) for ax in range(3)]
+        shift = tuple(-c for c in m)
+        q = np.roll(p, shift, axis=(0, 1, 2))
+        np.conj(q, out=q)
+        q *= s
+        value += np.conj(cm) * _contract(q, tabs)
+        del q
+        q = np.roll(abs_p, shift, axis=(0, 1, 2))
+        q *= abs_s
+        central = [_axis_gauss_abs(J, eta, coords, ax, m[ax] / 2.0, 0) for ax in range(3)]
+        for ax in range(3):
+            vecs = list(central)
+            vecs[ax] = (_axis_gauss_abs(J, eta, coords, ax, m[ax] / 2.0, -1)
+                        + _axis_gauss_abs(J, eta, coords, ax, m[ax] / 2.0, 1))
+            alias_total += abs(cm) * float(_contract(q, vecs))
+    value /= box.volume
+    norm_phi = math.sqrt(np.einsum("ijk,ijk->", abs_p, abs_p))
+    norm_psi = norm_phi if abs_s is abs_p else math.sqrt(np.einsum("ijk,ijk->", abs_s, abs_s))
+    trunc = (
+        norm_phi * norm_psi * coeff_l1 * abs(J.amplitude) * (3.0 * AXIS_TAIL_FRACTION)
+        + 2.0 * alias_total
+    )
+    return value, trunc
+
+
+def boxed_state(box, offsets, shape, rng):
+    """A normalized random state that vanishes off the cyclic box of `shape` at `offsets`."""
+    L = box.side
+    grid = np.zeros((L, L, L), dtype=complex)
+    idx = np.ix_(*[(o + np.arange(n)) % L for o, n in zip(offsets, shape)])
+    grid[idx] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    grid /= np.linalg.norm(grid)
+    return WaveFunction(box, grid.ravel())
+
+
+def assert_matches_full_box(J, phi, psi, eta):
+    res = pair_wigner_bilinear(J, phi, psi, eta)
+    value, trunc = full_box_pairing(J, phi.grid(), psi.grid(), eta, psi.box)
+    assert abs(res.value - value) <= 1e-12 * abs(value)
+    assert abs(res.truncation_error - trunc) <= 1e-12 * trunc
+
+
+SUPPORTS = {
+    # every axis wraps index 0, each with its own size
+    "wraps_zero": ((13, 14, 15), (7, 6, 5)),
+    # one axis ends at the box face, one starts at it, one is the whole axis
+    "at_face": ((11, 0, 0), (5, 6, 16)),
+    "one_site": ((15, 0, 8), (1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("eta", [0.5, 0.35])
+@pytest.mark.parametrize("J", [OBSERVABLE, BENCH_OBSERVABLE], ids=["five", "bench"])
+@pytest.mark.parametrize("support", SUPPORTS)
+def test_support_window_matches_full_box(support, J, eta):
+    box = BoxSpec(16)
+    offsets, shape = SUPPORTS[support]
+    psi = boxed_state(box, offsets, shape, np.random.default_rng(len(support)))
+    assert wigner._support(psi.grid())[:2] == (offsets, shape)
+    assert_matches_full_box(J, psi, psi, eta)
+
+
+@pytest.mark.parametrize("J", [OBSERVABLE, BENCH_OBSERVABLE], ids=["five", "bench"])
+def test_support_window_state_without_zeros(J, rng):
+    psi = random_state(BoxSpec(16), rng)
+    assert wigner._support(psi.grid())[:2] == ((0, 0, 0), (16, 16, 16))
+    assert_matches_full_box(J, psi, psi, 0.5)
+
+
+@pytest.mark.parametrize("J", [OBSERVABLE, BENCH_OBSERVABLE], ids=["five", "bench"])
+def test_support_window_bilinear_different_supports(J, rng):
+    # phi's support overlaps psi's only in part, and phi is nonzero where
+    # psi vanishes; the window is psi's, and phi is read shifted from the box
+    box = BoxSpec(16)
+    psi = boxed_state(box, (14, 3, 10), (6, 5, 7), rng)
+    phi = boxed_state(box, (1, 5, 12), (8, 9, 3), rng)
+    assert_matches_full_box(J, phi, psi, 0.5)
+    assert_matches_full_box(J, psi, phi, 0.35)
+
+
+def test_support_window_zero_state():
+    box = BoxSpec(8)
+    zero = WaveFunction(box, np.zeros(box.volume))
+    res = pair_wigner(OBSERVABLE, zero, 0.5)
+    assert (res.value, res.truncation_error) == (0.0, 0.0)
+
+
+def test_pairing_memory_below_full_box_on_evolved_state():
+    # the benchmark's lambda = 0.45 state at kinetic time 0.5 lives on a
+    # 56^3 window of the 64^3 box
+    lam, box = 0.45, BoxSpec(64)
+    eta = lam**2
+    psi = wkb_state(WkbSpec(sigma=0.35, linear=(1.5707963, 0.0, 0.0)), eta, box)
+    V = sample_disorder(box, 20260810, 1)
+    psi = evolve_full(psi, V, lam, 0.5 / eta, PropagatorConfig(dt=0.05))
+    assert np.prod(wigner._support(psi.grid())[1]) < box.volume
+
+    def peak(pair):
+        pair()  # numpy's FFT plan cache is filled outside the trace
+        tracemalloc.start()
+        try:
+            pair()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    support = peak(lambda: pair_wigner(BENCH_OBSERVABLE, psi, eta))
+    full = peak(lambda: full_box_pairing(BENCH_OBSERVABLE, psi.grid(), psi.grid(), eta, box))
+    assert support < full, f"support {support / 1e6:.2f} MB, full box {full / 1e6:.2f} MB"
 
 
 def test_pairing_memory_under_three_grids(observable, rng):
