@@ -17,15 +17,16 @@ one complex array.
 The box only stands in for Z^3, and the lattice has a finite group
 velocity, so a WKB packet stays within a few times 1/eta sites of its
 centre.  `evolve_full` therefore runs its Strang loop on a cubic window of
-the box: side W a multiple of `WINDOW_QUANTUM` below L, or L itself, with
-one cyclic offset per axis read from the state's marginal masses, embedded
-back into the box at the end.  A certified bound B on the distance to the
+the box, chosen by the package's one window rule (`lattice.smallest_window`:
+side W a multiple of `WINDOW_QUANTUM` below L, or L itself, with one cyclic
+offset per axis read from the state's marginal masses), and embeds it back
+into the box at the end.  A certified bound B on the distance to the
 full-box Strang result, kept below `WINDOW_TOL` times the state's norm,
 decides the window and when it grows; a state that fills the box runs on
 the whole box, with the full-box operations.  The loop holds three window
-grids (the work array, one free phase and one kick), V on the window and
-one |psi|^2 buffer; a phase grid is rebuilt in place, and only when its step length or
-the window changes.
+grids (the work array, one free phase and one kick) and V on the window; a
+phase grid is rebuilt in place, and only when its step length or the
+window changes.
 
 The iterated-integral expansion of the full evolution in powers of lam is
 computed by the time-domain recursion
@@ -47,11 +48,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from kinlab.lattice import (
+    WINDOW_QUANTUM,
     BoxSpec,
     DisorderField,
     WaveFunction,
     axis_masses,
     put_window,
+    smallest_window,
     take_window,
 )
 
@@ -61,8 +64,6 @@ MAX_ORDER = 12
 # `evolve_full` keeps its distance to the full-box Strang result within
 # WINDOW_TOL times the state's norm.
 WINDOW_TOL = 1e-12
-# `evolve_full`'s window sides are multiples of this below the box side.
-WINDOW_QUANTUM = 8
 
 
 @dataclass(frozen=True)
@@ -136,35 +137,11 @@ def _face_term(masses: tuple, weights: tuple) -> float:
     return sum(math.sqrt(C * float(np.einsum("i,i->", c, m))) for m in masses)
 
 
-def _initial_window(masses: tuple, L: int, share: float) -> tuple:
-    """(W, offsets) of the smallest window that holds the state.
-
-    For each W (multiples of WINDOW_QUANTUM below L, in turn), each axis
-    takes the cyclic offset with the least marginal mass outside the
-    window.  W holds the state when the norm of its part outside the window,
-    at most the root of the sum of the axes' outside masses, is within
-    `share`.  Otherwise the window is the box.
-    """
-    for W in range(WINDOW_QUANTUM, L, WINDOW_QUANTUM):
-        # row o: the sites off the window that starts at offset o
-        outside_idx = (np.arange(L)[:, None] + np.arange(W, L)) % L
-        outside = [np.einsum("ij->i", m[outside_idx]) for m in masses]
-        if math.sqrt(sum(float(out.min()) for out in outside)) <= share:
-            return W, tuple(int(np.argmin(out)) for out in outside)
-    return L, (0, 0, 0)
-
-
 def _window_grids(vgrid: np.ndarray, offsets: tuple, W: int) -> tuple:
-    """(V on the window, |psi|^2 buffer, free phase, kick) of a window.
-
-    The whole box takes V as it is and needs no buffer (None).
-    """
+    """(V on the window, free phase, kick) of a window; the whole box takes V as it is."""
     shape = (W, W, W)
-    if W == len(vgrid):
-        vwin, buf = vgrid, None
-    else:
-        vwin, buf = take_window(vgrid, offsets, shape), np.empty(shape)
-    return vwin, buf, np.empty(shape, complex), np.empty(shape, complex)
+    vwin = vgrid if W == len(vgrid) else take_window(vgrid, offsets, shape)
+    return vwin, np.empty(shape, complex), np.empty(shape, complex)
 
 
 def _grow(work: np.ndarray, offsets: tuple, L: int) -> tuple:
@@ -177,8 +154,7 @@ def _grow(work: np.ndarray, offsets: tuple, L: int) -> tuple:
     if W >= L:
         return put_window(work, offsets, np.zeros((L, L, L), complex)), L, (0, 0, 0)
     pad = WINDOW_QUANTUM // 2
-    grown = put_window(work, (pad, pad, pad), np.zeros((W, W, W), complex))
-    return grown, W, tuple((o - pad) % L for o in offsets)
+    return np.pad(work, pad), W, tuple((o - pad) % L for o in offsets)
 
 
 def evolve_full(
@@ -199,8 +175,9 @@ def evolve_full(
     rebuild writes into its grid in place.
 
     The loop runs on a cubic window of the box, side W (a multiple of
-    WINDOW_QUANTUM below L, or L) and one cyclic offset per axis, and the
-    result is embedded back into the box with zeros outside the window.
+    WINDOW_QUANTUM below L, or L) and one cyclic offset per axis, chosen by
+    `lattice.smallest_window`, and the result is embedded back into the box
+    with zeros outside the window.
     Against the full-box Strang result its distance is at most
 
         B = ||psi outside the window||
@@ -218,9 +195,9 @@ def evolve_full(
     Cauchy-Schwarz gives the term.  Unitarity makes the sub-steps' errors
     add.  B is kept within WINDOW_TOL * ||psi|| by giving the start and each
     free sub-step an equal share: the initial window is the smallest whose
-    outside mass fits it (`_initial_window`), and whenever a sub-step's term
-    would exceed it the window grows by WINDOW_QUANTUM, centred, re-embedding
-    the state in position space.  A window that
+    outside mass fits it (`smallest_window` with that share), and whenever
+    a sub-step's term would exceed it the window grows by WINDOW_QUANTUM,
+    centred, re-embedding the state in position space.  A window that
     reaches L has no faces and adds nothing to B, so a state that fills the
     box runs the full-box operations.
     """
@@ -238,18 +215,18 @@ def evolve_full(
     # free sub-steps; 0.5 * (prev + h) is the operand order a per-step
     # reference uses, so it reproduces that bitwise
     subs = [0.5 * (prev + h) for prev, h in zip([0.0] + steps, steps + [0.0])]
-    masses = axis_masses(psi.grid(), np.empty((1, L, L)))
+    masses = axis_masses(psi.grid())
     share = WINDOW_TOL * math.sqrt(float(np.einsum("i->", masses[0]))) / (len(subs) + 1)
-    W, offsets = _initial_window(masses, L, share)
+    W, offsets = smallest_window(masses, L, share)
 
     work = take_window(psi.grid(), offsets, (W, W, W))
-    vwin, buf, phase, kick = _window_grids(vgrid, offsets, W)
+    vwin, phase, kick = _window_grids(vgrid, offsets, W)
     phase_s = kick_h = None
     for j, s in enumerate(subs):
-        while W < L and not _face_term(axis_masses(work, buf), _face_weights(W, s)) <= share:
-            vwin = buf = phase = kick = None  # freed before the grown window's grids
+        while W < L and not _face_term(axis_masses(work), _face_weights(W, s)) <= share:
+            vwin = phase = kick = None  # freed before the grown window's grids
             work, W, offsets = _grow(work, offsets, L)
-            vwin, buf, phase, kick = _window_grids(vgrid, offsets, W)
+            vwin, phase, kick = _window_grids(vgrid, offsets, W)
             phase_s = kick_h = None
         if s != phase_s:
             phase_s = s
@@ -264,7 +241,7 @@ def evolve_full(
                 kick_phase(vwin, h * lam, out=kick)
             work *= kick
     if W < L:
-        vwin = buf = phase = kick = None  # freed before the box-sized result
+        vwin = phase = kick = None  # freed before the box-sized result
         work = put_window(work, offsets, np.zeros((L, L, L), complex))
     return WaveFunction(psi.box, work.ravel())
 

@@ -73,7 +73,10 @@ def main(argv=None) -> int:
     if args.command == "simulate" and args.lam is not None and args.lam not in cfg.lambdas:
         parser.error(f"--lam {args.lam} is not among the configured couplings {cfg.lambdas}")
     out = Path(args.out or cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        parser.error(f"cannot create output directory {out}: {e.strerror}")
     manifest = RunManifest(config_digest=cfg.digest(), master_seed=cfg.master_seed,
                            task_seeds=dict(ex.TASK_SEEDS))
     written = []

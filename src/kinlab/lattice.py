@@ -17,8 +17,12 @@ Conventions used throughout the package:
   amplitudes below `AMPLITUDE_FLOOR` are exact zeros, so its far tails,
   whose products would be subnormal, drop out of every later stage.
 * Cyclic windows of a box (`take_window`, `put_window`) are sub-boxes with
-  one offset and one size per axis that may wrap the periodic seam; the
-  propagator evolves on one and the Wigner pairing contracts on one.
+  one offset and one size per axis that may wrap the periodic seam.  One
+  rule, `smallest_window`, chooses them from the state's marginal masses
+  (`axis_masses`): the smallest cube, of side a multiple of
+  `WINDOW_QUANTUM` or the box side, whose outside norm fits a share.  The
+  propagator evolves on the cube its error share allows, and the Wigner
+  pairing contracts on the cube of share 0, which holds every nonzero site.
 * Kinetic energy of the nearest-neighbor Hamiltonian (hopping -1/2, on-site
   +3) acts in momentum space as ``e(k) = 3 - sum_j cos(2 pi k_j)``, with
   band [0, 6] and group velocity ``sin(2 pi k_j)`` per axis.
@@ -141,23 +145,52 @@ def put_window(win: np.ndarray, offsets: tuple, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def axis_masses(grid: np.ndarray, buf: np.ndarray) -> tuple:
+# `smallest_window`'s sides are multiples of this below the box side.
+WINDOW_QUANTUM = 8
+# axis-0 slabs of |grid|^2 per step of `axis_masses`
+_MASS_SLABS = 8
+
+
+def axis_masses(grid: np.ndarray) -> tuple:
     """The marginals of |grid|^2 on axes 0, 1 and 2.
 
-    |grid|^2 is taken len(buf) axis-0 slabs at a time into the float buffer
-    `buf`, so a one-slab buffer scans a box with no grid-sized temporary.
+    |grid|^2 is taken `_MASS_SLABS` axis-0 slabs at a time into one float
+    buffer, so a scan holds no grid-sized temporary.
     """
     n = len(grid)
+    buf = np.empty((_MASS_SLABS,) + grid.shape[1:])
     m0, m1, m2 = np.empty(n), np.zeros(grid.shape[1]), np.zeros(grid.shape[2])
-    for i in range(0, n, len(buf)):
+    for i in range(0, n, _MASS_SLABS):
         b = buf[: n - i]
-        np.abs(grid[i : i + len(buf)], out=b)
+        np.abs(grid[i : i + _MASS_SLABS], out=b)
         b *= b
         m0[i : i + len(b)] = np.einsum("ijk->i", b)
         rest = np.einsum("ijk->jk", b)
         m1 += np.einsum("jk->j", rest)
         m2 += np.einsum("jk->k", rest)
     return m0, m1, m2
+
+
+def smallest_window(masses: tuple, L: int, share: float) -> tuple:
+    """(W, offsets) of the smallest cubic window that holds a state.
+
+    `masses` are the state's axis marginals (`axis_masses`) on an L-cube.
+    For each W (multiples of WINDOW_QUANTUM below L, in turn), each axis
+    takes the cyclic offset with the least marginal mass outside the
+    window.  W holds the state when the norm of its part outside the window,
+    at most the root of the sum of the axes' outside masses, is within
+    `share`.  Otherwise the window is the box, at offsets 0.  Share 0 gives
+    the smallest such cube that holds every nonzero site.  (A site whose
+    |psi|^2 underflows to 0 counts as a zero; it adds below 1e-161 to any
+    product.)
+    """
+    for W in range(WINDOW_QUANTUM, L, WINDOW_QUANTUM):
+        # row o: the sites off the window that starts at offset o
+        outside_idx = (np.arange(L)[:, None] + np.arange(W, L)) % L
+        outside = [np.einsum("ij->i", m[outside_idx]) for m in masses]
+        if math.sqrt(sum(float(out.min()) for out in outside)) <= share:
+            return W, tuple(int(np.argmin(out)) for out in outside)
+    return L, (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,14 @@ the reported Gaussian tail truncation and the periodization of g over the
 box.
 
 The product conj(phi(x + m)) psi(x) vanishes wherever psi does, so the sum
-over x runs on the cyclic support box of psi: per axis, the smallest cyclic
-interval that holds every nonzero marginal of |psi|^2, found by one slab
-scan.  phi(x + m) is read from the box as the window shifted by m, with no
-margin and no crop copy, and the per-axis factors are read at the window's
-cyclic coordinates.  A pairing holds one complex and one real array of the
-support's size and nothing of the box's; a psi with no zeros runs the same
-code on the whole box.
+over x runs on a cubic window that holds every nonzero site of psi: the
+package's one window rule, `lattice.smallest_window`, at share 0, which for
+an evolved state is the window the propagator ended on.  phi(x + m) is read
+from the box as the window shifted by m, with no margin and no crop copy,
+and the per-axis factors are read at the window's cyclic coordinates.  A
+pairing holds one complex and one real array of the window's size and
+nothing of the box's; a psi that no smaller window holds runs the same code
+on the whole box.
 """
 
 from __future__ import annotations
@@ -33,7 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kinlab.lattice import WaveFunction, WkbSpec, axis_masses, take_window, window_blocks
+from kinlab.lattice import (
+    WaveFunction,
+    WkbSpec,
+    axis_masses,
+    smallest_window,
+    take_window,
+    window_blocks,
+)
 
 GAUSS_TAIL_THRESHOLD = 1e-10  # relative cutoff of the Fourier factor per axis
 # Fourier mass of one axis's Gaussian beyond that cutoff: the erfc argument
@@ -129,51 +137,24 @@ def _contract(q, vecs):
     return np.einsum("ij,i,j->", np.einsum("ijk,k->ij", q, vecs[2]), vecs[0], vecs[1])
 
 
-# axis-0 slabs of |psi|^2 per step of the support scan
-_SCAN_SLABS = 8
-
-
-def _support(grid: np.ndarray) -> tuple:
-    """(offsets, shape, squared norm) of the cyclic support box of `grid`.
-
-    One slab scan gives the marginals of |grid|^2; each axis keeps the
-    smallest cyclic interval that holds every nonzero marginal entry, the
-    complement of its longest cyclic run of zeros.  An axis with no zero
-    entry keeps the whole box at offset 0.  (A site whose |psi|^2 underflows
-    to 0 counts as a zero; it adds below 1e-161 to any product.)
-    """
-    L = len(grid)
-    masses = axis_masses(grid, np.empty((_SCAN_SLABS, L, L)))
-    offsets, shape = [], []
-    for m in masses:
-        nz = np.flatnonzero(m)
-        if nz.size in (0, L):
-            offsets.append(0)
-            shape.append(nz.size)
-            continue
-        gaps = np.diff(nz, append=nz[0] + L) - 1
-        j = int(np.argmax(gaps))
-        offsets.append(int(nz[(j + 1) % nz.size]))
-        shape.append(L - int(gaps[j]))
-    return tuple(offsets), tuple(shape), float(np.einsum("i->", masses[0]))
-
-
 def _pair_position_arrays(J, p, s, eta, box):
     """Core pairing given the position grids of phi and psi, shape (L, L, L).
 
-    The product conj(phi(x + m)) psi(x) vanishes off the cyclic support box
-    of psi (`_support`), so every harmonic is contracted on that box alone:
-    the window of phi shifted by m is copied, conjugated and multiplied by
-    psi block by block in place, and |product| is written into one real
-    array for the periodization estimate.  The per-axis tables and image
-    vectors are read at the window's cyclic coordinates.  A psi with no
-    zeros takes the whole box as its window.  When `s` is `p` (the diagonal
-    pairing) its norm is computed once.
+    The product conj(phi(x + m)) psi(x) vanishes off psi's window
+    (`smallest_window` at share 0), so every harmonic is contracted on that
+    window alone: the window of phi shifted by m is copied, conjugated and
+    multiplied by psi block by block in place, and |product| is written into
+    one real array for the periodization estimate.  The per-axis tables and
+    image vectors are read at the window's cyclic coordinates.  When `s` is
+    `p` (the diagonal pairing) its norm is computed once.
     """
     side = box.side
     coords = box.site_coordinates()
-    offsets, shape, sq_psi = _support(s)
-    sq_phi = sq_psi if s is p else _support(p)[2]
+    masses = axis_masses(s)
+    W, offsets = smallest_window(masses, side, 0.0)
+    shape = (W, W, W)
+    sq_psi = float(np.einsum("i->", masses[0]))
+    sq_phi = sq_psi if s is p else float(np.einsum("i->", axis_masses(p)[0]))
     # box index of each window coordinate, per axis
     sites = [(o + np.arange(n)) % side for o, n in zip(offsets, shape)]
     mag = np.empty(shape)

@@ -11,6 +11,7 @@ import pytest
 from scipy.optimize import minimize
 
 import kinlab
+from kinlab import dynamics
 from kinlab.harness.manifest import RunManifest
 from kinlab.lattice import BoxSpec, DisorderField, WaveFunction
 from kinlab.wigner import TestObservable
@@ -26,6 +27,16 @@ def random_state(box, rng):
     v = rng.normal(size=box.volume) + 1j * rng.normal(size=box.volume)
     v /= np.linalg.norm(v)
     return WaveFunction(box, v)
+
+
+def boxed_state(box, offsets, shape, rng):
+    """A normalized random state that vanishes off the cyclic box of `shape` at `offsets`."""
+    L = box.side
+    grid = np.zeros((L, L, L), dtype=complex)
+    idx = np.ix_(*[(o + np.arange(n)) % L for o, n in zip(offsets, shape)])
+    grid[idx] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    grid /= np.linalg.norm(grid)
+    return WaveFunction(box, grid.ravel())
 
 
 def velocity_max_abs(J):
@@ -45,6 +56,19 @@ def velocity_max_abs(J):
 def cj_constant(J):
     """C_J = Int dxi sup_v |J^(xi, v)| = ||g^||_L1 * max|h| = |amplitude| * max|h|."""
     return abs(J.amplitude) * velocity_max_abs(J)
+
+
+def window_sides(monkeypatch):
+    """The box side of every free phase `evolve_full` builds, in order."""
+    sides = []
+    free_phase = dynamics.free_phase
+
+    def recorded(box, s, out=None):
+        sides.append(box.side)
+        return free_phase(box, s, out=out)
+
+    monkeypatch.setattr(dynamics, "free_phase", recorded)
+    return sides
 
 
 def read_csv(path):

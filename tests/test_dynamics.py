@@ -27,6 +27,7 @@ from conftest import (
     make_observable,
     random_state,
     two_grid_duhamel_ladder,
+    window_sides,
 )
 
 
@@ -239,18 +240,6 @@ def test_full_memory_three_grids(rng):
 # the benchmark's packet: sigma/eta = 0.97 sites at lambda = 0.6
 PACKET = WkbSpec(sigma=0.35, linear=(1.5707963, 0.0, 0.0))
 LAM = 0.6
-
-
-def window_sides(monkeypatch):
-    """The box side of every free phase `evolve_full` builds, in order."""
-    sides = []
-
-    def recorded(box, s, out=None):
-        sides.append(box.side)
-        return free_phase(box, s, out=out)
-
-    monkeypatch.setattr(dynamics, "free_phase", recorded)
-    return sides
 
 
 def check_window_run(psi, V, lam, t, dt):

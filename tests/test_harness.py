@@ -219,6 +219,8 @@ def test_config_rejects_bad_value(old, new):
                      id="selfavg-one-coupling"),
         pytest.param("simulate", SMALL_CFG, ["--lam", "0.5"], id="simulate-lam-not-configured"),
         pytest.param("graphs", None, [], id="config-missing"),
+        # the later --out wins: it names the config file, relative to tmp_path
+        pytest.param("simulate", SMALL_CFG, ["--out", "cfg.ini"], id="out-is-a-file"),
     ],
 )
 def test_cli_rejects_bad_input_as_usage_error(command, text, extra, tmp_path, monkeypatch, capsys):
@@ -226,6 +228,7 @@ def test_cli_rejects_bad_input_as_usage_error(command, text, extra, tmp_path, mo
         raise AssertionError("an ensemble ran before the input was rejected")
 
     monkeypatch.setattr(ex, "run_ensemble", no_ensemble)
+    monkeypatch.chdir(tmp_path)
     cfg_path = tmp_path / "cfg.ini"
     if text is not None:
         cfg_path.write_text(text)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,17 +8,24 @@ from hypothesis import strategies as st
 
 from kinlab.lattice import (
     AMPLITUDE_FLOOR,
+    WINDOW_QUANTUM,
     BoxSpec,
     BoxTooSmall,
     TrigPolynomial,
     WkbSpec,
+    axis_masses,
     dispersion,
     envelope_tail_mass,
     group_velocity,
+    put_window,
     reduce_torus,
     sample_disorder,
+    smallest_window,
+    take_window,
     wkb_state,
 )
+
+from conftest import boxed_state, random_state
 
 
 # ---------------------------------------------------------------------------
@@ -229,3 +237,91 @@ def test_trig_polynomial_gradient_matches_fd(rng):
             Xm[j] -= h
             fd[j] = (spec.phase(Xp) - spec.phase(Xm)) / (2 * h)
         assert np.allclose(spec.phase_gradient(X), fd, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# cyclic windows
+# ---------------------------------------------------------------------------
+
+
+def rolled_window(grid, offsets, shape):
+    """np.roll reference for the cyclic window of `shape` at `offsets`."""
+    rolled = np.roll(grid, [-o for o in offsets], axis=(0, 1, 2))
+    return rolled[tuple(slice(0, n) for n in shape)]
+
+
+@pytest.mark.parametrize(
+    "offsets, shape",
+    [((9, 0, 11), (5, 12, 3)), ((3, 4, 5), (2, 2, 2)), ((11, 11, 11), (12, 12, 12))],
+    ids=["wraps", "inside", "whole-box-wrapped"],
+)
+def test_take_and_put_window_match_roll(offsets, shape, rng):
+    L = 12
+    grid = rng.normal(size=(L, L, L)) + 1j * rng.normal(size=(L, L, L))
+    win = take_window(grid, offsets, shape)
+    assert np.array_equal(win, rolled_window(grid, offsets, shape))
+    placed = put_window(win, offsets, np.zeros_like(grid))
+    corner = np.zeros_like(grid)
+    corner[tuple(slice(0, n) for n in shape)] = win
+    assert np.array_equal(placed, np.roll(corner, offsets, axis=(0, 1, 2)))
+    assert np.array_equal(take_window(placed, offsets, shape), win)
+
+
+@pytest.mark.parametrize("n", [5, 8, 13, 56])
+def test_axis_masses_match_direct_sums(n, rng):
+    # lengths below, at, between and at a multiple of the scan's slab chunk
+    grid = rng.normal(size=(n, 7, 6)) + 1j * rng.normal(size=(n, 7, 6))
+    sq = np.abs(grid) ** 2
+    for axis, m in enumerate(axis_masses(grid)):
+        others = tuple(a for a in range(3) if a != axis)
+        np.testing.assert_allclose(m, sq.sum(axis=others), rtol=1e-13)
+
+
+def check_smallest_window(grid, share):
+    """smallest_window's (W, offsets) for `grid`, checked against brute force:
+    the part of `grid` off the window has norm within `share`, and for no
+    smaller side does any choice of offsets bring the marginal bound within it."""
+    L = len(grid)
+    masses = axis_masses(grid)
+    W, offsets = smallest_window(masses, L, share)
+    off = np.roll(grid, [-o for o in offsets], axis=(0, 1, 2))
+    off[:W, :W, :W] = 0
+    assert np.linalg.norm(off) <= share
+    for smaller in range(WINDOW_QUANTUM, W, WINDOW_QUANTUM):
+        least = [min(float(np.roll(m, -o)[smaller:].sum()) for o in range(L)) for m in masses]
+        assert math.sqrt(sum(least)) > share
+    return W, offsets
+
+
+@pytest.mark.parametrize("shift", [(0, 0, 0), (7, -3, 16)])
+@pytest.mark.parametrize("share", [1e-6, 1e-12])
+def test_smallest_window_fits_share_on_packet(shift, share):
+    # the centred packet wraps index 0 on every axis
+    L = 32
+    packet = wkb_state(WkbSpec(sigma=0.35, linear=(1.5707963, 0.0, 0.0)), 0.36, BoxSpec(L))
+    W, offsets = check_smallest_window(np.roll(packet.grid(), shift, axis=(0, 1, 2)), share)
+    assert W < L
+    if shift == (0, 0, 0):
+        assert all(o + W > L for o in offsets)
+
+
+@pytest.mark.parametrize(
+    "offsets, shape, side",
+    [((29, 30, 2), (9, 5, 12), 16), ((31, 0, 20), (8, 1, 3), 8), ((5, 20, 0), (17, 2, 2), 24)],
+    ids=["wraps-two-axes", "wraps-one-axis", "long-axis"],
+)
+def test_smallest_window_share_zero_holds_every_nonzero_site(offsets, shape, side, rng):
+    L = 32
+    grid = boxed_state(BoxSpec(L), offsets, shape, rng).grid()
+    W, win = check_smallest_window(grid, 0.0)
+    assert W == side
+    inside = take_window(grid, win, (W, W, W))
+    assert np.count_nonzero(inside) == np.count_nonzero(grid)
+
+
+def test_smallest_window_of_zero_state_and_state_without_zeros(rng):
+    box = BoxSpec(32)
+    zero = np.zeros((32, 32, 32), dtype=complex)
+    assert smallest_window(axis_masses(zero), box.side, 0.0)[0] == WINDOW_QUANTUM
+    full = random_state(box, rng).grid()
+    assert smallest_window(axis_masses(full), box.side, 0.0) == (box.side, (0, 0, 0))

@@ -13,10 +13,12 @@ from kinlab.lattice import (
     BoxSpec,
     WaveFunction,
     WkbSpec,
+    axis_masses,
     sample_disorder,
+    smallest_window,
+    take_window,
     wkb_state,
 )
-from kinlab import wigner
 from kinlab.wigner import (
     AXIS_TAIL_FRACTION,
     GAUSS_TAIL_THRESHOLD,
@@ -29,7 +31,14 @@ from kinlab.wigner import (
     wkb_limit_sampler,
 )
 
-from conftest import cj_constant, make_observable, random_state, velocity_max_abs
+from conftest import (
+    boxed_state,
+    cj_constant,
+    make_observable,
+    random_state,
+    velocity_max_abs,
+    window_sides,
+)
 
 
 def oracle_pairing(J, phi, psi, eta):
@@ -261,16 +270,6 @@ def full_box_pairing(J, p, s, eta, box):
     return value, trunc
 
 
-def boxed_state(box, offsets, shape, rng):
-    """A normalized random state that vanishes off the cyclic box of `shape` at `offsets`."""
-    L = box.side
-    grid = np.zeros((L, L, L), dtype=complex)
-    idx = np.ix_(*[(o + np.arange(n)) % L for o, n in zip(offsets, shape)])
-    grid[idx] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    grid /= np.linalg.norm(grid)
-    return WaveFunction(box, grid.ravel())
-
-
 def assert_matches_full_box(J, phi, psi, eta):
     res = pair_wigner_bilinear(J, phi, psi, eta)
     value, trunc = full_box_pairing(J, phi.grid(), psi.grid(), eta, psi.box)
@@ -278,12 +277,25 @@ def assert_matches_full_box(J, phi, psi, eta):
     assert abs(res.truncation_error - trunc) <= 1e-12 * trunc
 
 
+def pairing_window(psi):
+    """(W, offsets) of the cube the pairing contracts `psi` on."""
+    return smallest_window(axis_masses(psi.grid()), psi.box.side, 0.0)
+
+
+def assert_window_holds(window, offsets, shape, L):
+    """The cube `window` contains the cyclic box of `shape` at `offsets` on an L-cycle."""
+    W, starts = window
+    for o, n, w in zip(offsets, shape, starts):
+        assert (o - w) % L + n <= W
+
+
 SUPPORTS = {
+    # (offsets, shape) of the support, and the side of the cube that holds it
     # every axis wraps index 0, each with its own size
-    "wraps_zero": ((13, 14, 15), (7, 6, 5)),
+    "wraps_zero": ((13, 14, 15), (7, 6, 5), 8),
     # one axis ends at the box face, one starts at it, one is the whole axis
-    "at_face": ((11, 0, 0), (5, 6, 16)),
-    "one_site": ((15, 0, 8), (1, 1, 1)),
+    "at_face": ((11, 0, 0), (5, 6, 16), 16),
+    "one_site": ((15, 0, 8), (1, 1, 1), 8),
 }
 
 
@@ -292,16 +304,18 @@ SUPPORTS = {
 @pytest.mark.parametrize("support", SUPPORTS)
 def test_support_window_matches_full_box(support, J, eta):
     box = BoxSpec(16)
-    offsets, shape = SUPPORTS[support]
+    offsets, shape, side = SUPPORTS[support]
     psi = boxed_state(box, offsets, shape, np.random.default_rng(len(support)))
-    assert wigner._support(psi.grid())[:2] == (offsets, shape)
+    window = pairing_window(psi)
+    assert window[0] == side
+    assert_window_holds(window, offsets, shape, box.side)
     assert_matches_full_box(J, psi, psi, eta)
 
 
 @pytest.mark.parametrize("J", [OBSERVABLE, BENCH_OBSERVABLE], ids=["five", "bench"])
 def test_support_window_state_without_zeros(J, rng):
     psi = random_state(BoxSpec(16), rng)
-    assert wigner._support(psi.grid())[:2] == ((0, 0, 0), (16, 16, 16))
+    assert pairing_window(psi) == (16, (0, 0, 0))
     assert_matches_full_box(J, psi, psi, 0.5)
 
 
@@ -323,15 +337,36 @@ def test_support_window_zero_state():
     assert (res.value, res.truncation_error) == (0.0, 0.0)
 
 
-def test_pairing_memory_below_full_box_on_evolved_state():
-    # the benchmark's lambda = 0.45 state at kinetic time 0.5 lives on a
-    # 56^3 window of the 64^3 box
+@pytest.fixture(scope="module")
+def evolved_bench_state():
+    """The benchmark's lambda = 0.45 state at kinetic time 0.5, its eta, and
+    the side of every free phase `evolve_full` built on the way."""
     lam, box = 0.45, BoxSpec(64)
     eta = lam**2
     psi = wkb_state(WkbSpec(sigma=0.35, linear=(1.5707963, 0.0, 0.0)), eta, box)
     V = sample_disorder(box, 20260810, 1)
-    psi = evolve_full(psi, V, lam, 0.5 / eta, PropagatorConfig(dt=0.05))
-    assert np.prod(wigner._support(psi.grid())[1]) < box.volume
+    with pytest.MonkeyPatch.context() as mp:
+        sides = window_sides(mp)
+        psi = evolve_full(psi, V, lam, 0.5 / eta, PropagatorConfig(dt=0.05))
+    return psi, eta, sides
+
+
+def test_pairing_window_is_the_propagators_last(evolved_bench_state):
+    # evolve_full leaves the state nonzero on its last window and zero off it,
+    # so the one window rule at share 0 gives that window back
+    psi, _, sides = evolved_bench_state
+    W, offsets = pairing_window(psi)
+    assert W == sides[-1] < psi.box.side
+    inside = take_window(psi.grid(), offsets, (W, W, W))
+    assert np.all(inside != 0) and np.count_nonzero(psi.values) == inside.size
+
+
+def test_pairing_memory_below_full_box_on_evolved_state(evolved_bench_state):
+    # the benchmark's lambda = 0.45 state at kinetic time 0.5 lives on a
+    # 56^3 window of the 64^3 box
+    psi, eta, _ = evolved_bench_state
+    box = psi.box
+    assert pairing_window(psi)[0] < box.side
 
     def peak(pair):
         pair()  # numpy's FFT plan cache is filled outside the trace
