@@ -103,9 +103,9 @@ def build_dos_table(n_samples: int, rng: np.random.Generator, bins: int = 512) -
     return DosTable(edges, values, stderr, n_samples)
 
 
-def collision_rate(V, table: DosTable) -> np.ndarray:
-    """Total jump rate R(V) = 2 pi Phi(e(V))."""
-    return 2.0 * math.pi * table.interp(dispersion(V))
+def collision_rate(E, table: DosTable) -> np.ndarray:
+    """Total jump rate 2 pi Phi(E) of particles at energies E = e(V)."""
+    return 2.0 * math.pi * table.interp(E)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +269,8 @@ class ParticleEnsemble:
 
 def _advance_batch(X, V, dT, table, cfg, rng):
     """Advance all particles by dT in place; returns (X, V)."""
-    R = collision_rate(V, table)
     E = dispersion(V)
+    R = collision_rate(E, table)
     t_left = np.full(len(X), float(dT))
     active = np.flatnonzero(R > 0.0)
     # rate-zero particles (energy exactly at a band edge, 0 or 6) fly

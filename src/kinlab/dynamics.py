@@ -171,8 +171,8 @@ def evolve_full(
     after the last step that step's second half.  A free sub-step is a
     transform, `free_phase` at s, the inverse transform; a step's kick is
     `kick_phase` at h * lam.  A free phase is rebuilt only when s or the
-    window changes, and the kick only when h or the window does; each
-    rebuild writes into its grid in place.
+    window changes, and so are its face weights; the kick is rebuilt only
+    when h or the window does.  Each grid rebuild writes in place.
 
     The loop runs on a cubic window of the box, side W (a multiple of
     WINDOW_QUANTUM below L, or L) and one cyclic offset per axis, chosen by
@@ -223,10 +223,13 @@ def evolve_full(
     vwin, phase, kick = _window_grids(vgrid, offsets, W)
     phase_s = kick_h = None
     for j, s in enumerate(subs):
-        while W < L and not _face_term(axis_masses(work), _face_weights(W, s)) <= share:
+        if s != phase_s:
+            weights = _face_weights(W, s)
+        while W < L and not _face_term(axis_masses(work), weights) <= share:
             vwin = phase = kick = None  # freed before the grown window's grids
             work, W, offsets = _grow(work, offsets, L)
             vwin, phase, kick = _window_grids(vgrid, offsets, W)
+            weights = _face_weights(W, s)
             phase_s = kick_h = None
         if s != phase_s:
             phase_s = s

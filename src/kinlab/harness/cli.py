@@ -4,8 +4,9 @@
                      [--reproducible]
 
 Commands: simulate (one-coupling ensemble), selfavg, compare, supnorm,
-resolvent, graphs, duhamel.  Each writes CSV reports plus a JSON manifest
-into the output directory.
+resolvent, graphs, duhamel.  Each writes CSV reports into the output
+directory; once they are written, a JSON manifest of the config digest,
+the seeds and the reports' hashes goes next to them.
 """
 
 from __future__ import annotations
@@ -77,15 +78,12 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         parser.error(f"cannot create output directory {out}: {e.strerror}")
-    manifest = RunManifest(config_digest=cfg.digest(), master_seed=cfg.master_seed,
-                           task_seeds=dict(ex.TASK_SEEDS))
     written = []
 
     def emit(name, header, rows):
         path = out / name
         ex.write_csv(path, header, rows)
-        manifest.add_output(path)
-        written.append(str(path))
+        written.append(path)
 
     if args.command == "simulate":
         lam = args.lam if args.lam is not None else cfg.lambdas[0]
@@ -132,9 +130,15 @@ def main(argv=None) -> int:
         for n, r in rows:
             print(f"order cap {n}: residual {r:.6g}")
 
-    manifest.write(out / "manifest.json", reproducible=args.reproducible)
-    written.append(str(out / "manifest.json"))
-    print("wrote: " + ", ".join(written))
+    # built once the reports exist, so hashlib loads only after the run's
+    # work (numpy.random still loads it on a first draw, via secrets)
+    manifest = RunManifest(config_digest=cfg.digest(), master_seed=cfg.master_seed,
+                           task_seeds=dict(ex.TASK_SEEDS))
+    for path in written:
+        manifest.add_output(path)
+    written.append(out / "manifest.json")
+    manifest.write(written[-1], reproducible=args.reproducible)
+    print("wrote: " + ", ".join(map(str, written)))
     return 0
 
 

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import hashlib
 import math
 from dataclasses import dataclass, field
 from functools import partial
@@ -197,6 +196,8 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         """sha256 of the dataclass repr, which lists every field and nested spec."""
+        import hashlib  # here, so that loading the CLI does not load OpenSSL
+
         return hashlib.sha256(repr(self).encode()).hexdigest()
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -87,6 +86,9 @@ def run_ensemble(cfg: ExperimentConfig, lam: float, workers: int = 1) -> Ensembl
     stats = EnsembleStats()
     workers = min(workers, len(jobs))
     if workers > 1:
+        # here, so that a serial run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_realization_value, jobs, chunksize=1))
     else:

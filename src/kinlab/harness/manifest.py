@@ -1,8 +1,11 @@
-"""Run manifests: config digest, seeds, and output file hashes as JSON."""
+"""Run manifests: config digest, seeds, and output file hashes as JSON.
+
+`hashlib` is imported inside the functions that hash, so importing this
+module (and the CLI) does not load OpenSSL.
+"""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field
@@ -12,6 +15,8 @@ ARTIFACT_VERSION = "0.1.0"
 
 
 def file_sha256(path) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
@@ -37,6 +42,8 @@ class RunManifest:
             "artifact_version": self.artifact_version,
             "outputs": sorted((o["path"], o["sha256"]) for o in self.outputs),
         }
+        import hashlib
+
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
     def add_output(self, path):

@@ -206,18 +206,30 @@ class DisorderField:
     values: np.ndarray
 
 
+# sites per chunk of `sample_disorder`: its uniform buffer is 256 KB
+_DISORDER_CHUNK = 1 << 14
+
+
 def sample_disorder(box: BoxSpec, seed: int, stream: int) -> DisorderField:
     """i.i.d. N(0,1) per site from a counter-based generator keyed by (seed, stream).
 
     Site i consumes the uniform words 2i and 2i+1 of the Philox stream and
     maps them through Box-Muller, so the value at a site is a fixed function
-    of (seed, stream, site index) regardless of traversal or chunking.
+    of (seed, stream, site index) regardless of traversal or chunking.  The
+    output is filled `_DISORDER_CHUNK` sites at a time: each chunk draws its
+    uniforms into one reused buffer and is transformed there, so a draw
+    holds the output plus a few chunk-sized arrays, not several box-sized
+    temporaries.
     """
     gen = np.random.Generator(np.random.Philox(key=[seed % 2**64, stream % 2**64]))
-    u = gen.random(2 * box.volume)
-    u1 = 1.0 - u[0::2]  # (0, 1]: keeps log() finite
-    u2 = u[1::2]
-    values = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    values = np.empty(box.volume)
+    buf = np.empty(2 * _DISORDER_CHUNK)
+    for i in range(0, box.volume, _DISORDER_CHUNK):
+        out = values[i : i + _DISORDER_CHUNK]
+        u = gen.random(out=buf[: 2 * len(out)])
+        u1 = 1.0 - u[0::2]  # (0, 1]: keeps log() finite
+        u2 = u[1::2]
+        np.multiply(np.sqrt(-2.0 * np.log(u1)), np.cos(2.0 * np.pi * u2), out=out)
     return DisorderField(box, values)
 
 

@@ -115,21 +115,21 @@ def test_dispersion_matches_axis_sum(rng):
 def test_collision_rate_depends_on_energy_only(table, rng):
     E = 2.7
     U = sample_energy_shell_batch(E, 64, ShellSamplerConfig(), rng)
-    rates = collision_rate(U, table)
+    rates = collision_rate(dispersion(U), table)
     assert np.allclose(rates, rates[0], rtol=1e-9)
     assert rates[0] == pytest.approx(2 * math.pi * table.interp(E), rel=1e-12)
 
 
 def test_collision_rate_vanishes_at_band_bottom(table):
     assert table.interp(0.0) < table.interp(3.0) * 0.1
-    assert collision_rate(np.zeros(3), table) < 0.3
+    assert collision_rate(dispersion(np.zeros(3)), table) < 0.3
 
 
 def test_collision_rate_positive_below_first_bin_centre(table):
     # e(V) ~ 1.5e-3 lies below the first bin centre, but inside the band
     V = np.array([0.005, 0.005, 0.005])
     assert 0.0 < dispersion(V) < table.centers[0]
-    rate = collision_rate(V, table)
+    rate = collision_rate(dispersion(V), table)
     assert 0.0 < rate < 2 * math.pi * table.values[0]
 
 
@@ -381,7 +381,7 @@ def test_ballistic_with_rate_override(table, cfg, rng):
     # e(V0) = 6 exactly, the top band edge, where the rate is exactly 0
     X0, V0 = np.array([0.5, 0.5, 0.5]), np.array([0.5, 0.5, 0.5])
     assert dispersion(V0) == 6.0
-    assert collision_rate(V0, table) == 0.0
+    assert collision_rate(dispersion(V0), table) == 0.0
     out = snapshots(one_particle(X0, V0), [2.5], 1, cfg, rng, table)[-1]
     assert np.array_equal(out.X[0], X0 + 2.5 * group_velocity(V0))
     assert np.array_equal(out.V[0], V0)
@@ -391,7 +391,7 @@ def test_ballistic_with_rate_override(table, cfg, rng):
 def test_energy_drift_over_1000_collisions(table, cfg, rng):
     V0 = sample_energy_shell_batch(3.0, 1, cfg, rng)[0]
     E0 = dispersion(V0)
-    T = 1000.0 / collision_rate(V0, table)  # ~1000 collisions
+    T = 1000.0 / collision_rate(E0, table)  # ~1000 collisions
     out = snapshots(one_particle(np.zeros(3), V0), [T], 1, cfg, rng, table)[-1]
     assert abs(dispersion(out.V[0]) - E0) <= 1e-8
 

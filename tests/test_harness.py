@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import importlib
 import math
@@ -247,6 +248,13 @@ def test_cli_and_resolvent_load_no_scipy():
     assert run_fresh_python(code).strip() == "[]"
 
 
+def test_cli_import_loads_no_hashlib_or_multiprocessing():
+    # a fresh interpreter; the manifest hashes and a pool spawns only when used
+    unused = ("hashlib", "_hashlib", "multiprocessing", "concurrent.futures.process")
+    code = f"import sys, kinlab.harness.cli; print(sorted(set({unused!r}) & set(sys.modules)))"
+    assert run_fresh_python(code).strip() == "[]"
+
+
 def test_cli_import_skips_scipy_optimize():
     # a fresh interpreter, so modules other tests imported do not count
     code = "import sys, kinlab.harness.cli; print('scipy.optimize' in sys.modules)"
@@ -353,7 +361,7 @@ class InlineExecutor:
 @pytest.fixture
 def inline_pool(monkeypatch):
     monkeypatch.setattr(InlineExecutor, "sizes", [])
-    monkeypatch.setattr(ex, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     return InlineExecutor.sizes
 
 

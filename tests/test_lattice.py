@@ -107,6 +107,34 @@ def test_disorder_moments():
     assert abs(field.values.var() - 1.0) < 0.05
 
 
+def one_shot_disorder(box, seed, stream):
+    """Box-Muller over the whole stream at once: site i takes words 2i and 2i+1."""
+    gen = np.random.Generator(np.random.Philox(key=[seed, stream]))
+    u = gen.random(2 * box.volume)
+    return np.sqrt(-2.0 * np.log(1.0 - u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
+
+
+# 66^3 is not a multiple of the chunk, so the last chunk is a partial one
+@pytest.mark.parametrize("side", [4, 6, 64, 66])
+@pytest.mark.parametrize("stream", [1, 2])
+def test_chunked_disorder_matches_one_shot_draw(side, stream):
+    box = BoxSpec(side)
+    got = sample_disorder(box, 20260810, stream).values
+    assert got.tobytes() == one_shot_disorder(box, 20260810, stream).tobytes()
+
+
+def test_disorder_draw_holds_no_box_sized_temporaries():
+    # the 2.1 MB output plus chunk-sized buffers; a one-shot draw peaks at 12.6 MB
+    box = BoxSpec(64)
+    tracemalloc.start()
+    try:
+        sample_disorder(box, 2026, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, f"peak {peak / 1e6:.2f} MB"
+
+
 def test_disorder_streams_uncorrelated():
     box = BoxSpec(32)
     a = sample_disorder(box, 2026, 1).values
