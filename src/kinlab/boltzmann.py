@@ -303,7 +303,10 @@ def snapshots(
 
     `initial_sampler(n, rng)` returns initial (X, V) arrays; each particle
     carries weight 1/n, which no step changes, so every returned ensemble
-    shares one read-only weight array.
+    shares one read-only weight array.  The sampler may return an earlier
+    ensemble's arrays: they are copied and never modified, and momenta
+    already in [0, 1) pass `reduce_torus` unchanged, so a later call
+    continues that ensemble exactly.
     """
     times = list(times)
     if any(b < a for a, b in zip(times, times[1:])) or (times and times[0] < 0):

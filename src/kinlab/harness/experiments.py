@@ -170,11 +170,22 @@ class KineticComparison:
     nonincreasing_within_errors: bool
 
 
-def transport_snapshots(cfg: ExperimentConfig, taus) -> list:
-    """Transport ensembles at the increasing times `taus`, from the WKB limit law.
+def transport_ensembles(cfg: ExperimentConfig, taus):
+    """Transport ensembles at the times `taus` from the WKB limit law, one at a time.
 
-    The DOS table and the particles draw from their own keyed generators.
+    Each comes from its own `bz.snapshots` call that advances the previous
+    one, with the draws and advances of one call on all of `taus`, so the
+    values are bitwise equal to that call's.  The DOS table and the particles
+    draw from their own keyed generators.
     """
+    taus = [float(t) for t in taus]
+    # checked here, not at the first draw: no snapshots call sees the whole list
+    if any(b < a for a, b in zip(taus, taus[1:])) or (taus and taus[0] < 0):
+        raise ValueError("times must be nondecreasing and nonnegative")
+    return _transport_stream(cfg, taus)
+
+
+def _transport_stream(cfg: ExperimentConfig, taus: list):
     table = bz.build_dos_table(
         cfg.dos_samples, np.random.default_rng([cfg.master_seed, SEED_DOS]), bins=cfg.dos_bins
     )
@@ -184,7 +195,15 @@ def transport_snapshots(cfg: ExperimentConfig, taus) -> list:
     def init(n, r):
         return wkb_limit_sampler(cfg.wkb, n, r)
 
-    return bz.snapshots(init, taus, cfg.n_particles, shell, rng, table)
+    prev = 0.0
+    for tau in taus:
+        (ens,) = bz.snapshots(init, [tau - prev], cfg.n_particles, shell, rng, table)
+        prev = tau
+
+        def init(n, r, ens=ens):  # copied by snapshots; momenta already reduced
+            return ens.X, ens.V
+
+        yield ens
 
 
 def run_kinetic_comparison(cfg: ExperimentConfig, stats: list) -> KineticComparison:
@@ -195,7 +214,8 @@ def run_kinetic_comparison(cfg: ExperimentConfig, stats: list) -> KineticCompari
     quantum-side realization error combine in quadrature, plus the Wigner
     truncation bound linearly.
     """
-    b_val, b_err = bz.observable(transport_snapshots(cfg, [cfg.T])[-1], cfg.observable)
+    (ens,) = transport_ensembles(cfg, [cfg.T])
+    b_val, b_err = bz.observable(ens, cfg.observable)
     b, be = float(b_val.real), float(b_err)
 
     rows, diffs, combined = [], [], []
@@ -230,10 +250,10 @@ class TimeGridReport:
 def run_timegrid_sup(cfg: ExperimentConfig) -> TimeGridReport:
     """Deviation of disorder stream 1 from the transport value on a tau grid."""
     taus = tuple(float(x) for x in np.linspace(0.0, cfg.T, cfg.tau_grid))
-    # only the transport values outlive this line: the ensembles are freed
-    # before the quantum loop allocates its grids
+    # each ensemble is reduced before the next is drawn, and only the values
+    # outlive this line, so the quantum loop starts with no ensemble alive
     mu_vals = [
-        bz.observable(s, cfg.observable)[0].real for s in transport_snapshots(cfg, taus)
+        bz.observable(s, cfg.observable)[0].real for s in transport_ensembles(cfg, taus)
     ]
 
     box = cfg.box()

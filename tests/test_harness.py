@@ -523,22 +523,87 @@ def test_timegrid_frees_transport_before_quantum_loop(cfg, monkeypatch):
     assert max(entry) < 1e6, f"{max(entry) / 1e6:.2f} MB"
 
 
+# the benchmark's transport keys: 50000 particles on the 0.005 shell and a
+# 4M-sample DOS table
+BENCH_TRANSPORT_CFG = ExperimentConfig(
+    lambdas=(0.6, 0.45), T=0.5, L=64, dt=0.05, n_realizations=2, master_seed=20260810,
+    n_particles=50_000, shell_halfwidth=0.005, dos_samples=4_000_000, dos_bins=512,
+    wkb=WkbSpec(sigma=0.35, linear=(1.5707963, 0.0, 0.0)),
+)
+
+
 def test_transport_stage_memory():
-    # the benchmark's transport keys: 50000 particles on the 0.005 shell and
-    # a 4M-sample DOS table; the stage holds the particles, one round's shell
-    # draws and chunk-sized work buffers
-    cfg = ExperimentConfig(
-        lambdas=(0.6, 0.45), T=0.5, L=64, dt=0.05, n_realizations=2, master_seed=20260810,
-        n_particles=50_000, shell_halfwidth=0.005, dos_samples=4_000_000, dos_bins=512,
-        wkb=WkbSpec(sigma=0.35, linear=(1.5707963, 0.0, 0.0)),
-    )
+    # the stage holds the particles, one round's shell draws and chunk-sized
+    # work buffers
     tracemalloc.start()
     try:
-        ex.transport_snapshots(cfg, [cfg.T])
+        for _ in ex.transport_ensembles(BENCH_TRANSPORT_CFG, [BENCH_TRANSPORT_CFG.T]):
+            pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_timegrid_transport_stage_memory(monkeypatch):
+    # the 6-tau stage reduces each ensemble before the next is drawn, so it
+    # stays under the one-tau bound; one snapshots call for all six taus
+    # peaks near 23 MB
+    class StageDone(Exception):
+        pass
+
+    def stop(*args):
+        raise StageDone
+
+    monkeypatch.setattr(ex, "sample_disorder", stop)  # the first call after the stage
+    tracemalloc.start()
+    try:
+        with pytest.raises(StageDone):
+            ex.run_timegrid_sup(dataclasses.replace(BENCH_TRANSPORT_CFG, tau_grid=6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("taus", [(0.0, 0.2, 0.1), (-0.1, 0.2)], ids=["decreasing", "negative"])
+def test_transport_ensembles_reject_unordered_times(cfg, taus):
+    # raised at the call, before any ensemble is asked for
+    with pytest.raises(ValueError):
+        ex.transport_ensembles(cfg, taus)
+
+
+def test_streamed_ensembles_match_one_snapshots_call(cfg):
+    cfg = dataclasses.replace(cfg, n_particles=2000, tau_grid=6)
+    taus = [float(x) for x in np.linspace(0.0, cfg.T, cfg.tau_grid)]
+    table = bz.build_dos_table(
+        cfg.dos_samples, np.random.default_rng([cfg.master_seed, ex.SEED_DOS]), bins=cfg.dos_bins
+    )
+    rng = np.random.default_rng([cfg.master_seed, ex.SEED_BOLTZMANN])
+    shell = bz.ShellSamplerConfig(shell_halfwidth=cfg.shell_halfwidth)
+    whole = bz.snapshots(
+        lambda n, r: wkb_limit_sampler(cfg.wkb, n, r), taus, cfg.n_particles, shell, rng, table
+    )
+    streamed = []
+    for ens in ex.transport_ensembles(cfg, taus):
+        streamed.append(bz.observable(ens, cfg.observable))
+    assert streamed == [bz.observable(w, cfg.observable) for w in whole]
+    assert np.array_equal(ens.X, whole[-1].X) and np.array_equal(ens.V, whole[-1].V)
+
+
+def test_timegrid_makes_one_snapshots_call_per_tau(cfg, monkeypatch):
+    calls = []
+    snapshots = bz.snapshots
+
+    def spy(init, times, *args):
+        calls.append(list(times))
+        return snapshots(init, times, *args)
+
+    monkeypatch.setattr(bz, "snapshots", spy)
+    cfg = dataclasses.replace(cfg, n_particles=2000, tau_grid=6)
+    ex.run_timegrid_sup(cfg)
+    assert len(calls) == cfg.tau_grid
+    assert all(len(times) == 1 for times in calls)
 
 
 def test_timegrid_frees_previous_state(cfg, monkeypatch):
