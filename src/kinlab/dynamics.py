@@ -5,28 +5,25 @@ term (multiplication by e(k) in momentum space) and V a diagonal on-site
 potential.  States are position-space fields throughout.  Momentum arrays
 exist only inside this module, in numpy's unnormalised convention: the
 propagator and the expansion enter momentum space with `fftn` of the
-position grid, multiply by `free_phase`, and leave with `ifftn`.  The
+position grid, multiply by the free phase, and leave with `ifftn`.  The
 propagator `evolve_full` takes Strang-split free/potential/free steps,
 unitary by construction, in one pass over its steps: a step is two
-in-place transforms and two in-place multiplies on one work array.  Neither
-kind of phase grid takes a complex exponential over the grid: `free_phase`
-is an outer product of three length-L exponentials, because e(k) is a sum
-over axes, and `kick_phase` writes cos and sin of the real argument into
-one complex array.
+in-place transforms and two in-place multiplies on one work array.  No
+phase takes a complex exponential over the grid: the free phase is an
+outer product of three length-L exponentials, because e(k) is a sum over
+axes, and `kick_phase` writes cos and sin of the real argument into one
+complex array.
 
 The box only stands in for Z^3, and the lattice has a finite group
 velocity, so a WKB packet stays within a few times 1/eta sites of its
 centre.  `evolve_full` therefore runs its Strang loop on a cubic window of
-the box, chosen by the package's one window rule (`lattice.smallest_window`:
-side W a multiple of `WINDOW_QUANTUM` below L, or L itself, with one cyclic
-offset per axis read from the state's marginal masses), and embeds it back
-into the box at the end.  A certified bound B on the distance to the
-full-box Strang result, kept below `WINDOW_TOL` times the state's norm,
-decides the window and when it grows; a state that fills the box runs on
-the whole box, with the full-box operations.  The loop holds three window
-grids (the work array, one free phase and one kick) and V on the window; a
-phase grid is rebuilt in place, and only when its step length or the
-window changes.
+the box, the input's or, for a box-held input, the one the package's window
+rule picks (`lattice.smallest_window`), and returns the state on its last
+window.  A certified bound B on the distance to the full-box Strang result,
+kept below `WINDOW_TOL` times the state's norm, decides when the window
+grows; a state that fills the box runs the full-box operations.  The loop
+holds two window grids, the work array and the kick; the free phase is
+applied slab by slab from its 1-D factors.
 
 The iterated-integral expansion of the full evolution in powers of lam is
 computed by the time-domain recursion
@@ -49,6 +46,7 @@ import numpy as np
 
 from kinlab.lattice import (
     WINDOW_QUANTUM,
+    WINDOW_TOL,
     BoxSpec,
     DisorderField,
     WaveFunction,
@@ -61,9 +59,8 @@ from kinlab.lattice import (
 
 # Highest expansion order `duhamel_ladder` computes.
 MAX_ORDER = 12
-# `evolve_full` keeps its distance to the full-box Strang result within
-# WINDOW_TOL times the state's norm.
-WINDOW_TOL = 1e-12
+# axis-0 slabs per free-phase multiply of `evolve_full`
+_PHASE_SLABS = 8
 
 
 @dataclass(frozen=True)
@@ -84,6 +81,12 @@ def _step_counts(t: float, dt: float) -> tuple:
     return n_full, rem
 
 
+def _free_factors(W: int, s: float) -> tuple:
+    """(exp(-3is) a, a (x) a) with a = exp(i s cos(2 pi k)) on a W-point axis."""
+    a = np.exp(1j * s * np.cos(2.0 * np.pi * (np.arange(W) / W)))
+    return np.exp(-3j * s) * a, a[:, None] * a
+
+
 def free_phase(box: BoxSpec, s: float, out: np.ndarray | None = None) -> np.ndarray:
     """exp(-i s e(k)) on the momentum grid of `box`, shape (L, L, L).
 
@@ -93,9 +96,8 @@ def free_phase(box: BoxSpec, s: float, out: np.ndarray | None = None) -> np.ndar
     complex (L, L, L) array, when one is given, and into a new array
     otherwise; either way the array is returned.
     """
-    L = box.side
-    a = np.exp(1j * s * np.cos(2.0 * np.pi * (np.arange(L) / L)))
-    return np.multiply((np.exp(-3j * s) * a)[:, None, None], a[:, None] * a, out=out)
+    b, ab = _free_factors(box.side, s)
+    return np.multiply(b[:, None, None], ab, out=out)
 
 
 def kick_phase(values: np.ndarray, x: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -105,7 +107,7 @@ def kick_phase(values: np.ndarray, x: float, out: np.ndarray | None = None) -> n
     That array is `out`, complex and of the shape of `values`, when one is
     given, and a new array otherwise; either way it is returned.  The
     argument -x values is staged in its imaginary part, so no real
-    temporary is made.
+    temporary is made; `values` may be that imaginary part.
     """
     if out is None:
         out = np.empty(values.shape, dtype=np.complex128)
@@ -137,13 +139,6 @@ def _face_term(masses: tuple, weights: tuple) -> float:
     return sum(math.sqrt(C * float(np.einsum("i,i->", c, m))) for m in masses)
 
 
-def _window_grids(vgrid: np.ndarray, offsets: tuple, W: int) -> tuple:
-    """(V on the window, free phase, kick) of a window; the whole box takes V as it is."""
-    shape = (W, W, W)
-    vwin = vgrid if W == len(vgrid) else take_window(vgrid, offsets, shape)
-    return vwin, np.empty(shape, complex), np.empty(shape, complex)
-
-
 def _grow(work: np.ndarray, offsets: tuple, L: int) -> tuple:
     """(work, W, offsets) of the window WINDOW_QUANTUM wider than `work`'s.
 
@@ -169,16 +164,16 @@ def evolve_full(
     space between them: before step h the merged free sub-step of the
     previous step's second half and this step's first half, s = (prev + h)/2,
     after the last step that step's second half.  A free sub-step is a
-    transform, `free_phase` at s, the inverse transform; a step's kick is
-    `kick_phase` at h * lam.  A free phase is rebuilt only when s or the
-    window changes, and so are its face weights; the kick is rebuilt only
-    when h or the window does.  Each grid rebuild writes in place.
+    transform, the free phase at s (`free_phase`'s products, `_PHASE_SLABS`
+    axis-0 slabs at a time), the inverse transform; a step's kick is
+    `kick_phase` at h * lam of V.  The phase factors and face weights are
+    rebuilt only when s or the window changes, and the kick, in place, only
+    when h or the window does.
 
-    The loop runs on a cubic window of the box, side W (a multiple of
-    WINDOW_QUANTUM below L, or L) and one cyclic offset per axis, chosen by
-    `lattice.smallest_window`, and the result is embedded back into the box
-    with zeros outside the window.
-    Against the full-box Strang result its distance is at most
+    The loop runs on a cubic window, side W (a multiple of WINDOW_QUANTUM
+    below L, or L) and one cyclic offset per axis: the input's, or for a
+    box-held input `lattice.smallest_window`'s.  The result is the state on
+    the last window.  Against the full-box Strang result its distance is at most
 
         B = ||psi outside the window||
             + sum over free sub-steps s of sum_j sqrt(C sum_x c(x_j) |psi(x)|^2),
@@ -194,12 +189,12 @@ def evolve_full(
     in the box, each part is bounded by sum_p |psi(p)| c(p)/2, and
     Cauchy-Schwarz gives the term.  Unitarity makes the sub-steps' errors
     add.  B is kept within WINDOW_TOL * ||psi|| by giving the start and each
-    free sub-step an equal share: the initial window is the smallest whose
-    outside mass fits it (`smallest_window` with that share), and whenever
-    a sub-step's term would exceed it the window grows by WINDOW_QUANTUM,
-    centred, re-embedding the state in position space.  A window that
-    reaches L has no faces and adds nothing to B, so a state that fills the
-    box runs the full-box operations.
+    free sub-step an equal share: a box-held input starts on the smallest
+    window whose outside mass fits it (`smallest_window` with that share),
+    and whenever a sub-step's term would exceed it the window grows by
+    WINDOW_QUANTUM, centred, re-embedding the state in position space.  A
+    window that reaches L has no faces and adds nothing to B, so a state
+    that fills the box runs the full-box operations.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -215,38 +210,38 @@ def evolve_full(
     # free sub-steps; 0.5 * (prev + h) is the operand order a per-step
     # reference uses, so it reproduces that bitwise
     subs = [0.5 * (prev + h) for prev, h in zip([0.0] + steps, steps + [0.0])]
-    masses = axis_masses(psi.grid())
-    share = WINDOW_TOL * math.sqrt(float(np.einsum("i->", masses[0]))) / (len(subs) + 1)
-    W, offsets = smallest_window(masses, L, share)
-
-    work = take_window(psi.grid(), offsets, (W, W, W))
-    vwin, phase, kick = _window_grids(vgrid, offsets, W)
+    share = WINDOW_TOL * psi.norm() / (len(subs) + 1)
+    if psi.side < L:
+        W, offsets, work = psi.side, psi.offsets, psi.grid().copy()
+    else:
+        W, offsets = smallest_window(axis_masses(psi.grid()), L, share)
+        work = take_window(psi.grid(), offsets, (W, W, W))
+    kick = np.empty_like(work)
     phase_s = kick_h = None
     for j, s in enumerate(subs):
         if s != phase_s:
             weights = _face_weights(W, s)
         while W < L and not _face_term(axis_masses(work), weights) <= share:
-            vwin = phase = kick = None  # freed before the grown window's grids
+            kick = None  # freed before the grown window's
             work, W, offsets = _grow(work, offsets, L)
-            vwin, phase, kick = _window_grids(vgrid, offsets, W)
+            kick = np.empty_like(work)
             weights = _face_weights(W, s)
             phase_s = kick_h = None
         if s != phase_s:
             phase_s = s
-            free_phase(BoxSpec(W), s, out=phase)
+            b, ab = _free_factors(W, s)
         np.fft.fftn(work, out=work)
-        work *= phase
+        for i in range(0, W, _PHASE_SLABS):
+            work[i : i + _PHASE_SLABS] *= b[i : i + _PHASE_SLABS, None, None] * ab
         np.fft.ifftn(work, out=work)
         if j < len(steps):
             h = steps[j]
             if h != kick_h:
                 kick_h = h
-                kick_phase(vwin, h * lam, out=kick)
+                take_window(vgrid, offsets, kick.shape, out=kick.imag)
+                kick_phase(kick.imag, h * lam, out=kick)
             work *= kick
-    if W < L:
-        vwin = phase = kick = None  # freed before the box-sized result
-        work = put_window(work, offsets, np.zeros((L, L, L), complex))
-    return WaveFunction(psi.box, work.ravel())
+    return WaveFunction(psi.box, work.ravel(), W, offsets)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +297,7 @@ def duhamel_ladder(
         return np.fft.fftn(work, out=work)
 
     # momentum-space slices at t_0 = 0: only order 0 is nonzero there
-    phi = [np.fft.fftn(psi0.grid())] + [np.zeros_like(work) for _ in range(N)]
+    phi = [np.fft.fftn(psi0.box_grid())] + [np.zeros_like(work) for _ in range(N)]
     B = [0.5 * mult_v(p) for p in phi[:N]]
     for _ in range(m):
         phi[0] *= step_phase
@@ -329,7 +324,7 @@ def duhamel_residuals(
     from `duhamel_ladder` on a grid of step at most cfg.dt.
     """
     terms = duhamel_ladder(N, t, psi0, V, lam, cfg.dt)
-    acc = evolve_full(psi0, V, lam, t, cfg).values
+    acc = evolve_full(psi0, V, lam, t, cfg).box_grid().ravel()
     residuals = []
     for term in terms:
         acc -= term.values

@@ -16,15 +16,11 @@ exactly through the e^(-pi i m_j xi) factor, so the only approximations are
 the reported Gaussian tail truncation and the periodization of g over the
 box.
 
-The product conj(phi(x + m)) psi(x) vanishes wherever psi does, so the sum
-over x runs on a cubic window that holds every nonzero site of psi: the
-package's one window rule, `lattice.smallest_window`, at share 0, which for
-an evolved state is the window the propagator ended on.  phi(x + m) is read
-from the box as the window shifted by m, with no margin and no crop copy,
-and the per-axis factors are read at the window's cyclic coordinates.  A
-pairing holds one complex and one real array of the window's size and
-nothing of the box's; a psi that no smaller window holds runs the same code
-on the whole box.
+The product conj(phi(x + m)) psi(x) vanishes off the window psi is held
+on, so the sum over x runs on it, with the per-axis factors read at its
+cyclic coordinates.  phi(x + m) is phi's window shifted by m when phi is
+held on the same window, and is otherwise read from phi on the box.  A
+pairing of two states on one window holds nothing of the box's size.
 """
 
 from __future__ import annotations
@@ -34,14 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kinlab.lattice import (
-    WaveFunction,
-    WkbSpec,
-    axis_masses,
-    smallest_window,
-    take_window,
-    window_blocks,
-)
+from kinlab.lattice import WaveFunction, WkbSpec, take_window
 
 GAUSS_TAIL_THRESHOLD = 1e-10  # relative cutoff of the Fourier factor per axis
 # Fourier mass of one axis's Gaussian beyond that cutoff: the erfc argument
@@ -137,24 +126,35 @@ def _contract(q, vecs):
     return np.einsum("ij,i,j->", np.einsum("ijk,k->ij", q, vecs[2]), vecs[0], vecs[1])
 
 
-def _pair_position_arrays(J, p, s, eta, box):
-    """Core pairing given the position grids of phi and psi, shape (L, L, L).
+def _shifted(win: np.ndarray, m: tuple) -> np.ndarray:
+    """win(x + m) on the cube of `win`, zero where x + m leaves it (|m_j| < W)."""
+    out = np.zeros_like(win)
+    out[tuple(slice(max(-c, 0), len(win) - max(c, 0)) for c in m)] = win[
+        tuple(slice(max(c, 0), len(win) - max(-c, 0)) for c in m)
+    ]
+    return out
 
-    The product conj(phi(x + m)) psi(x) vanishes off psi's window
-    (`smallest_window` at share 0), so every harmonic is contracted on that
-    window alone: the window of phi shifted by m is copied, conjugated and
-    multiplied by psi block by block in place, and |product| is written into
-    one real array for the periodization estimate.  The per-axis tables and
-    image vectors are read at the window's cyclic coordinates.  When `s` is
-    `p` (the diagonal pairing) its norm is computed once.
+
+def _pair_states(J, phi: WaveFunction, psi: WaveFunction, eta):
+    """Core pairing of two states on the window of psi.
+
+    Each harmonic multiplies conj(phi(x + m)) by psi in place, and writes
+    |product| into one real array for the periodization estimate.  phi on
+    psi's window is shifted there if every |m_j| is below W and at most
+    L - W, so that no shift wraps onto the window; else it is read from the
+    box.  The diagonal pairing (phi is psi) takes its norm once.
     """
+    box = psi.box
     side = box.side
     coords = box.site_coordinates()
-    masses = axis_masses(s)
-    W, offsets = smallest_window(masses, side, 0.0)
+    W, offsets = psi.side, psi.offsets
     shape = (W, W, W)
-    sq_psi = float(np.einsum("i->", masses[0]))
-    sq_phi = sq_psi if s is p else float(np.einsum("i->", axis_masses(p)[0]))
+    s = psi.grid()
+    reach = max(abs(c) for m, _ in J.coeffs for c in m)
+    local = (phi.side, phi.offsets) == (W, offsets) and reach <= min(side - W, W - 1)
+    p_box = None if local else phi.box_grid()
+    norm_psi = psi.norm()
+    norms = (norm_psi if phi is psi else phi.norm()) * norm_psi
     # box index of each window coordinate, per axis
     sites = [(o + np.arange(n)) % side for o, n in zip(offsets, shape)]
     mag = np.empty(shape)
@@ -174,10 +174,12 @@ def _pair_position_arrays(J, p, s, eta, box):
                 table_cache[key] = table[sites[ax]]
             tabs.append(table_cache[key])
 
-        q = take_window(p, tuple((o + c) % side for o, c in zip(offsets, m)), shape)
+        if local:
+            q = _shifted(phi.grid(), m)
+        else:
+            q = take_window(p_box, tuple((o + c) % side for o, c in zip(offsets, m)), shape)
         np.conj(q, out=q)
-        for box_idx, win_idx in window_blocks(offsets, shape, side):
-            q[win_idx] *= s[box_idx]
+        q *= s
         value += np.conj(cm) * _contract(q, tabs)
 
         # periodization contribution: g evaluated one box over, weighted by the
@@ -196,7 +198,6 @@ def _pair_position_arrays(J, p, s, eta, box):
             alias_total += abs(cm) * float(_contract(mag, vecs))
     value /= box.volume
 
-    norms = math.sqrt(sq_phi) * math.sqrt(sq_psi)
     trunc = norms * coeff_l1 * abs(J.amplitude) * (3.0 * AXIS_TAIL_FRACTION) + 2.0 * alias_total
     return value, trunc
 
@@ -226,9 +227,7 @@ def pair_wigner_bilinear(
     if phi.box != psi.box:
         raise ValueError("states live on different boxes")
     _check_resolution(J, eta, psi.box.side)
-    s = psi.grid()
-    p = s if phi is psi else phi.grid()
-    value, trunc = _pair_position_arrays(J, p, s, eta, psi.box)
+    value, trunc = _pair_states(J, phi, psi, eta)
     return WignerPairing(complex(value), trunc)
 
 

@@ -59,15 +59,15 @@ def cj_constant(J):
 
 
 def window_sides(monkeypatch):
-    """The box side of every free phase `evolve_full` builds, in order."""
+    """The window side of every free-phase factor build of `evolve_full`, in order."""
     sides = []
-    free_phase = dynamics.free_phase
+    free_factors = dynamics._free_factors
 
-    def recorded(box, s, out=None):
-        sides.append(box.side)
-        return free_phase(box, s, out=out)
+    def recorded(W, s):
+        sides.append(W)
+        return free_factors(W, s)
 
-    monkeypatch.setattr(dynamics, "free_phase", recorded)
+    monkeypatch.setattr(dynamics, "_free_factors", recorded)
     return sides
 
 
@@ -140,7 +140,7 @@ def evolve_free(psi: WaveFunction, t: float) -> WaveFunction:
         return psi.copy()
     c = np.cos(2.0 * np.pi * np.arange(psi.box.side) / psi.box.side)
     e = 3.0 - (c[:, None, None] + c[None, :, None] + c[None, None, :])
-    out = np.fft.fftn(psi.grid())
+    out = np.fft.fftn(psi.box_grid())
     out *= np.exp(-1j * t * e)
     return WaveFunction(psi.box, np.fft.ifftn(out).ravel())
 

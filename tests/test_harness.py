@@ -566,6 +566,43 @@ def test_timegrid_transport_stage_memory(monkeypatch):
     assert peak < 16e6, f"peak {peak / 1e6:.1f} MB"
 
 
+# the benchmark's packet, observable and propagator at one realization of
+# lambda = 0.6; the transport keys are small, since only the quantum stage counts
+BENCH_QUANTUM_CFG = dataclasses.replace(
+    BENCH_TRANSPORT_CFG, lambdas=(0.6,), n_realizations=1, tau_grid=6,
+    n_particles=2000, dos_samples=20_000,
+    observable=TestObservable(
+        center=(0.25, 0.0, 0.0),
+        coeffs=(((0, 0, 0), 0.5 + 0j), ((1, 0, 0), 0.25 + 0j), ((-1, 0, 0), 0.25 + 0j)),
+    ),
+)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: ex.run_ensemble(BENCH_QUANTUM_CFG, 0.6),
+    lambda: ex.run_timegrid_sup(BENCH_QUANTUM_CFG),
+], ids=["ensemble", "timegrid"])
+def test_quantum_stage_holds_no_box_sized_state(run, monkeypatch):
+    # from the disorder draw on, the stage holds V and window-sized states:
+    # its peak stays below one L^3 complex grid plus V
+    draw = ex.sample_disorder
+
+    def traced(*args):
+        tracemalloc.reset_peak()  # the quantum stage starts here
+        return draw(*args)
+
+    monkeypatch.setattr(ex, "sample_disorder", traced)
+    run()  # numpy's FFT plan cache is filled outside the trace
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    grid = 16 * BENCH_QUANTUM_CFG.box().volume
+    assert peak < grid + grid // 2, f"peak {peak / grid:.2f} grids"
+
+
 @pytest.mark.parametrize("taus", [(0.0, 0.2, 0.1), (-0.1, 0.2)], ids=["decreasing", "negative"])
 def test_transport_ensembles_reject_unordered_times(cfg, taus):
     # raised at the call, before any ensemble is asked for

@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kinlab.lattice import (
-    AMPLITUDE_FLOOR,
     WINDOW_QUANTUM,
+    WINDOW_TOL,
     BoxSpec,
     BoxTooSmall,
     TrigPolynomial,
+    WaveFunction,
     WkbSpec,
     axis_masses,
     dispersion,
@@ -175,13 +176,11 @@ def test_wkb_norm_capped_at_one():
 
 
 def full_grid_wkb_values(spec, eta, box):
-    """The state sampled on the whole L^3 x 3 coordinate grid, amplitudes below
-    AMPLITUDE_FLOOR set to 0, before the norm cap."""
+    """The state sampled on the whole L^3 x 3 coordinate grid, before the norm cap."""
     coord = box.site_coordinates() * eta
     X = np.stack(np.meshgrid(coord, coord, coord, indexing="ij"), axis=-1)
     amp = eta**1.5 * spec.envelope(X)
-    amp[amp < AMPLITUDE_FLOOR] = 0.0
-    return (amp * np.exp(1j * spec.phase(X) / eta)).ravel()
+    return amp * np.exp(1j * spec.phase(X) / eta)
 
 
 @pytest.mark.parametrize(
@@ -195,24 +194,24 @@ def full_grid_wkb_values(spec, eta, box):
     ],
     ids=["bench", "bench_trig", "offcentre"],
 )
-@pytest.mark.parametrize("eta, side", [(0.36, 20), (0.2025, 64)])
+@pytest.mark.parametrize("eta, side", [(0.36, 20), (0.2025, 64), (0.36, 64)])
 def test_wkb_slabs_match_full_grid(spec, eta, side):
+    # the window's sites are the full-box sample's, and the sample's norm off
+    # the window is within WINDOW_TOL of the state's
     box = BoxSpec(side)
     psi = wkb_state(spec, eta, box)
-    want = full_grid_wkb_values(spec, eta, box)
-    n = np.linalg.norm(want)
+    full = full_grid_wkb_values(spec, eta, box)
+    want = take_window(full, psi.offsets, (psi.side,) * 3)
+    n = WaveFunction(box, want.ravel(), psi.side, psi.offsets).norm()
     if n > 1.0:
         want /= n
-    assert np.array_equal(psi.values, want)
-
-
-def test_wkb_tails_are_exact_zeros():
-    # the benchmark's lambda = 0.6 state: its far tails, whose products are
-    # subnormal, are exact zeros, and every kept amplitude is above the floor
-    psi = wkb_state(WkbSpec(sigma=0.35, linear=(1.5707963, 0.0, 0.0)), 0.36, BoxSpec(64))
-    mag = np.abs(psi.values)
-    assert np.count_nonzero(mag == 0.0) > 70_000
-    assert mag[mag > 0.0].min() >= AMPLITUDE_FLOOR * (1.0 - 1e-15)
+        full /= n
+    assert np.array_equal(psi.grid(), want)
+    off = np.roll(full, [-o for o in psi.offsets], axis=(0, 1, 2))
+    off[: psi.side, : psi.side, : psi.side] = 0
+    assert np.linalg.norm(off) <= WINDOW_TOL * psi.norm()
+    if side == 64:
+        assert psi.side < side
 
 
 def test_wkb_memory_one_grid():
@@ -240,7 +239,7 @@ def test_wkb_momentum_concentration():
     # linear phase p=(1/4,0,0): momentum mass near grad S / (2 pi) = (1/(8 pi), 0, 0)
     spec = WkbSpec(sigma=0.5, linear=(0.25, 0.0, 0.0))
     eta, L = 0.04, 160
-    psi_hat = np.fft.fftn(wkb_state(spec, eta, BoxSpec(L)).grid())
+    psi_hat = np.fft.fftn(wkb_state(spec, eta, BoxSpec(L)).box_grid())
     k_pred = spec.local_momentum(np.zeros(3))
     grid = np.arange(L) / L
     d = [np.minimum(np.abs(grid - k_pred[j]), 1 - np.abs(grid - k_pred[j])) for j in range(3)]
@@ -327,7 +326,7 @@ def test_smallest_window_fits_share_on_packet(shift, share):
     # the centred packet wraps index 0 on every axis
     L = 32
     packet = wkb_state(WkbSpec(sigma=0.35, linear=(1.5707963, 0.0, 0.0)), 0.36, BoxSpec(L))
-    W, offsets = check_smallest_window(np.roll(packet.grid(), shift, axis=(0, 1, 2)), share)
+    W, offsets = check_smallest_window(np.roll(packet.box_grid(), shift, axis=(0, 1, 2)), share)
     assert W < L
     if shift == (0, 0, 0):
         assert all(o + W > L for o in offsets)

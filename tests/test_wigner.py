@@ -86,8 +86,8 @@ def momentum_reference(J, phi, psi, eta):
     coords = psi.box.site_coordinates()
     volume = side**3
     # unitary momentum amplitudes
-    Fphi = np.fft.fftn(phi.grid()) / math.sqrt(volume)
-    Fpsi = np.fft.fftn(psi.grid()) / math.sqrt(volume)
+    Fphi = np.fft.fftn(phi.box_grid()) / math.sqrt(volume)
+    Fpsi = np.fft.fftn(psi.box_grid()) / math.sqrt(volume)
     fft_psi = np.fft.fftn(Fpsi)
     abs_phi = np.abs(np.fft.ifftn(Fphi)) * math.sqrt(volume)
     abs_psi = np.abs(np.fft.ifftn(Fpsi)) * math.sqrt(volume)
@@ -272,14 +272,26 @@ def full_box_pairing(J, p, s, eta, box):
 
 def assert_matches_full_box(J, phi, psi, eta):
     res = pair_wigner_bilinear(J, phi, psi, eta)
-    value, trunc = full_box_pairing(J, phi.grid(), psi.grid(), eta, psi.box)
+    value, trunc = full_box_pairing(J, phi.box_grid(), psi.box_grid(), eta, psi.box)
     assert abs(res.value - value) <= 1e-12 * abs(value)
     assert abs(res.truncation_error - trunc) <= 1e-12 * trunc
 
 
 def pairing_window(psi):
-    """(W, offsets) of the cube the pairing contracts `psi` on."""
-    return smallest_window(axis_masses(psi.grid()), psi.box.side, 0.0)
+    """(W, offsets) of the smallest cube that holds every nonzero site of `psi`."""
+    return smallest_window(axis_masses(psi.box_grid()), psi.box.side, 0.0)
+
+
+def on_window(psi):
+    """`psi` held on `pairing_window(psi)`, the cube the pairing contracts it on."""
+    W, offsets = pairing_window(psi)
+    win = take_window(psi.box_grid(), offsets, (W, W, W))
+    return WaveFunction(psi.box, win.ravel(), W, offsets)
+
+
+def embedded(psi):
+    """`psi` held on the whole box."""
+    return WaveFunction(psi.box, psi.box_grid().ravel())
 
 
 def assert_window_holds(window, offsets, shape, L):
@@ -288,6 +300,15 @@ def assert_window_holds(window, offsets, shape, L):
     for o, n, w in zip(offsets, shape, starts):
         assert (o - w) % L + n <= W
 
+
+# harmonics that reach 7 sites, the most a shift within an 8-site window of
+# a 16-site box may move, and past it, where phi is read from the box
+EDGE_OBSERVABLE = make_observable(
+    sigma=(0.6, 0.5, 0.7), coeffs={(0, 0, 0): 0.6, (7, 0, -3): 0.2, (0, -7, 1): 0.1j}
+)
+FAR_OBSERVABLE = make_observable(
+    sigma=(0.6, 0.5, 0.7), coeffs={(0, 0, 0): 0.6, (9, 0, 0): 0.2, (0, -12, 3): 0.1j}
+)
 
 SUPPORTS = {
     # (offsets, shape) of the support, and the side of the cube that holds it
@@ -300,15 +321,17 @@ SUPPORTS = {
 
 
 @pytest.mark.parametrize("eta", [0.5, 0.35])
-@pytest.mark.parametrize("J", [OBSERVABLE, BENCH_OBSERVABLE], ids=["five", "bench"])
+@pytest.mark.parametrize(
+    "J", [OBSERVABLE, BENCH_OBSERVABLE, EDGE_OBSERVABLE, FAR_OBSERVABLE],
+    ids=["five", "bench", "edge", "far"],
+)
 @pytest.mark.parametrize("support", SUPPORTS)
 def test_support_window_matches_full_box(support, J, eta):
     box = BoxSpec(16)
     offsets, shape, side = SUPPORTS[support]
-    psi = boxed_state(box, offsets, shape, np.random.default_rng(len(support)))
-    window = pairing_window(psi)
-    assert window[0] == side
-    assert_window_holds(window, offsets, shape, box.side)
+    psi = on_window(boxed_state(box, offsets, shape, np.random.default_rng(len(support))))
+    assert psi.side == side
+    assert_window_holds((psi.side, psi.offsets), offsets, shape, box.side)
     assert_matches_full_box(J, psi, psi, eta)
 
 
@@ -324,10 +347,32 @@ def test_support_window_bilinear_different_supports(J, rng):
     # phi's support overlaps psi's only in part, and phi is nonzero where
     # psi vanishes; the window is psi's, and phi is read shifted from the box
     box = BoxSpec(16)
-    psi = boxed_state(box, (14, 3, 10), (6, 5, 7), rng)
-    phi = boxed_state(box, (1, 5, 12), (8, 9, 3), rng)
+    psi = on_window(boxed_state(box, (14, 3, 10), (6, 5, 7), rng))
+    phi = on_window(boxed_state(box, (1, 5, 12), (8, 9, 3), rng))
+    assert (phi.side, phi.offsets) != (psi.side, psi.offsets)
     assert_matches_full_box(J, phi, psi, 0.5)
     assert_matches_full_box(J, psi, phi, 0.35)
+    assert_matches_full_box(J, embedded(phi), psi, 0.5)
+    assert_matches_full_box(J, psi, embedded(phi), 0.35)
+
+
+@pytest.mark.parametrize("J", [OBSERVABLE, BENCH_OBSERVABLE], ids=["five", "bench"])
+def test_window_held_pairings_match_box_embedding(J, rng):
+    # a WKB packet on its own window and a state on another window, against
+    # the same states held on the whole box
+    box = BoxSpec(32)
+    eta = 0.36
+    psi = wkb_state(WkbSpec(sigma=0.35, linear=(1.5707963, 0.0, 0.0)), eta, box)
+    chi = on_window(boxed_state(box, (27, 2, 30), (9, 7, 12), rng))
+    assert psi.side < box.side and chi.side < box.side and chi.offsets != psi.offsets
+    pairs = [(psi, psi), (chi, chi), (chi, psi), (psi, chi)]
+    for phi, other in pairs:
+        got = pair_wigner_bilinear(J, phi, other, eta)
+        want = pair_wigner_bilinear(J, embedded(phi), embedded(other), eta)
+        assert abs(got.value - want.value) <= 1e-13 * abs(want.value)
+        assert abs(got.truncation_error - want.truncation_error) <= 1e-13 * want.truncation_error
+    got, want = pair_wigner(J, psi, eta), pair_wigner(J, embedded(psi), eta)
+    assert abs(got.value - want.value) <= 1e-13 * abs(want.value)
 
 
 def test_support_window_zero_state():
@@ -352,13 +397,12 @@ def evolved_bench_state():
 
 
 def test_pairing_window_is_the_propagators_last(evolved_bench_state):
-    # evolve_full leaves the state nonzero on its last window and zero off it,
-    # so the one window rule at share 0 gives that window back
+    # evolve_full returns the state on its last window, nonzero at every
+    # site, so the one window rule at share 0 gives that window back
     psi, _, sides = evolved_bench_state
-    W, offsets = pairing_window(psi)
-    assert W == sides[-1] < psi.box.side
-    inside = take_window(psi.grid(), offsets, (W, W, W))
-    assert np.all(inside != 0) and np.count_nonzero(psi.values) == inside.size
+    assert psi.side == sides[-1] < psi.box.side
+    assert np.all(psi.values != 0)
+    assert pairing_window(psi) == (psi.side, psi.offsets)
 
 
 def test_pairing_memory_below_full_box_on_evolved_state(evolved_bench_state):
@@ -366,7 +410,8 @@ def test_pairing_memory_below_full_box_on_evolved_state(evolved_bench_state):
     # 56^3 window of the 64^3 box
     psi, eta, _ = evolved_bench_state
     box = psi.box
-    assert pairing_window(psi)[0] < box.side
+    assert psi.side < box.side
+    grid = psi.box_grid()
 
     def peak(pair):
         pair()  # numpy's FFT plan cache is filled outside the trace
@@ -378,7 +423,7 @@ def test_pairing_memory_below_full_box_on_evolved_state(evolved_bench_state):
             tracemalloc.stop()
 
     support = peak(lambda: pair_wigner(BENCH_OBSERVABLE, psi, eta))
-    full = peak(lambda: full_box_pairing(BENCH_OBSERVABLE, psi.grid(), psi.grid(), eta, box))
+    full = peak(lambda: full_box_pairing(BENCH_OBSERVABLE, grid, grid, eta, box))
     assert support < full, f"support {support / 1e6:.2f} MB, full box {full / 1e6:.2f} MB"
 
 
