@@ -61,9 +61,13 @@ class BoxSpec:
 
 def reduce_torus(k) -> np.ndarray:
     """Reduce momenta componentwise into [0, 1)."""
-    r = np.asarray(k, dtype=float) % 1.0
-    # -tiny % 1.0 rounds to 1.0; fold that artifact back to 0
-    return np.where(r >= 1.0, 0.0, r)
+    k = np.asarray(k, dtype=float)
+    r = np.floor(k, out=np.empty_like(k))  # an array even for 0-d k
+    # below 0, k - floor(k) and k % 1.0 both round the exact (k - trunc k) + 1 once, so the
+    # bits agree; for -tiny that rounds to 1.0, an artifact folded back to 0
+    np.subtract(k, r, out=r)
+    r[r >= 1.0] = 0.0
+    return r
 
 
 def dispersion(k) -> np.ndarray:

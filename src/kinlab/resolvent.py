@@ -11,8 +11,11 @@ multiplicities as weights.  Axes with the same shift are interchangeable:
 when all three shifts are equal (every one-resolvent integral) only the
 orbits i <= j <= t are visited, n (n + 1) (n + 2) / 6 points for
 n = N//2 + 1; when two are, that pair is visited at i <= j only and the
-third axis is streamed over it.  The six-dimensional three-resolvent
-integral is a Parseval contraction in the DCT domain (`integral_3res`).
+third axis is streamed over it.  With two resolvents of one gamma, the
+exchange u -> -u - p swaps them; when N is even, the pair has shift 0 and
+the streamed axis 1/2, it is i -> N/2 - i on that axis, which then keeps
+i <= N/4 only.  The six-dimensional three-resolvent integral is a
+Parseval contraction in the DCT domain (`integral_3res`).
 It holds half of the folded (N/2 + 1)^3 grid, the pairs j <= t of its
 last two axes, and transforms and contracts those axes one slab at a time;
 no N^3 array is built.  The DCT-I is numpy's real FFT of the even
@@ -86,9 +89,13 @@ def _folded_rule(p, eps: float, N: int, gamma1: float, gamma2: float = None) -> 
     j = t, weight 3 at i < t and 1 at i = t.  When only two axes a, b share a
     shift, their pairs are visited at i <= j with the off-diagonal weights
     doubled, and the third axis streams all of them; with no such pair, axes
-    0 and 1 are paired whole.  The pair's cosine sums and weights are
-    flattened once; each index of the third axis is then one 1-D buffer,
-    reduced against the pair weights.
+    0 and 1 are paired whole.  With gamma2 = gamma1, N even, the pair at
+    shift 0 and the third axis at 1/2, the exchange u -> -u - p fixes the
+    pair's indices and maps i to N/2 - i on the third axis, with the same
+    weight and the two cosines swapped, so the summand is unchanged: the
+    third axis streams i <= N/4 only, at twice the weight below N/4.  The
+    pair's cosine sums and weights are flattened once; each index of the
+    third axis is then one 1-D buffer, reduced against the pair weights.
     """
     p = np.asarray(p, dtype=float) % 1.0
     a, b = next(((a, b) for a, b in ((0, 1), (0, 2), (1, 2)) if p[a] == p[b]), (0, 1))
@@ -96,6 +103,13 @@ def _folded_rule(p, eps: float, N: int, gamma1: float, gamma2: float = None) -> 
     weights = [_axis_weights(N, float(s)) for s in p]
     shifted = [_axis_cos(N, shift=float(s))[: len(w)] for s, w in zip(p, weights)]
     plain = [_axis_cos(N)[: len(w)] for w in weights]
+    if gamma2 == gamma1 and N % 2 == 0 and p[t] == 0.5 and p[a] == p[b] == 0.0:
+        # the exchange fold: t keeps i <= N/4 with its image's weight added; N/4 is its own image
+        keep = N // 4 + 1
+        weights[t] = 2.0 * weights[t][:keep]
+        if N % 4 == 0:
+            weights[t][-1] /= 2.0
+        shifted[t], plain[t] = shifted[t][:keep], plain[t][:keep]
     n = len(weights[t])
     if p[a] == p[b] == p[t]:
         j, i = np.tril_indices(n)
@@ -115,8 +129,11 @@ def _folded_rule(p, eps: float, N: int, gamma1: float, gamma2: float = None) -> 
         pair_w = last_w = weights[a][i] * weights[b][j] * mult
         starts = stops = [len(i)] * n
     pair_shifted = shifted[a][i] + shifted[b][j]
-    pair_plain = plain[a][i] + plain[b][j]
-    line, line2 = np.empty_like(pair_w), np.empty_like(pair_w)
+    if gamma2 is not None:
+        pair_plain = plain[a][i] + plain[b][j]
+        line2 = np.empty_like(pair_w)
+    del i, j
+    line = np.empty_like(pair_w)
     total = 0.0
     for wt, cs, cp, start, stop in zip(
         weights[t].tolist(), shifted[t].tolist(), plain[t].tolist(), starts, stops
@@ -144,7 +161,9 @@ def integral_2res(p, gamma1: float, gamma2: float, eps: float, N: int) -> float:
     with p = 0 or 1/2 mod 1 are folded onto their N//2 + 1 distinct cosine
     values.  Two axes with equal p are visited at i <= j only: at
     p = (1/2, 0, 0) the work is n^2 (n + 1) / 2 points, n = N//2 + 1, instead
-    of N^3.  Three equal shifts, as at p = (0, 0, 0) or (1/2, 1/2, 1/2), are
+    of N^3.  When also gamma1 = gamma2 and N is even, the exchange
+    u -> -u - p halves axis 0 too: (N/4 + 1) n (n + 1) / 2 points for 4 | N.
+    Three equal shifts, as at p = (0, 0, 0) or (1/2, 1/2, 1/2), are
     visited at i <= j <= t only: n (n + 1) (n + 2) / 6 points.
     """
     check_probe(gamma1, eps, N)

@@ -75,6 +75,18 @@ def test_torus_reduce_idempotent(k):
     assert np.array_equal(reduce_torus(r), r)
 
 
+def test_torus_reduce_bitwise_against_remainder():
+    # k - floor(k) and k % 1.0 both round the one exact value (k - trunc k) + 1 below 0
+    special = [0.0, -0.0, -5e-324, 5e-324, -1e-17, 1e-17, 1e20, -1e20, np.nextafter(1.0, 0.0),
+               -np.nextafter(1.0, 0.0), 1.0, -1.0, np.nan, np.inf, -np.inf]
+    k = np.concatenate([special, np.random.default_rng(7).uniform(-5.0, 5.0, 3000)])
+    with np.errstate(invalid="ignore"):  # inf - floor(inf) and inf % 1.0 are nan
+        r = k % 1.0
+        ref = np.where(r >= 1.0, 0.0, r)
+        got = reduce_torus(k.reshape(-1, 3)).ravel()
+    np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # box and transforms
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ import pytest
 from scipy import fft as sfft
 
 from conftest import run_fresh_python
+from kinlab import resolvent
 from kinlab.resolvent import (
     _dct1_rows,
     _pair_rows,
+    _reciprocal_modulus,
     check_probe,
     fit_scaling,
     integral_1res,
@@ -241,19 +243,43 @@ def test_1res_matches_full_grid_sum(N):
         assert integral_1res(gamma, eps, N) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("N", [24, 33, 48])
+@pytest.mark.parametrize("N", [24, 26, 33, 48])  # 26: N/2 odd, so the exchange fixes no index
 @pytest.mark.parametrize(
     "p",
     # (0.3, 0.3, 0.1) folds an off-grid pair of axes; (0, 1/2, 0) folds axes 0 and 2;
-    # equal shifts on all three axes take the i <= j <= t fold, folded or off the grid
+    # equal shifts on all three axes take the i <= j <= t fold, folded or off the grid;
+    # one shift 1/2 and two 0 take the exchange fold on axis 0, 1 or 2 when gamma1 = gamma2
     [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0), (0.25, 0.0, 0.75), OFF_GRID_P, (0.3, 0.3, 0.1), (0.0, 0.5, 0.0),
-     (0.5, 0.5, 0.5), (0.3, 0.3, 0.3)],
+     (0.5, 0.5, 0.5), (0.3, 0.3, 0.3), (0.0, 0.0, 0.5)],
 )
 def test_2res_matches_full_grid_sum(N, p):
     eps = 1.0 / 3.0
-    for gamma1, gamma2 in ((3.0, 3.0), (2.0, 4.0)):
+    for gamma1, gamma2 in ((3.0, 3.0), (1.2, 1.2), (2.0, 4.0)):
         ref = float(np.mean(_grid_modulus(p, gamma1, eps, N) * _grid_modulus((0.0, 0.0, 0.0), gamma2, eps, N)))
         assert integral_2res(p, gamma1, gamma2, eps, N) == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize(
+    "p, gamma2, N, rows",
+    [
+        ((0.5, 0.0, 0.0), 3.0, 48, 13),  # the exchange keeps axis 0's indices 0..12 of 0..24
+        ((0.5, 0.0, 0.0), 2.0, 48, 25),  # gamma1 != gamma2: the exchange changes the summand
+        ((0.5, 0.5, 0.0), 3.0, 48, 25),  # the streamed axis 2 has shift 0
+        ((0.5, 0.0, 0.0), 3.0, 33, 17),  # odd N: -u - p is off the grid
+    ],
+    ids=["exchange", "distinct_gamma", "pair_at_half", "odd_N"],
+)
+def test_2res_streamed_rows(monkeypatch, p, gamma2, N, rows):
+    # the rule takes one reciprocal modulus per streamed row of the third axis
+    calls = []
+
+    def counting(re, eps, re2=None):
+        calls.append(len(re))
+        return _reciprocal_modulus(re, eps, re2)
+
+    monkeypatch.setattr(resolvent, "_reciprocal_modulus", counting)
+    integral_2res(p, 3.0, gamma2, 1.0 / 3.0, N)
+    assert len(calls) == rows
 
 
 # (N, k, gamma, sign of the reference double sum); integral_3res takes no sign,
