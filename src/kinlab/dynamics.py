@@ -142,14 +142,14 @@ def _face_term(masses: tuple, weights: tuple) -> float:
 def _grow(work: np.ndarray, offsets: tuple, L: int) -> tuple:
     """(work, W, offsets) of the window WINDOW_QUANTUM wider than `work`'s.
 
-    The old window sits centred in the new one; a window that would reach
-    L is the box itself, at offsets 0.
+    The old window sits centred in the new one, which is moved inwards
+    where it would cross a face of the box; a window that would reach L is
+    the box itself, at offsets 0.
     """
-    W = len(work) + WINDOW_QUANTUM
-    if W >= L:
-        return put_window(work, offsets, np.zeros((L, L, L), complex)), L, (0, 0, 0)
-    pad = WINDOW_QUANTUM // 2
-    return np.pad(work, pad), W, tuple((o - pad) % L for o in offsets)
+    W = min(len(work) + WINDOW_QUANTUM, L)
+    grown = tuple(min(max(o - WINDOW_QUANTUM // 2, 0), L - W) for o in offsets)
+    inner = tuple(o - g for o, g in zip(offsets, grown))
+    return put_window(work, inner, np.zeros((W, W, W), complex)), W, grown
 
 
 def evolve_full(
@@ -171,9 +171,11 @@ def evolve_full(
     when h or the window does.
 
     The loop runs on a cubic window, side W (a multiple of WINDOW_QUANTUM
-    below L, or L) and one cyclic offset per axis: the input's, or for a
-    box-held input `lattice.smallest_window`'s.  The result is the state on
-    the last window.  Against the full-box Strang result its distance is at most
+    below L, or L) and one offset in [0, L - W] per axis, clear of the
+    box's periodic seam: the input's, or for a box-held input
+    `lattice.smallest_window`'s, the box for a state across the seam.  The
+    result is the state on the last window.  Against the full-box Strang
+    result its distance is at most
 
         B = ||psi outside the window||
             + sum over free sub-steps s of sum_j sqrt(C sum_x c(x_j) |psi(x)|^2),
@@ -192,9 +194,10 @@ def evolve_full(
     free sub-step an equal share: a box-held input starts on the smallest
     window whose outside mass fits it (`smallest_window` with that share),
     and whenever a sub-step's term would exceed it the window grows by
-    WINDOW_QUANTUM, centred, re-embedding the state in position space.  A
-    window that reaches L has no faces and adds nothing to B, so a state
-    that fills the box runs the full-box operations.
+    WINDOW_QUANTUM, centred but inside the box (`_grow`), re-embedding the
+    state in position space.  A window that reaches L has no faces and adds
+    nothing to B, so a state that fills the box runs the full-box
+    operations.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")

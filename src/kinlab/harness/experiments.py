@@ -380,7 +380,8 @@ def run_duhamel_study(cfg: ExperimentConfig):
     rng = np.random.default_rng([cfg.master_seed, SEED_STUDY])
     v = rng.normal(size=box.volume) + 1j * rng.normal(size=box.volume)
     v /= np.linalg.norm(v)
-    psi0 = WaveFunction(box, v)
+    # draw order is that of x mod L; rolled by L/2, each value sits at its x
+    psi0 = WaveFunction(box, np.roll(v.reshape((d.L,) * 3), d.L // 2, axis=(0, 1, 2)).ravel())
     V = sample_disorder(box, cfg.master_seed, 1)
     residuals = duhamel_residuals(d.N, d.t, psi0, V, d.lam, PropagatorConfig(dt=d.dt))
     return [[n, r] for n, r in enumerate(residuals)]

@@ -4,22 +4,20 @@ Conventions used throughout the package:
 
 * The box has ``L`` sites per axis (L even), stored row-major with axis 3
   fastest.  Site index ``idx`` in {0..L-1}^3 represents the lattice point
-  with centered coordinate ``x = ((idx + L/2) mod L) - L/2``, so the box
-  covers {-L/2, ..., L/2-1}^3 and the periodic seam sits at the faces.
-* A ``WaveFunction`` is a position-space field held on a cyclic window of
-  the box, zero off it (box-held: W = L).  Momentum space is the unit torus
-  sampled on {0, 1/L, ..., (L-1)/L}^3.  Momentum arrays are numpy's
-  unnormalised ``fftn`` of a position grid, the lattice Fourier sum
-  ``sum_x psi(x) exp(-2*pi*i k.x)``, and exist only inside ``dynamics``,
-  which leaves momentum space with ``ifftn``.  On-grid momenta do not
-  distinguish the centered representative from the raw index, so a plain
-  FFT applies.
-* Cyclic windows of a box (`take_window`, `put_window`) are sub-boxes with
-  one offset and one size per axis that may wrap the periodic seam.  One
-  rule, `smallest_window`, chooses them from the state's marginal masses:
-  the smallest cube, of side a multiple of `WINDOW_QUANTUM` or the box
-  side, whose outside norm fits a share.  `wkb_state` samples the cube of
-  share `WINDOW_TOL`, the propagator grows it as the state spreads, and
+  with centered coordinate ``x = idx - L/2``, so the box covers
+  {-L/2, ..., L/2-1}^3 and the periodic seam sits at the array faces.
+* A ``WaveFunction`` is a position-space field held on a window of the box,
+  zero off it (box-held: W = L).  Momentum space is the unit torus sampled
+  on {0, 1/L, ..., (L-1)/L}^3.  Momentum arrays are numpy's unnormalised
+  ``fftn`` of a position grid, the lattice Fourier sum
+  ``sum_x psi(x) exp(-2*pi*i k.x)`` times (-1)^(L k_j) per axis, and exist
+  only inside ``dynamics``, which leaves momentum space with ``ifftn``.
+* Windows of a box (`take_window`, `put_window`) are sub-boxes with one
+  offset in [0, L - n] and one size n per axis: slices, clear of the seam.
+  One rule, `smallest_window`, chooses them from the state's marginal
+  masses: the smallest cube, of side a multiple of `WINDOW_QUANTUM` or the
+  box side, whose outside norm fits a share.  `wkb_state` samples the cube
+  of share `WINDOW_TOL`, the propagator grows it as the state spreads, and
   the Wigner pairing contracts on it.
 * Kinetic energy of the nearest-neighbor Hamiltonian (hopping -1/2, on-site
   +3) acts in momentum space as ``e(k) = 3 - sum_j cos(2 pi k_j)``, with
@@ -28,7 +26,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -54,9 +51,8 @@ class BoxSpec:
         return self.side**3
 
     def site_coordinates(self) -> np.ndarray:
-        """Centered coordinate per axis index: idx -> ((idx+L/2) mod L) - L/2."""
-        L = self.side
-        return ((np.arange(L) + L // 2) % L) - L // 2
+        """Centered coordinate per axis index: idx -> idx - L/2."""
+        return np.arange(self.side) - self.side // 2
 
 
 def reduce_torus(k) -> np.ndarray:
@@ -88,9 +84,9 @@ def group_velocity(k) -> np.ndarray:
 
 @dataclass
 class WaveFunction:
-    """Complex field on the box, zero off the cyclic window of side W =
-    `side` at `offsets`; `values` is that window, flat, row-major (axis 3
-    fastest).  The default window is the box."""
+    """Complex field on the box, zero off the window of side W = `side` at
+    `offsets` (each in [0, L - W]); `values` is that window, flat, row-major
+    (axis 3 fastest).  The default window is the box."""
 
     box: BoxSpec
     values: np.ndarray
@@ -102,6 +98,8 @@ class WaveFunction:
         self.values = np.ascontiguousarray(self.values, dtype=np.complex128)
         if self.values.shape != (self.side**3,):
             raise ValueError(f"expected flat length {self.side**3}, got {self.values.shape}")
+        if not all(0 <= o <= self.box.side - self.side for o in self.offsets):
+            raise ValueError(f"window offsets {self.offsets} outside [0, {self.box.side - self.side}]")
 
     def grid(self) -> np.ndarray:
         """(W, W, W) view of the window's values."""
@@ -123,37 +121,20 @@ class WaveFunction:
 
 
 # ---------------------------------------------------------------------------
-# Cyclic windows
+# Windows
 # ---------------------------------------------------------------------------
 
 
-def _segments(offset: int, n: int, L: int) -> tuple:
-    """(box slice, window slice) pairs covering n sites from `offset` on an L-cycle."""
-    head = min(n, L - offset)
-    if head == n:
-        return ((slice(offset, offset + n), slice(0, n)),)
-    return ((slice(offset, L), slice(0, head)), (slice(0, n - head), slice(head, n)))
-
-
-def window_blocks(offsets: tuple, shape: tuple, L: int):
-    """The at most 8 (box index, window index) block pairs of the cyclic window
-    of `shape` at `offsets` (each in [0, L)) in an L-cube."""
-    for segs in itertools.product(*(_segments(o, n, L) for o, n in zip(offsets, shape))):
-        yield tuple(b for b, _ in segs), tuple(w for _, w in segs)
-
-
 def take_window(grid: np.ndarray, offsets: tuple, shape: tuple, out=None) -> np.ndarray:
-    """A copy of the cyclic window of `grid` of `shape` at `offsets`, in `out` if given."""
+    """A copy of the window of `grid` of `shape` at `offsets`, in `out` if given."""
     win = np.empty(shape, dtype=grid.dtype) if out is None else out
-    for box_idx, win_idx in window_blocks(offsets, shape, len(grid)):
-        win[win_idx] = grid[box_idx]
+    win[...] = grid[tuple(slice(o, o + n) for o, n in zip(offsets, shape))]
     return win
 
 
 def put_window(win: np.ndarray, offsets: tuple, out: np.ndarray) -> np.ndarray:
-    """Write `win` into the cyclic window of `out` at `offsets`; returns `out`."""
-    for box_idx, win_idx in window_blocks(offsets, win.shape, len(out)):
-        out[box_idx] = win[win_idx]
+    """Write `win` into the window of `out` at `offsets`; returns `out`."""
+    out[tuple(slice(o, o + n) for o, n in zip(offsets, win.shape))] = win
     return out
 
 
@@ -190,16 +171,19 @@ def smallest_window(masses: tuple, L: int, share: float) -> tuple:
 
     `masses` are the state's axis marginals (`axis_masses`) on an L-cube.
     For each W (multiples of WINDOW_QUANTUM below L, in turn), each axis
-    takes the cyclic offset with the least marginal mass outside the
-    window.  W holds the state when the norm of its part outside the window,
-    at most the root of the sum of the axes' outside masses, is within
-    `share`.  Otherwise the window is the box, at offsets 0.  Share 0 gives
-    the smallest such cube that holds every nonzero site.
+    takes the offset o in [0, L - W] with the least marginal mass outside
+    the window, m[:o] plus m[o+W:] from prefix and suffix sums (total minus
+    inside would cancel the small masses a share tests).  W holds the state
+    when the norm of its part outside the window, at most the root of the
+    sum of the axes' outside masses, is within `share`.  Otherwise the
+    window is the box, at offsets 0.  Share 0 gives the smallest such cube
+    that holds every nonzero site.
     """
+    # heads[k] = sum of m[:k] and tails[k] = sum of m[k:], for k = 0..L
+    heads = [np.concatenate(([0.0], np.cumsum(m))) for m in masses]
+    tails = [np.concatenate((np.cumsum(m[::-1])[::-1], [0.0])) for m in masses]
     for W in range(WINDOW_QUANTUM, L, WINDOW_QUANTUM):
-        # row o: the sites off the window that starts at offset o
-        outside_idx = (np.arange(L)[:, None] + np.arange(W, L)) % L
-        outside = [np.einsum("ij->i", m[outside_idx]) for m in masses]
+        outside = [head[: L - W + 1] + tail[W:] for head, tail in zip(heads, tails)]
         if math.sqrt(sum(float(out.min()) for out in outside)) <= share:
             return W, tuple(int(np.argmin(out)) for out in outside)
     return L, (0, 0, 0)
@@ -218,31 +202,34 @@ class DisorderField:
     values: np.ndarray
 
 
-# sites per chunk of `sample_disorder`: its uniform buffer is 256 KB
+# sites per chunk of `sample_disorder` (at least one axis-0 slab): its
+# uniform buffer is 256 KB
 _DISORDER_CHUNK = 1 << 14
 
 
 def sample_disorder(box: BoxSpec, seed: int, stream: int) -> DisorderField:
     """i.i.d. N(0,1) per site from a counter-based generator keyed by (seed, stream).
 
-    Site i consumes the uniform words 2i and 2i+1 of the Philox stream and
-    maps them through Box-Muller, so the value at a site is a fixed function
-    of (seed, stream, site index) regardless of traversal or chunking.  The
-    output is filled `_DISORDER_CHUNK` sites at a time: each chunk draws its
-    uniforms into one reused buffer and is transformed there, so a draw
-    holds the output plus a few chunk-sized arrays, not several box-sized
-    temporaries.
+    The site at coordinate x consumes the uniform words 2j and 2j+1 of the
+    Philox stream, j the row-major index of x mod L, and maps them through
+    Box-Muller, so the value at a site is a fixed function of (seed, stream,
+    x) regardless of traversal or chunking.  The output is filled in whole
+    axis-0 slabs of x mod L, up to `_DISORDER_CHUNK` sites at a time: each
+    chunk draws its uniforms into one reused buffer and is transformed and
+    rolled by L/2 into its rows, so a draw holds the output plus a few
+    chunk-sized arrays, not several box-sized temporaries.
     """
+    L = box.side
     gen = np.random.Generator(np.random.Philox(key=[seed % 2**64, stream % 2**64]))
-    values = np.empty(box.volume)
-    buf = np.empty(2 * _DISORDER_CHUNK)
-    for i in range(0, box.volume, _DISORDER_CHUNK):
-        out = values[i : i + _DISORDER_CHUNK]
-        u = gen.random(out=buf[: 2 * len(out)])
-        u1 = 1.0 - u[0::2]  # (0, 1]: keeps log() finite
-        u2 = u[1::2]
-        np.multiply(np.sqrt(-2.0 * np.log(u1)), np.cos(2.0 * np.pi * u2), out=out)
-    return DisorderField(box, values)
+    values = np.empty((L, L, L))
+    rows = max(1, _DISORDER_CHUNK // L**2)
+    buf = np.empty(2 * rows * L**2)
+    for r in range(0, L, rows):
+        u = gen.random(out=buf[: 2 * min(rows, L - r) * L**2]).reshape(-1, L, L, 2)
+        # 1 - u in (0, 1] keeps log() finite; slab x0 = r + k sits at row (r + k + L/2) mod L
+        z = np.sqrt(-2.0 * np.log(1.0 - u[..., 0])) * np.cos(2.0 * np.pi * u[..., 1])
+        values[(np.arange(r, r + len(u)) + L // 2) % L] = np.roll(z, L // 2, axis=(1, 2))
+    return DisorderField(box, values.ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +340,11 @@ def wkb_state(spec: WkbSpec, eta: float, box: BoxSpec) -> WaveFunction:
             f"envelope tail mass {tail:.3e} outside box exceeds {TAIL_TOL:.1e}; "
             f"increase side {box.side} or reduce sigma/center"
         )
-    L = box.side
     coord = box.site_coordinates() * eta
     # the marginals of |h|^2 at unit mass: each axis's factor over its sum
     sq = [np.exp(-((coord - c) ** 2) / (2.0 * spec.sigma**2)) for c in spec.center]
-    W, offsets = smallest_window([f / np.einsum("i->", f) for f in sq], L, WINDOW_TOL)
-    x0, x1, x2 = (coord[(o + np.arange(W)) % L] for o in offsets)
+    W, offsets = smallest_window([f / np.einsum("i->", f) for f in sq], box.side, WINDOW_TOL)
+    x0, x1, x2 = (coord[o : o + W] for o in offsets)
     X = np.empty((W, W, 3))
     X[..., 1] = x1[:, None]
     X[..., 2] = x2

@@ -113,26 +113,33 @@ def _folded_rule(p, eps: float, N: int, gamma1: float, gamma2: float = None) -> 
     n = len(weights[t])
     if p[a] == p[b] == p[t]:
         j, i = np.tril_indices(n)
-        pair_w = weights[a][i] * weights[b][j]
-        last_w = pair_w * np.where(i == j, 1.0, 3.0)
-        pair_w *= np.where(i == j, 3.0, 6.0)
+    elif p[a] == p[b]:
+        i, j = np.triu_indices(len(weights[a]))
+    else:
+        i, j = np.indices((len(weights[a]), len(weights[b]))).reshape(2, -1)
+    diag = i == j
+    # gathered from i, then from j, so that at most one index array and one
+    # gathered temporary are live beside the pair arrays
+    pair_w, pair_shifted = weights[a][i], shifted[a][i]
+    pair_plain = None if gamma2 is None else plain[a][i]
+    del i
+    pair_w *= weights[b][j]
+    pair_shifted += shifted[b][j]
+    if gamma2 is not None:
+        pair_plain += plain[b][j]
+        line2 = np.empty_like(pair_w)
+    del j
+    if p[a] == p[b] == p[t]:
+        last_w = pair_w * np.where(diag, 1.0, 3.0)
+        pair_w *= np.where(diag, 3.0, 6.0)
         # index u of the third axis streams the pairs j < u, then the pairs j == u
         starts = [u * (u + 1) // 2 for u in range(n)]
         stops = [(u + 1) * (u + 2) // 2 for u in range(n)]
     else:
         if p[a] == p[b]:
-            i, j = np.triu_indices(len(weights[a]))
-            mult = np.where(i == j, 1.0, 2.0)
-        else:
-            i, j = np.indices((len(weights[a]), len(weights[b]))).reshape(2, -1)
-            mult = 1.0
-        pair_w = last_w = weights[a][i] * weights[b][j] * mult
-        starts = stops = [len(i)] * n
-    pair_shifted = shifted[a][i] + shifted[b][j]
-    if gamma2 is not None:
-        pair_plain = plain[a][i] + plain[b][j]
-        line2 = np.empty_like(pair_w)
-    del i, j
+            pair_w *= np.where(diag, 1.0, 2.0)
+        last_w = pair_w
+        starts = stops = [len(pair_w)] * n
     line = np.empty_like(pair_w)
     total = 0.0
     for wt, cs, cp, start, stop in zip(

@@ -18,9 +18,10 @@ box.
 
 The product conj(phi(x + m)) psi(x) vanishes off the window psi is held
 on, so the sum over x runs on it, with the per-axis factors read at its
-cyclic coordinates.  phi(x + m) is phi's window shifted by m when phi is
-held on the same window, and is otherwise read from phi on the box.  A
-pairing of two states on one window holds nothing of the box's size.
+coordinates.  phi(x + m) is phi's window shifted by m when phi is held on
+the same window, and is otherwise read from phi on the box, rolled by m
+across the periodic seam.  A pairing of two states on one window holds
+nothing of the box's size.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kinlab.lattice import WaveFunction, WkbSpec, take_window
+from kinlab.lattice import WaveFunction, WkbSpec
 
 GAUSS_TAIL_THRESHOLD = 1e-10  # relative cutoff of the Fourier factor per axis
 # Fourier mass of one axis's Gaussian beyond that cutoff: the erfc argument
@@ -142,22 +143,21 @@ def _pair_states(J, phi: WaveFunction, psi: WaveFunction, eta):
     |product| into one real array for the periodization estimate.  phi on
     psi's window is shifted there if every |m_j| is below W and at most
     L - W, so that no shift wraps onto the window; else it is read from the
-    box.  The diagonal pairing (phi is psi) takes its norm once.
+    box rolled by -m.  The diagonal pairing (phi is psi) takes its norm
+    once.
     """
     box = psi.box
     side = box.side
     coords = box.site_coordinates()
     W, offsets = psi.side, psi.offsets
-    shape = (W, W, W)
     s = psi.grid()
     reach = max(abs(c) for m, _ in J.coeffs for c in m)
     local = (phi.side, phi.offsets) == (W, offsets) and reach <= min(side - W, W - 1)
     p_box = None if local else phi.box_grid()
     norm_psi = psi.norm()
     norms = (norm_psi if phi is psi else phi.norm()) * norm_psi
-    # box index of each window coordinate, per axis
-    sites = [(o + np.arange(n)) % side for o, n in zip(offsets, shape)]
-    mag = np.empty(shape)
+    win = tuple(slice(o, o + W) for o in offsets)
+    mag = np.empty((W, W, W))
 
     value = 0.0 + 0.0j
     coeff_l1 = 0.0
@@ -169,15 +169,16 @@ def _pair_states(J, phi: WaveFunction, psi: WaveFunction, eta):
         for ax in range(3):
             key = (ax, m[ax])
             if key not in table_cache:
-                # the xi sum of the table becomes a per-site factor f_mj
+                # the xi sum of the table becomes a per-site factor f_mj, entry j
+                # at y = j mod L; rolled by -coords[0], entry i is at coords[i]
                 table = np.fft.fft(_axis_table(J, eta, side, ax, m[ax]))
-                table_cache[key] = table[sites[ax]]
+                table_cache[key] = np.roll(table, -coords[0])[win[ax]]
             tabs.append(table_cache[key])
 
         if local:
             q = _shifted(phi.grid(), m)
         else:
-            q = take_window(p_box, tuple((o + c) % side for o, c in zip(offsets, m)), shape)
+            q = np.roll(p_box, tuple(-c for c in m), axis=(0, 1, 2))[win]
         np.conj(q, out=q)
         q *= s
         value += np.conj(cm) * _contract(q, tabs)
@@ -189,12 +190,12 @@ def _pair_states(J, phi: WaveFunction, psi: WaveFunction, eta):
         np.abs(q, out=mag)
         del q  # freed before the next harmonic's window is copied
         central = [
-            _axis_gauss_abs(J, eta, coords, ax, m[ax] / 2.0, 0)[sites[ax]] for ax in range(3)
+            _axis_gauss_abs(J, eta, coords, ax, m[ax] / 2.0, 0)[win[ax]] for ax in range(3)
         ]
         for ax in range(3):
             vecs = list(central)
             vecs[ax] = (_axis_gauss_abs(J, eta, coords, ax, m[ax] / 2.0, -1)
-                        + _axis_gauss_abs(J, eta, coords, ax, m[ax] / 2.0, 1))[sites[ax]]
+                        + _axis_gauss_abs(J, eta, coords, ax, m[ax] / 2.0, 1))[win[ax]]
             alias_total += abs(cm) * float(_contract(mag, vecs))
     value /= box.volume
 

@@ -30,7 +30,9 @@ def random_state(box, rng):
 
 
 def boxed_state(box, offsets, shape, rng):
-    """A normalized random state that vanishes off the cyclic box of `shape` at `offsets`."""
+    """A normalized random, box-held state that vanishes off the box of `shape`
+    at array `offsets`; a box with o + n > L wraps the array's faces, as a
+    support across the periodic seam does."""
     L = box.side
     grid = np.zeros((L, L, L), dtype=complex)
     idx = np.ix_(*[(o + np.arange(n)) % L for o, n in zip(offsets, shape)])

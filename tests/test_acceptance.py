@@ -119,10 +119,10 @@ def test_criterion_2_wigner_identities(rng):
     mass_err = abs(mass - psi_w.norm() ** 2) / psi_w.norm() ** 2
     mass_ok = mass_err <= 0.02
 
-    # (c) delta-state closed form
-    vals = np.zeros(box.volume, complex)
-    vals[0] = 1.0
-    delta_val = pair_wigner(J, WaveFunction(box, vals), 0.5).value
+    # (c) delta-state closed form, the delta at x = 0 (array index L/2)
+    vals = np.zeros((16, 16, 16), complex)
+    vals[8, 8, 8] = 1.0
+    delta_val = pair_wigner(J, WaveFunction(box, vals.ravel()), 0.5).value
     expected = np.conj(J.spatial(np.zeros(3))) * np.conj(dict(J.coeffs)[(0, 0, 0)])
     delta_ok = abs(delta_val - expected) < 1e-6
 

@@ -275,27 +275,32 @@ def test_window_localized_packet_matches_full_box(monkeypatch):
     sides = window_sides(monkeypatch)
     out = check_window_run(psi, V, LAM, 1.0, 0.05)
     assert out.side == max(sides) < box.side
-    # the window wraps index 0 on every axis and is zero outside
+    # the window sits in the middle of the array, at x = 0, and is zero outside
     grid = out.box_grid()
     for axis in range(3):
         assert cyclic_support(grid, axis) <= max(sides)
-    assert grid[0, 0, 0] != 0 and grid[-1, -1, -1] != 0
-    assert grid[24, 24, 24] == 0
+    assert grid[0, 0, 0] == 0 and grid[-1, -1, -1] == 0
+    assert grid[24, 24, 24] != 0
 
 
-@pytest.mark.parametrize("shift", [(24, 0, 0), (24, 24, 24), (5, -9, 17)])
+@pytest.mark.parametrize("shift", [(24, 0, 0), (24, 24, 24), (3, -4, 2)])
 def test_window_follows_packet_across_the_box(shift, monkeypatch):
-    # the centred packet rolled to the box edge (24 of 48) and elsewhere: the
-    # window takes its offsets from the marginals, wherever the packet sits
+    # the centred packet sits in the middle of the array.  Rolled by L/2 = 24
+    # on an axis, it sits across the periodic seam, where no window holds it,
+    # and the run takes the box; rolled within the array, the window takes
+    # its offsets from the marginals and follows it
     box = BoxSpec(48)
     grid = np.roll(wkb_state(PACKET, LAM**2, box).box_grid(), shift, axis=(0, 1, 2))
     psi = WaveFunction(box, grid.ravel())
     V = sample_disorder(box, 7, 2)
     sides = window_sides(monkeypatch)
     out = check_window_run(psi, V, LAM, 1.0, 0.05)
-    assert max(sides) < box.side
     grid = out.box_grid()
-    assert grid[shift] != 0
+    assert grid[tuple((24 + s) % 48 for s in shift)] != 0
+    if 24 in shift:
+        assert set(sides) == {box.side}
+        return
+    assert max(sides) < box.side
     for axis in range(3):
         assert cyclic_support(grid, axis) <= max(sides)
 
@@ -319,6 +324,28 @@ def test_window_grows_to_the_box(monkeypatch):
     out = check_window_run(psi, V, LAM, 3.0, 0.1)
     assert sides[0] < box.side == sides[-1]
     assert np.all(out.values != 0)
+
+
+def test_centred_packet_windows_never_wrap(monkeypatch):
+    # a packet centred at x = 0 sits in the middle of the array: its WKB
+    # window and each window the propagator grows it to are centred cubes,
+    # clear of the periodic seam at the array's faces
+    box = BoxSpec(48)
+    psi = wkb_state(PACKET, LAM**2, box)
+    windows = [(psi.side, psi.offsets)]
+    grow = dynamics._grow
+
+    def recorded(work, offsets, L):
+        grown = grow(work, offsets, L)
+        windows.append(grown[1:])
+        return grown
+
+    monkeypatch.setattr(dynamics, "_grow", recorded)
+    out = evolve_full(psi, sample_disorder(box, 7, 3), LAM, 2.0, PropagatorConfig(dt=0.1))
+    assert windows[-1] == (out.side, out.offsets)
+    assert len(windows) >= 3 and out.side < box.side
+    for W, offsets in windows:
+        assert offsets == ((box.side - W) // 2,) * 3
 
 
 def test_window_fills_box_for_random_state(rng, monkeypatch):

@@ -121,7 +121,7 @@ def test_disorder_moments():
 
 
 def one_shot_disorder(box, seed, stream):
-    """Box-Muller over the whole stream at once: site i takes words 2i and 2i+1."""
+    """Box-Muller over the whole stream at once: entry j takes words 2j and 2j+1."""
     gen = np.random.Generator(np.random.Philox(key=[seed, stream]))
     u = gen.random(2 * box.volume)
     return np.sqrt(-2.0 * np.log(1.0 - u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
@@ -131,9 +131,13 @@ def one_shot_disorder(box, seed, stream):
 @pytest.mark.parametrize("side", [4, 6, 64, 66])
 @pytest.mark.parametrize("stream", [1, 2])
 def test_chunked_disorder_matches_one_shot_draw(side, stream):
+    # the site at x takes entry j = row-major index of x mod L, and array
+    # index i holds x = i - L/2: the one-shot draw rolled by L/2 on every axis
     box = BoxSpec(side)
+    L = side
     got = sample_disorder(box, 20260810, stream).values
-    assert got.tobytes() == one_shot_disorder(box, 20260810, stream).tobytes()
+    want = np.roll(one_shot_disorder(box, 20260810, stream).reshape(L, L, L), L // 2, axis=(0, 1, 2))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_disorder_draw_holds_no_box_sized_temporaries():
@@ -279,20 +283,20 @@ def test_trig_polynomial_gradient_matches_fd(rng):
 
 
 # ---------------------------------------------------------------------------
-# cyclic windows
+# windows
 # ---------------------------------------------------------------------------
 
 
 def rolled_window(grid, offsets, shape):
-    """np.roll reference for the cyclic window of `shape` at `offsets`."""
+    """np.roll reference for the window of `shape` at `offsets`."""
     rolled = np.roll(grid, [-o for o in offsets], axis=(0, 1, 2))
     return rolled[tuple(slice(0, n) for n in shape)]
 
 
 @pytest.mark.parametrize(
     "offsets, shape",
-    [((9, 0, 11), (5, 12, 3)), ((3, 4, 5), (2, 2, 2)), ((11, 11, 11), (12, 12, 12))],
-    ids=["wraps", "inside", "whole-box-wrapped"],
+    [((3, 4, 5), (2, 2, 2)), ((0, 7, 9), (12, 5, 3))],
+    ids=["inside", "at-faces"],
 )
 def test_take_and_put_window_match_roll(offsets, shape, rng):
     L = 12
@@ -304,6 +308,14 @@ def test_take_and_put_window_match_roll(offsets, shape, rng):
     corner[tuple(slice(0, n) for n in shape)] = win
     assert np.array_equal(placed, np.roll(corner, offsets, axis=(0, 1, 2)))
     assert np.array_equal(take_window(placed, offsets, shape), win)
+
+
+@pytest.mark.parametrize("offsets", [(-1, 0, 0), (0, 0, 9), (4, 5, 16)])
+def test_wave_function_rejects_window_past_the_box(offsets):
+    # a window of side 8 in a 16-box starts at an offset in [0, 8]
+    with pytest.raises(ValueError, match="offsets"):
+        WaveFunction(BoxSpec(16), np.zeros(8**3), 8, offsets)
+    WaveFunction(BoxSpec(16), np.zeros(8**3), 8, (0, 8, 3))
 
 
 @pytest.mark.parametrize("n", [5, 8, 13, 56])
@@ -319,37 +331,65 @@ def test_axis_masses_match_direct_sums(n, rng):
 def check_smallest_window(grid, share):
     """smallest_window's (W, offsets) for `grid`, checked against brute force:
     the part of `grid` off the window has norm within `share`, and for no
-    smaller side does any choice of offsets bring the marginal bound within it."""
+    smaller side does any choice of offsets in [0, L - side] bring the
+    marginal bound within it."""
     L = len(grid)
     masses = axis_masses(grid)
     W, offsets = smallest_window(masses, L, share)
-    off = np.roll(grid, [-o for o in offsets], axis=(0, 1, 2))
-    off[:W, :W, :W] = 0
+    assert all(0 <= o <= L - W for o in offsets)
+    off = grid.copy()
+    off[tuple(slice(o, o + W) for o in offsets)] = 0
     assert np.linalg.norm(off) <= share
     for smaller in range(WINDOW_QUANTUM, W, WINDOW_QUANTUM):
-        least = [min(float(np.roll(m, -o)[smaller:].sum()) for o in range(L)) for m in masses]
+        least = [min(float(m[:o].sum() + m[o + smaller:].sum()) for o in range(L - smaller + 1))
+                 for m in masses]
         assert math.sqrt(sum(least)) > share
     return W, offsets
 
 
-@pytest.mark.parametrize("shift", [(0, 0, 0), (7, -3, 16)])
+BENCH_PACKET = WkbSpec(sigma=0.35, linear=(1.5707963, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("shift", [(0, 0, 0), (4, -4, 2)])
 @pytest.mark.parametrize("share", [1e-6, 1e-12])
 def test_smallest_window_fits_share_on_packet(shift, share):
-    # the centred packet wraps index 0 on every axis
+    # the centred packet sits in the middle of the array; shifted, its
+    # 1e-12 window meets the array's faces on axes 0 and 1
     L = 32
-    packet = wkb_state(WkbSpec(sigma=0.35, linear=(1.5707963, 0.0, 0.0)), 0.36, BoxSpec(L))
+    packet = wkb_state(BENCH_PACKET, 0.36, BoxSpec(L))
     W, offsets = check_smallest_window(np.roll(packet.box_grid(), shift, axis=(0, 1, 2)), share)
     assert W < L
-    if shift == (0, 0, 0):
-        assert all(o + W > L for o in offsets)
+
+
+@pytest.mark.parametrize("lam, side, start", [(0.6, 24, -12), (0.45, 40, -20)])
+def test_smallest_window_of_benchmark_packets(lam, side, start):
+    # the outside masses fall to ~1e-24 at share WINDOW_TOL, where a total
+    # minus inside sum cancels them: its search picks W = 24 at -15 and 32 at -17
+    box = BoxSpec(64)
+    eta = lam**2
+    psi = wkb_state(BENCH_PACKET, eta, box)
+    assert (psi.side, psi.offsets) == (side, (start + 32,) * 3)
+    full = full_grid_wkb_values(BENCH_PACKET, eta, box)
+    full /= np.linalg.norm(full)
+    assert check_smallest_window(full, WINDOW_TOL) == (psi.side, psi.offsets)
+
+
+def test_smallest_window_of_packet_across_the_seam_is_the_box():
+    # rolled by L/2 on one axis, the packet's mass sits at both faces of the array
+    L = 32
+    packet = wkb_state(BENCH_PACKET, 0.36, BoxSpec(L))
+    grid = np.roll(packet.box_grid(), (0, L // 2, 0), axis=(0, 1, 2))
+    assert check_smallest_window(grid, 1e-6) == (L, (0, 0, 0))
 
 
 @pytest.mark.parametrize(
     "offsets, shape, side",
-    [((29, 30, 2), (9, 5, 12), 16), ((31, 0, 20), (8, 1, 3), 8), ((5, 20, 0), (17, 2, 2), 24)],
+    [((13, 14, 18), (9, 5, 12), 16), ((15, 16, 4), (8, 1, 3), 8), ((5, 20, 0), (17, 2, 2), 24)],
     ids=["wraps-two-axes", "wraps-one-axis", "long-axis"],
 )
 def test_smallest_window_share_zero_holds_every_nonzero_site(offsets, shape, side, rng):
+    # array offsets; the first two supports wrap around x = 0 (index L/2) on two
+    # axes and on one, and the third starts at a face of the array
     L = 32
     grid = boxed_state(BoxSpec(L), offsets, shape, rng).grid()
     W, win = check_smallest_window(grid, 0.0)

@@ -85,10 +85,13 @@ def momentum_reference(J, phi, psi, eta):
     side = psi.box.side
     coords = psi.box.site_coordinates()
     volume = side**3
-    # unitary momentum amplitudes
+    # unitary momentum amplitudes; array index i holds x = i - L/2, so the
+    # lattice Fourier sum over x is (-1)^k per axis times fftn of the array
+    sign = (-1.0) ** np.arange(side)
+    parity = sign[:, None, None] * sign[:, None] * sign
     Fphi = np.fft.fftn(phi.box_grid()) / math.sqrt(volume)
     Fpsi = np.fft.fftn(psi.box_grid()) / math.sqrt(volume)
-    fft_psi = np.fft.fftn(Fpsi)
+    fft_psi = np.fft.fftn(Fpsi * parity)
     abs_phi = np.abs(np.fft.ifftn(Fphi)) * math.sqrt(volume)
     abs_psi = np.abs(np.fft.ifftn(Fpsi)) * math.sqrt(volume)
 
@@ -100,7 +103,7 @@ def momentum_reference(J, phi, psi, eta):
         tabs = [_axis_table(J, eta, side, ax, m[ax]) for ax in range(3)]
 
         phases = [np.exp(2j * np.pi * m[ax] * np.arange(side) / side) for ax in range(3)]
-        G = Fphi * phases[0][:, None, None] * phases[1][None, :, None] * phases[2][None, None, :]
+        G = Fphi * parity * phases[0][:, None, None] * phases[1][None, :, None] * phases[2][None, None, :]
         corr = np.fft.ifftn(np.conj(np.fft.fftn(G)) * fft_psi)
         value += np.conj(cm) * np.einsum("i,j,k,ijk->", *tabs, corr)
 
@@ -161,9 +164,9 @@ def observable():
 
 def test_delta_state_closed_form(observable):
     box = BoxSpec(16)
-    vals = np.zeros(box.volume, dtype=complex)
-    vals[0] = 1.0
-    res = pair_wigner(observable, WaveFunction(box, vals), 0.5)
+    vals = np.zeros((16, 16, 16), dtype=complex)
+    vals[8, 8, 8] = 1.0  # x = 0
+    res = pair_wigner(observable, WaveFunction(box, vals.ravel()), 0.5)
     c0 = dict(observable.coeffs)[(0, 0, 0)]
     expected = np.conj(observable.spatial(np.zeros(3))) * np.conj(c0)
     assert abs(res.value - expected) < 1e-6
@@ -245,7 +248,8 @@ def full_box_pairing(J, p, s, eta, box):
     alias_total = 0.0
     for m, cm in J.coeffs:
         coeff_l1 += abs(cm)
-        tabs = [np.fft.fft(_axis_table(J, eta, side, ax, m[ax])) for ax in range(3)]
+        # entry j of the table's transform is at y = j mod L; array index i holds x = i - L/2
+        tabs = [np.roll(np.fft.fft(_axis_table(J, eta, side, ax, m[ax])), side // 2) for ax in range(3)]
         shift = tuple(-c for c in m)
         q = np.roll(p, shift, axis=(0, 1, 2))
         np.conj(q, out=q)
@@ -294,11 +298,11 @@ def embedded(psi):
     return WaveFunction(psi.box, psi.box_grid().ravel())
 
 
-def assert_window_holds(window, offsets, shape, L):
-    """The cube `window` contains the cyclic box of `shape` at `offsets` on an L-cycle."""
+def assert_window_holds(window, offsets, shape):
+    """The cube `window` contains the box of `shape` at `offsets`."""
     W, starts = window
     for o, n, w in zip(offsets, shape, starts):
-        assert (o - w) % L + n <= W
+        assert w <= o and o + n <= w + W
 
 
 # harmonics that reach 7 sites, the most a shift within an 8-site window of
@@ -312,8 +316,8 @@ FAR_OBSERVABLE = make_observable(
 
 SUPPORTS = {
     # (offsets, shape) of the support, and the side of the cube that holds it
-    # every axis wraps index 0, each with its own size
-    "wraps_zero": ((13, 14, 15), (7, 6, 5), 8),
+    # every axis wraps around x = 0 (array index 8), each with its own size
+    "wraps_zero": ((5, 6, 7), (7, 6, 5), 8),
     # one axis ends at the box face, one starts at it, one is the whole axis
     "at_face": ((11, 0, 0), (5, 6, 16), 16),
     "one_site": ((15, 0, 8), (1, 1, 1), 8),
@@ -331,7 +335,7 @@ def test_support_window_matches_full_box(support, J, eta):
     offsets, shape, side = SUPPORTS[support]
     psi = on_window(boxed_state(box, offsets, shape, np.random.default_rng(len(support))))
     assert psi.side == side
-    assert_window_holds((psi.side, psi.offsets), offsets, shape, box.side)
+    assert_window_holds((psi.side, psi.offsets), offsets, shape)
     assert_matches_full_box(J, psi, psi, eta)
 
 
@@ -347,9 +351,9 @@ def test_support_window_bilinear_different_supports(J, rng):
     # phi's support overlaps psi's only in part, and phi is nonzero where
     # psi vanishes; the window is psi's, and phi is read shifted from the box
     box = BoxSpec(16)
-    psi = on_window(boxed_state(box, (14, 3, 10), (6, 5, 7), rng))
-    phi = on_window(boxed_state(box, (1, 5, 12), (8, 9, 3), rng))
-    assert (phi.side, phi.offsets) != (psi.side, psi.offsets)
+    psi = on_window(boxed_state(box, (6, 3, 2), (6, 5, 7), rng))
+    phi = on_window(boxed_state(box, (1, 5, 4), (8, 9, 3), rng))
+    assert psi.side < box.side and (phi.side, phi.offsets) != (psi.side, psi.offsets)
     assert_matches_full_box(J, phi, psi, 0.5)
     assert_matches_full_box(J, psi, phi, 0.35)
     assert_matches_full_box(J, embedded(phi), psi, 0.5)
@@ -363,7 +367,7 @@ def test_window_held_pairings_match_box_embedding(J, rng):
     box = BoxSpec(32)
     eta = 0.36
     psi = wkb_state(WkbSpec(sigma=0.35, linear=(1.5707963, 0.0, 0.0)), eta, box)
-    chi = on_window(boxed_state(box, (27, 2, 30), (9, 7, 12), rng))
+    chi = on_window(boxed_state(box, (11, 18, 14), (9, 7, 12), rng))
     assert psi.side < box.side and chi.side < box.side and chi.offsets != psi.offsets
     pairs = [(psi, psi), (chi, chi), (chi, psi), (psi, chi)]
     for phi, other in pairs:
